@@ -25,6 +25,7 @@ from umm.distro_fusion import (
 )
 from umm.errors import IoFailure, LengthMismatch, UmmError
 from umm.evo_search import config_from_json_obj, run_search
+from umm.jsonl import iter_jsonl
 from umm.merge_core import (
     compute_task_vector,
     expand_schedule,
@@ -148,25 +149,21 @@ def cmd_align_stats(args) -> dict:
 
 def _load_raw_examples(path) -> list:
     lines = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                lines.append(
-                    {
-                        "pivot_ids": obj["pivot"]["ids"],
-                        "pivot_surfaces": obj["pivot"]["surfaces"],
-                        "source_ids": obj["source"]["ids"],
-                        "source_surfaces": obj["source"]["surfaces"],
-                        "instruction": obj.get("instruction", []),
-                        "pivot_rows": obj["pivot_rows"],
-                        "source_rows": obj["source_rows"],
-                    }
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise IoFailure(f"{path}:{lineno}: bad example line: {exc}") from exc
+    for lineno, obj in iter_jsonl(path):
+        try:
+            lines.append(
+                {
+                    "pivot_ids": obj["pivot"]["ids"],
+                    "pivot_surfaces": obj["pivot"]["surfaces"],
+                    "source_ids": obj["source"]["ids"],
+                    "source_surfaces": obj["source"]["surfaces"],
+                    "instruction": obj.get("instruction", []),
+                    "pivot_rows": obj["pivot_rows"],
+                    "source_rows": obj["source_rows"],
+                }
+            )
+        except (KeyError, TypeError) as exc:
+            raise IoFailure(f"{path}:{lineno}: bad example line: {exc}") from exc
     if not lines:
         raise IoFailure(f"{path} holds no examples")
     return lines

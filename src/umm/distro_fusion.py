@@ -27,6 +27,7 @@ from umm.errors import (
     OutOfVocab,
     ShapeMismatch,
 )
+from umm.jsonl import iter_jsonl
 from umm.tensor_store import Checkpoint, Tensor, load_checkpoint, save_checkpoint
 
 # floor inside every log so sparse rows cannot produce -inf
@@ -143,29 +144,15 @@ def sft_loss(model_dist: DistributionMatrix, gold) -> float:
     return sequence_cross_entropy(model_dist, gold)
 
 
-def fusion_loss(fused: DistributionMatrix, model_dist: DistributionMatrix,
-                kind: str = "cross_entropy") -> float:
-    """Per-position cross-entropy of the model rows against fused rows.
-
-    ``kind="kl"`` subtracts the fused rows' entropy instead, which
-    shifts the reported value by a constant but leaves gradients with
-    respect to the model unchanged (the fused side is fixed).
-    """
+def fusion_loss(fused: DistributionMatrix, model_dist: DistributionMatrix) -> float:
+    """Per-position cross-entropy of the model rows against fused rows."""
     if fused.rows.shape != model_dist.rows.shape:
         raise ShapeMismatch(
             f"shape {fused.rows.shape} vs {model_dist.rows.shape}"
         )
-    value = float(
+    return float(
         np.mean((-fused.rows * np.log(np.maximum(model_dist.rows, LOG_FLOOR))).sum(axis=1))
     )
-    if kind == "kl":
-        entropy = float(
-            np.mean((-fused.rows * np.log(np.maximum(fused.rows, LOG_FLOOR))).sum(axis=1))
-        )
-        return value - entropy
-    if kind != "cross_entropy":
-        raise ValueError(f"unknown fusion loss kind {kind!r}")
-    return value
 
 
 def combined_loss(l_sft: float, l_fusion: float, lambda_mix: float) -> LossBreakdown:
@@ -360,16 +347,7 @@ def example_from_json_obj(obj: dict) -> FusionExample:
 
 def load_fusion_corpus(path) -> list:
     """JSONL of example_to_json_obj objects, one example per line."""
-    corpus = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IoFailure(f"{path}:{lineno}: not JSON: {exc}") from exc
-            corpus.append(example_from_json_obj(obj))
+    corpus = [example_from_json_obj(obj) for _, obj in iter_jsonl(path)]
     if not corpus:
         raise EmptySequence(f"{path} holds no fusion examples")
     return corpus

@@ -19,13 +19,16 @@ config reproduces the uninterrupted result.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import threading
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -147,7 +150,11 @@ def encode_recipe(recipe: MergeRecipe, template: RecipeTemplate) -> np.ndarray:
 # --- evaluators ------------------------------------------------------------
 
 class ExternalEvaluator:
-    """Runs a command per candidate and parses its last stdout line."""
+    """Runs a command per candidate and parses its last stdout line.
+
+    The command runs in a session of its own; on timeout its whole
+    process group is killed, so children of a wrapping shell go too.
+    """
 
     def __init__(self, command: str, timeout: float = DEFAULT_TIMEOUT):
         if "{checkpoint}" not in command:
@@ -164,19 +171,27 @@ class ExternalEvaluator:
             t.replace("{checkpoint}", str(checkpoint_path)) for t in shlex.split(self.command)
         ]
         try:
-            proc = subprocess.run(
-                tokens, capture_output=True, text=True, timeout=self.timeout
+            proc = subprocess.Popen(
+                tokens, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                start_new_session=True,
             )
-        except subprocess.TimeoutExpired as exc:
-            raise EvaluatorFailed(f"evaluator timed out after {self.timeout}s") from exc
         except OSError as exc:
             raise EvaluatorFailed(f"cannot run evaluator {tokens[0]!r}: {exc}") from exc
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=self.timeout)
+            except subprocess.TimeoutExpired as exc:
+                raise EvaluatorFailed(f"evaluator timed out after {self.timeout}s") from exc
+            finally:
+                if proc.returncode is None:
+                    with contextlib.suppress(ProcessLookupError):
+                        os.killpg(proc.pid, signal.SIGKILL)
         if proc.returncode != 0:
-            tail = proc.stderr.strip().splitlines()[-1:] or proc.stdout.strip().splitlines()[-1:]
+            tail = stderr.strip().splitlines()[-1:] or stdout.strip().splitlines()[-1:]
             raise EvaluatorFailed(
                 f"evaluator exited {proc.returncode}: {tail[0] if tail else '(no output)'}"
             )
-        lines = [line for line in proc.stdout.splitlines() if line.strip()]
+        lines = [line for line in stdout.splitlines() if line.strip()]
         if not lines:
             raise EvaluatorProtocol("evaluator printed nothing to stdout")
         try:
@@ -342,7 +357,8 @@ class FitnessCache:
             self._memory[key] = fitness
         if self.directory:
             path = self.directory / f"{key}.json"
-            tmp = path.with_suffix(".tmp")
+            # one temp file per writer: writers of the same key must not share it
+            tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp")
             tmp.write_text(json.dumps({"fitness": fitness}))
             os.replace(tmp, path)
 

@@ -1,13 +1,22 @@
 """Parameter-level checkpoint merging.
 
-Three methods operate on a base checkpoint plus task vectors (the
-elementwise deltas of fine-tuned checkpoints against that base):
+``merge(base, vectors, recipe)`` is the one driver.  It resolves the
+recipe's layer-group schedule, orders the task vectors (float32 deltas
+of fine-tuned checkpoints against the base) by recipe model and checks
+their layout once.  Then, for each base tensor in name order, it calls
+the kernel of ``recipe.method`` with the base array, the M deltas and
+that tensor's per-model (weight, density) pairs:
 
 * task_arithmetic: base + lambda * sum of weighted deltas
-* ties: trim low-magnitude delta entries, elect a per-parameter
-  consensus sign, average the sign-agreeing survivors with normalized
-  weights, then add the result to the base scaled by lambda
-* linear: normalized weighted average of the fine-tuned checkpoints
+* ties: trim each delta to its largest-magnitude entries (``ties_trim``),
+  elect a per-coordinate consensus sign (``ties_elect``), average the
+  sign-agreeing survivors with normalized weights
+  (``ties_disjoint_merge``), then add to the base scaled by lambda
+* linear: base + (sum of weighted deltas) / (sum of weights); lambda and
+  densities are ignored, and a zero weight sum passes the base through
+
+task_arithmetic and ties keep the base bits, -0.0 included, for a tensor
+whose scaled contribution is exactly zero.
 
 Coefficients are organized in layer groups: tensors whose names match
 the checkpoint's layer-name template with index i share the group
@@ -51,13 +60,6 @@ class TaskVector:
 
     def names(self) -> list:
         return sorted(self.deltas)
-
-
-@dataclass
-class SignVector:
-    """Per-tensor consensus signs, values in {-1.0, 0.0, +1.0}."""
-
-    signs: dict  # tensor name -> np.ndarray (f32)
 
 
 @dataclass
@@ -285,7 +287,7 @@ def _ordered_vectors(recipe: MergeRecipe, vectors: list) -> list:
     return [by_id[sid] for sid in recipe_ids]
 
 
-# --- TIES steps ----------------------------------------------------------------
+# --- TIES steps (one tensor each) -------------------------------------------------
 
 def _trim_count(density: float, n: int) -> int:
     # ceil(density * n); the 1e-9 slack absorbs binary representation
@@ -293,176 +295,113 @@ def _trim_count(density: float, n: int) -> int:
     return max(1, math.ceil(density * n - 1e-9))
 
 
-def _trim_array(arr: np.ndarray, density: float) -> np.ndarray:
+def ties_trim(delta: np.ndarray, density: float) -> np.ndarray:
+    """Zero all but the ceil(density*n) largest-magnitude entries.
+
+    Magnitude ties keep the lower flat index.
+    """
     if not (isinstance(density, (int, float)) and math.isfinite(density) and 0.0 < density <= 1.0):
         raise InvalidDensity(f"density {density!r} not in (0, 1]")
-    flat = arr.ravel()
+    flat = delta.ravel()
     k = _trim_count(float(density), flat.size)
     # stable argsort on -|v|: magnitude descending, ties keep lower index
     order = np.argsort(-np.abs(flat), kind="stable")
     mask = np.zeros(flat.size, dtype=bool)
     mask[order[:k]] = True
-    return np.where(mask, flat, np.float32(0.0)).reshape(arr.shape)
+    return np.where(mask, flat, np.float32(0.0)).reshape(delta.shape)
 
 
-def ties_trim(tv: TaskVector, density) -> TaskVector:
-    """Zero all but the ceil(density*n) largest-magnitude entries per tensor.
-
-    ``density`` is a scalar applied to every tensor or a map from tensor
-    name to its group's density.
-    """
-    if isinstance(density, dict):
-        deltas = {name: _trim_array(arr, density[name]) for name, arr in sorted(tv.deltas.items())}
-    else:
-        deltas = {name: _trim_array(arr, density) for name, arr in sorted(tv.deltas.items())}
-    return TaskVector(deltas=deltas, source_id=tv.source_id)
-
-
-def ties_elect(trimmed: list) -> SignVector:
-    """Per-parameter sign of the model-order sum of trimmed deltas."""
+def ties_elect(trimmed: list) -> np.ndarray:
+    """Per-coordinate sign, in {-1, 0, +1}, of the model-order sum."""
     if not trimmed:
         raise IncompatibleCheckpoints("cannot elect signs from zero task vectors")
-    names = trimmed[0].names()
-    for vec in trimmed[1:]:
-        if vec.names() != names or any(
-            vec.deltas[n].shape != trimmed[0].deltas[n].shape for n in names
-        ):
-            raise IncompatibleCheckpoints("trimmed task vectors disagree on tensor layout")
-    signs = {}
-    for name in names:
-        acc = np.zeros_like(trimmed[0].deltas[name])
-        for vec in trimmed:
-            acc = acc + vec.deltas[name]
-        # + 0.0 normalizes any -0.0 produced by np.sign
-        signs[name] = np.sign(acc) + np.float32(0.0)
-    return SignVector(signs=signs)
+    acc = np.zeros_like(trimmed[0])
+    for delta in trimmed:
+        acc = acc + delta
+    # + 0.0 normalizes any -0.0 produced by np.sign
+    return np.sign(acc) + np.float32(0.0)
 
 
-def ties_disjoint_merge(trimmed: list, signs: SignVector, weights) -> TaskVector:
+def ties_disjoint_merge(trimmed: list, gamma: np.ndarray, weights: list) -> np.ndarray:
     """Weight-normalized average over models agreeing with the elected sign.
 
-    ``weights`` is one float per model (recipe order) or a map from
-    tensor name to such a list.  Coordinates whose elected sign is zero,
-    or where no model agrees, or where agreeing weights sum to zero,
-    come out exactly 0.
+    ``weights`` is one float per model, in the order of ``trimmed``.
+    Coordinates whose elected sign is zero, or where no model agrees, or
+    where agreeing weights sum to zero, come out exactly 0.
     """
-    if not trimmed:
-        raise IncompatibleCheckpoints("cannot merge zero task vectors")
-    names = trimmed[0].names()
-    if sorted(signs.signs) != names:
-        raise IncompatibleCheckpoints("sign vector does not match task vector layout")
-    out = {}
-    for name in names:
-        gamma = signs.signs[name]
-        if gamma.shape != trimmed[0].deltas[name].shape:
-            raise IncompatibleCheckpoints(f"sign tensor {name!r} shape mismatch")
-        per_model = weights[name] if isinstance(weights, dict) else weights
-        if len(per_model) != len(trimmed):
-            raise RecipeModelMismatch(
-                f"{len(per_model)} weights for {len(trimmed)} task vectors"
-            )
-        num = np.zeros_like(gamma)
-        den = np.zeros_like(gamma)
-        for vec, weight in zip(trimmed, per_model):
-            v = vec.deltas[name]
-            w32 = np.float32(weight)
-            agree = (np.sign(v) == gamma) & (v != 0) & (gamma != 0)
-            num = num + np.where(agree, w32 * v, np.float32(0.0))
-            den = den + np.where(agree, w32, np.float32(0.0))
-        merged = np.zeros_like(gamma)
-        valid = (gamma != 0) & (den > 0)
-        np.divide(num, den, out=merged, where=valid)
-        out[name] = merged
-    return TaskVector(deltas=out, source_id="ties")
+    num = np.zeros_like(gamma)
+    den = np.zeros_like(gamma)
+    for v, weight in zip(trimmed, weights, strict=True):
+        w32 = np.float32(weight)
+        agree = (np.sign(v) == gamma) & (v != 0) & (gamma != 0)
+        num = num + np.where(agree, w32 * v, np.float32(0.0))
+        den = den + np.where(agree, w32, np.float32(0.0))
+    merged = np.zeros_like(gamma)
+    valid = (gamma != 0) & (den > 0)
+    np.divide(num, den, out=merged, where=valid)
+    return merged
 
 
-# --- merge methods ---------------------------------------------------------------
+# --- per-tensor kernels: (base, deltas, coeffs, lambda) -> merged f32 array ---------
 
-def _add_scaled(base: Checkpoint, deltas: dict, lam: float) -> Checkpoint:
-    """base + lam * deltas per tensor; exact-zero contributions keep base bits."""
-    lam32 = np.float32(lam)
-    tensors = {}
-    for name, tensor in base.items():
-        scaled = lam32 * deltas[name]
-        if not scaled.any():
-            # avoids flipping -0.0 in the base to +0.0
-            tensors[name] = Tensor(tensor.data.copy(), dtype="f32")
-        else:
-            tensors[name] = Tensor(tensor.data + scaled, dtype="f32")
-    return Checkpoint(tensors=tensors, metadata=dict(base.metadata))
+def _add_scaled(base: np.ndarray, delta: np.ndarray, lam: float) -> np.ndarray:
+    """base + lam * delta; an exact-zero contribution keeps the base bits."""
+    scaled = np.float32(lam) * delta
+    if not scaled.any():
+        # avoids flipping -0.0 in the base to +0.0
+        return base.copy()
+    return base + scaled
 
 
-def task_arithmetic_merge(base: Checkpoint, vectors: list, recipe: MergeRecipe) -> Checkpoint:
-    """base + lambda * sum over models of weight(group) * delta."""
-    if recipe.method != "task_arithmetic":
-        raise RecipeMethodMismatch(f"recipe method is {recipe.method!r}, expected task_arithmetic")
-    schedule = expand_schedule(recipe, base)
-    ordered = _ordered_vectors(recipe, vectors)
-    _require_vector_compat(base, ordered)
-    combined = {}
-    for name, tensor in base.items():
-        acc = np.zeros_like(tensor.data)
-        for vec, (weight, _) in zip(ordered, schedule.coeffs(name)):
-            acc = acc + np.float32(weight) * vec.deltas[name]
-        combined[name] = acc
-    return _add_scaled(base, combined, recipe.lambda_scale)
+def _weighted_sum(base, deltas, coeffs) -> np.ndarray:
+    acc = np.zeros_like(base)
+    for delta, (weight, _) in zip(deltas, coeffs):
+        acc = acc + np.float32(weight) * delta
+    return acc
 
 
-def ties_merge(base: Checkpoint, vectors: list, recipe: MergeRecipe) -> Checkpoint:
-    """Trim, elect signs, disjoint-merge, then add to base scaled by lambda."""
-    if recipe.method != "ties":
-        raise RecipeMethodMismatch(f"recipe method is {recipe.method!r}, expected ties")
-    schedule = expand_schedule(recipe, base)
-    ordered = _ordered_vectors(recipe, vectors)
-    _require_vector_compat(base, ordered)
-
-    names = base.names()
-    density_maps = []
-    weight_map = {}
-    for m, _vec in enumerate(ordered):
-        density_maps.append({name: schedule.coeffs(name)[m][1] for name in names})
-    for name in names:
-        weight_map[name] = [w for w, _ in schedule.coeffs(name)]
-
-    trimmed = [ties_trim(vec, density_maps[m]) for m, vec in enumerate(ordered)]
-    signs = ties_elect(trimmed)
-    merged = ties_disjoint_merge(trimmed, signs, weight_map)
-    return _add_scaled(base, merged.deltas, recipe.lambda_scale)
+def _task_arithmetic_kernel(base, deltas, coeffs, lam):
+    return _add_scaled(base, _weighted_sum(base, deltas, coeffs), lam)
 
 
-def linear_merge(base: Checkpoint, vectors: list, recipe: MergeRecipe) -> Checkpoint:
-    """Normalized weighted average of the fine-tuned checkpoints.
+def _ties_kernel(base, deltas, coeffs, lam):
+    # the steps are looked up at call time so they can be rebound
+    trimmed = [ties_trim(delta, density) for delta, (_, density) in zip(deltas, coeffs)]
+    gamma = ties_elect(trimmed)
+    merged = ties_disjoint_merge(trimmed, gamma, [weight for weight, _ in coeffs])
+    return _add_scaled(base, merged, lam)
 
-    Equivalent to base + (sum of w*delta) / (sum of w) per tensor; where
-    a tensor's weights all sum to zero the base values pass through.
-    Densities and lambda_scale are ignored.
-    """
-    if recipe.method != "linear":
-        raise RecipeMethodMismatch(f"recipe method is {recipe.method!r}, expected linear")
-    schedule = expand_schedule(recipe, base)
-    ordered = _ordered_vectors(recipe, vectors)
-    _require_vector_compat(base, ordered)
-    tensors = {}
-    for name, tensor in base.items():
-        weights = [w for w, _ in schedule.coeffs(name)]
-        total = np.float32(0.0)
-        for w in weights:
-            total = total + np.float32(w)
-        if total == 0:
-            tensors[name] = Tensor(tensor.data.copy(), dtype="f32")
-            continue
-        acc = np.zeros_like(tensor.data)
-        for vec, w in zip(ordered, weights):
-            acc = acc + np.float32(w) * vec.deltas[name]
-        tensors[name] = Tensor(tensor.data + acc / total, dtype="f32")
-    return Checkpoint(tensors=tensors, metadata=dict(base.metadata))
+
+def _linear_kernel(base, deltas, coeffs, lam):
+    # lambda is ignored: the weights are normalized instead
+    total = np.float32(0.0)
+    for weight, _ in coeffs:
+        total = total + np.float32(weight)
+    if total == 0:
+        return base.copy()
+    return base + _weighted_sum(base, deltas, coeffs) / total
+
+
+_KERNELS = {
+    "linear": _linear_kernel,
+    "task_arithmetic": _task_arithmetic_kernel,
+    "ties": _ties_kernel,
+}
 
 
 def merge(base: Checkpoint, vectors: list, recipe: MergeRecipe) -> Checkpoint:
-    """Dispatch on recipe.method."""
-    recipe.validate()
-    if recipe.method == "task_arithmetic":
-        return task_arithmetic_merge(base, vectors, recipe)
-    if recipe.method == "ties":
-        return ties_merge(base, vectors, recipe)
-    return linear_merge(base, vectors, recipe)
+    """Merge task vectors onto ``base`` by ``recipe.method``, one tensor at a time.
+
+    ``vectors`` holds one TaskVector per recipe model, in any order.  The
+    output has the base's tensor names and metadata, every tensor f32.
+    """
+    schedule = expand_schedule(recipe, base)
+    ordered = _ordered_vectors(recipe, vectors)
+    _require_vector_compat(base, ordered)
+    kernel = _KERNELS[recipe.method]
+    tensors = {}
+    for name, tensor in base.items():
+        deltas = [vec.deltas[name] for vec in ordered]
+        merged = kernel(tensor.data, deltas, schedule.coeffs(name), recipe.lambda_scale)
+        tensors[name] = Tensor(merged, dtype="f32")
+    return Checkpoint(tensors=tensors, metadata=dict(base.metadata))

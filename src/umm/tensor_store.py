@@ -282,22 +282,6 @@ def require_compat(a: Checkpoint, b: Checkpoint, what: str = "checkpoints") -> N
         raise IncompatibleCheckpoints(f"{what}: {report.describe()}")
 
 
-def cast_checkpoint(ckpt: Checkpoint, dtype_map: dict) -> Checkpoint:
-    """Return a copy whose tensors carry the dtype tags in ``dtype_map``.
-
-    Values are re-quantized through the target dtype so the in-memory
-    floats match what a save/load round trip would produce.
-    """
-    tensors = {}
-    for name, tensor in ckpt.items():
-        tag = dtype_map.get(name, tensor.dtype)
-        if tag not in _DTYPES:
-            raise UnsupportedDtype(f"unknown dtype tag {tag!r}")
-        snapped = _decode_payload(_encode_payload(Tensor(tensor.data, tag)), tag, tensor.shape)
-        tensors[name] = Tensor(data=snapped, dtype=tag)
-    return Checkpoint(tensors=tensors, metadata=dict(ckpt.metadata))
-
-
 def tensor_summary(ckpt: Checkpoint) -> list:
     """Per-tensor stats table used by the inspect command."""
     rows = []

@@ -32,6 +32,7 @@ from umm.errors import (
     OutOfVocab,
     ShapeMismatch,
 )
+from umm.jsonl import iter_jsonl
 
 ONE_ONE = "one_one"
 ONE_MANY = "one_many"
@@ -485,29 +486,16 @@ def load_token_seqs(path, vocab_size: int = None) -> list:
     is not given it is inferred as max id + 1 over the whole file.
     """
     raw = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IoFailure(f"{path}:{lineno}: not JSON: {exc}") from exc
-            if not isinstance(obj, dict) or "ids" not in obj or "surfaces" not in obj:
-                raise IoFailure(f"{path}:{lineno}: expected ids and surfaces fields")
-            raw.append((obj["ids"], obj["surfaces"]))
+    for lineno, obj in iter_jsonl(path):
+        if not isinstance(obj, dict) or "ids" not in obj or "surfaces" not in obj:
+            raise IoFailure(f"{path}:{lineno}: expected ids and surfaces fields")
+        raw.append((obj["ids"], obj["surfaces"]))
     if not raw:
         raise EmptySequence(f"{path} holds no token sequences")
     if vocab_size is None:
         highest = max((max(ids) for ids, _ in raw if ids), default=0)
         vocab_size = highest + 1
     return [TokenSeq(ids, surfaces, vocab_size) for ids, surfaces in raw]
-
-
-def save_token_seqs(seqs: list, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for seq in seqs:
-            fh.write(json.dumps({"ids": seq.ids, "surfaces": seq.surfaces}) + "\n")
 
 
 def save_stats(stats: AlignStats, path) -> None:
@@ -520,24 +508,14 @@ def save_stats(stats: AlignStats, path) -> None:
 def load_stats(path, pivot_vocab_size: int = None,
                source_vocab_size: int = None) -> AlignStats:
     counts = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                key = (int(obj["p"]), int(obj["s"]))
-                counts[key] = counts.get(key, 0) + int(obj["c"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise IoFailure(f"{path}:{lineno}: bad stats line: {exc}") from exc
+    for lineno, obj in iter_jsonl(path):
+        try:
+            key = (int(obj["p"]), int(obj["s"]))
+            counts[key] = counts.get(key, 0) + int(obj["c"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IoFailure(f"{path}:{lineno}: bad stats line: {exc}") from exc
     if pivot_vocab_size is None:
         pivot_vocab_size = max((p for p, _ in counts), default=0) + 1
     if source_vocab_size is None:
         source_vocab_size = max((s for _, s in counts), default=0) + 1
     return AlignStats(pivot_vocab_size, source_vocab_size, counts)
-
-
-def save_segments(segments: list, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for seg in segments:
-            fh.write(json.dumps(seg.to_json_obj()) + "\n")

@@ -99,6 +99,51 @@ def ref_ties_merge(base_arrays: dict, vector_arrays: list, densities: list,
     return out
 
 
+def ref_weighted_sum(deltas: list, weights: list) -> np.ndarray:
+    """Model-order float32 sum of weight * delta per coordinate."""
+    flats = [d.ravel() for d in deltas]
+    out = []
+    for j in range(flats[0].size):
+        total = F(0.0)
+        for t, w in zip(flats, weights):
+            total = F(total + F(F(w) * F(t[j])))
+        out.append(total)
+    return np.array(out, dtype=np.float32).reshape(deltas[0].shape)
+
+
+def ref_task_arithmetic_merge(base_arrays: dict, vector_arrays: list, weights: dict,
+                              lam: float) -> dict:
+    """base + lam * weighted delta sum per named tensor; an all-zero
+    scaled sum returns the base bits unchanged, -0.0 included."""
+    out = {}
+    for name in sorted(base_arrays):
+        summed = ref_weighted_sum([vec[name] for vec in vector_arrays], weights[name])
+        out[name] = ref_add_scaled(base_arrays[name], summed, lam)
+    return out
+
+
+def ref_linear_merge(base_arrays: dict, vector_arrays: list, weights: dict) -> dict:
+    """base + weighted delta sum / weight sum per named tensor.
+
+    A zero weight sum returns the base bits unchanged.  Otherwise every
+    coordinate is recomputed, so a -0.0 base entry with a zero delta
+    sum comes out +0.0.
+    """
+    out = {}
+    for name in sorted(base_arrays):
+        total = F(0.0)
+        for w in weights[name]:
+            total = F(total + F(w))
+        base = base_arrays[name]
+        if total == 0:
+            out[name] = base.copy()
+            continue
+        summed = ref_weighted_sum([vec[name] for vec in vector_arrays], weights[name])
+        vals = [F(F(b) + F(s / total)) for b, s in zip(base.ravel(), summed.ravel())]
+        out[name] = np.array(vals, dtype=np.float32).reshape(base.shape)
+    return out
+
+
 def ref_elect_by_magnitude(trimmed: list) -> np.ndarray:
     """Pick per coordinate the sign with the larger total magnitude.
 

@@ -219,16 +219,6 @@ def test_fusion_loss_hand_example():
     assert fusion_loss(fused, model) == pytest.approx(math.log(2), rel=1e-12)
 
 
-def test_fusion_loss_kl_variant(rng):
-    fused = dirichlet_matrix(rng, 3, 5)
-    model = dirichlet_matrix(rng, 3, 5)
-    ce = fusion_loss(fused, model)
-    kl = fusion_loss(fused, model, kind="kl")
-    entropy = fusion_loss(fused, fused)
-    assert kl == pytest.approx(ce - entropy, rel=1e-9)
-    assert kl >= -1e-12
-
-
 def test_fusion_loss_gibbs_inequality(rng):
     for _ in range(100):
         vocab = int(rng.integers(2, 8))
@@ -240,8 +230,6 @@ def test_fusion_loss_gibbs_inequality(rng):
 def test_fusion_loss_shape_mismatch(rng):
     with pytest.raises(ShapeMismatch):
         fusion_loss(dirichlet_matrix(rng, 2, 4), dirichlet_matrix(rng, 2, 5))
-    with pytest.raises(ValueError):
-        fusion_loss(dirichlet_matrix(rng, 2, 4), dirichlet_matrix(rng, 2, 4), kind="js")
 
 
 # --- combined loss ---------------------------------------------------------------

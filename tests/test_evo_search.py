@@ -1,5 +1,8 @@
+import os
+import signal
 import stat
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -146,6 +149,37 @@ def test_external_evaluator_timeout(tmp_path):
         ev.evaluate(checkpoint_file(tmp_path))
 
 
+def _alive(pid):
+    """True while pid runs; a killed process left unreaped counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_external_evaluator_timeout_kills_grandchildren(tmp_path):
+    pid_file = tmp_path / "sleep.pid"
+    ev = make_evaluator({
+        "command": f"sh -c 'sleep 37.25 & echo $! > {pid_file}; wait; echo 1' {{checkpoint}}",
+        "timeout": 0.5,
+    })
+    pid = None
+    try:
+        with pytest.raises(EvaluatorFailed):
+            ev.evaluate(checkpoint_file(tmp_path))
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 5.0
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(pid), "the shell's sleep outlived the evaluator timeout"
+    finally:
+        if pid is None and pid_file.exists():
+            pid = int(pid_file.read_text())
+        if pid is not None and _alive(pid):
+            os.kill(pid, signal.SIGKILL)
+
+
 def test_external_evaluator_requires_placeholder():
     with pytest.raises(ValueError):
         make_evaluator({"command": "echo hi"})
@@ -241,6 +275,24 @@ def test_cache_persists_on_disk(tmp_path):
         recipe, ev, tmp_path, sources, cache=FitnessCache(cache_dir)
     )
     assert not invoked2 and f1 == f2 and ev.calls == 1
+
+
+def test_cache_put_survives_a_concurrent_put_of_the_same_key(tmp_path, monkeypatch):
+    cache = FitnessCache(tmp_path / "cache")
+    real_replace = os.replace
+    raced = []
+
+    def replace_after_another_writer(src, dst):
+        if not raced:
+            raced.append(src)
+            cache.put("k", 2.0)  # a second writer of the same key lands first
+        real_replace(src, dst)
+
+    monkeypatch.setattr("umm.evo_search.os.replace", replace_after_another_writer)
+    cache.put("k", 1.0)
+    assert raced
+    assert FitnessCache(tmp_path / "cache").get("k") == 1.0
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["k.json"]
 
 
 def test_cache_key_distinguishes_evaluators():

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+import umm.merge_core as merge_core
 from umm.errors import (
     GroupCountMismatch,
     IncompatibleCheckpoints,
@@ -14,26 +17,27 @@ from umm.merge_core import (
     GroupCoeffs,
     MergeRecipe,
     ModelCoeffs,
-    SignVector,
     TaskVector,
     compute_task_vector,
     expand_schedule,
-    linear_merge,
     load_recipe,
     merge,
     recipe_from_json_obj,
-    task_arithmetic_merge,
     ties_disjoint_merge,
     ties_elect,
-    ties_merge,
     ties_trim,
 )
 from umm.tensor_store import Checkpoint, Tensor
 
 from conftest import random_ties_instance
 from reference_impls import (
+    ref_disjoint_merge,
+    ref_elect,
     ref_elect_by_magnitude,
+    ref_linear_merge,
+    ref_task_arithmetic_merge,
     ref_ties_merge,
+    ref_trim,
 )
 
 
@@ -201,7 +205,7 @@ def test_ta_zero_weights_is_base_bitwise():
     base.tensors["embed.w"] = Tensor(np.array([-0.0, 1.0, 2.0], np.float32))
     vec = compute_task_vector(base, layered_ckpt(2, scale=2.0), "m0")
     recipe = simple_recipe("task_arithmetic", 2, 2, weight=0.0)
-    out = task_arithmetic_merge(base, [vec], recipe)
+    out = merge(base, [vec], recipe)
     for name in base.names():
         assert out.array(name).tobytes() == base.array(name).tobytes()
 
@@ -212,7 +216,7 @@ def test_ta_single_model_identity():
     ft = layered_ckpt(3, rng=rng, scale=1.5)
     vec = compute_task_vector(base, ft, "m0")
     recipe = simple_recipe("task_arithmetic", 3, 2, weight=1.0, lam=1.0)
-    out = task_arithmetic_merge(base, [vec], recipe)
+    out = merge(base, [vec], recipe)
     for name in base.names():
         np.testing.assert_allclose(out.array(name), ft.array(name), rtol=1e-6, atol=1e-7)
 
@@ -230,15 +234,8 @@ def test_ta_hand_example():
             ModelCoeffs("m1", [GroupCoeffs(0.25), GroupCoeffs(0.25)]),
         ],
     )
-    out = task_arithmetic_merge(base, [v1, v2], recipe)
+    out = merge(base, [v1, v2], recipe)
     np.testing.assert_allclose(out.array("x"), [2.0, 1.0], rtol=1e-6)
-
-
-def test_ta_method_mismatch():
-    base = layered_ckpt(2)
-    vec = compute_task_vector(base, base, "m0")
-    with pytest.raises(RecipeMethodMismatch):
-        task_arithmetic_merge(base, [vec], simple_recipe("ties", 2, 2))
 
 
 def test_ta_lambda_linearity(rng):
@@ -247,8 +244,8 @@ def test_ta_lambda_linearity(rng):
     vec = compute_task_vector(base, ft, "m0")
     r1 = simple_recipe("task_arithmetic", 2, 3, weight=0.7, lam=0.4)
     r2 = simple_recipe("task_arithmetic", 2, 3, weight=0.7, lam=1.2)
-    out1 = task_arithmetic_merge(base, [vec], r1)
-    out2 = task_arithmetic_merge(base, [vec], r2)
+    out1 = merge(base, [vec], r1)
+    out2 = merge(base, [vec], r2)
     for name in base.names():
         d1 = out1.array(name) - base.array(name)
         d2 = out2.array(name) - base.array(name)
@@ -259,8 +256,8 @@ def test_ta_vector_list_order_irrelevant(rng):
     inst = random_ties_instance(rng, n_models=3)
     recipe = inst["recipe"]
     recipe.method = "task_arithmetic"
-    out1 = task_arithmetic_merge(inst["base"], inst["vectors"], recipe)
-    out2 = task_arithmetic_merge(inst["base"], inst["vectors"][::-1], recipe)
+    out1 = merge(inst["base"], inst["vectors"], recipe)
+    out2 = merge(inst["base"], inst["vectors"][::-1], recipe)
     for name in out1.names():
         assert out1.array(name).tobytes() == out2.array(name).tobytes()
 
@@ -269,124 +266,117 @@ def test_ta_unknown_source_id():
     base = layered_ckpt(2)
     vec = compute_task_vector(base, base, "stranger")
     with pytest.raises(RecipeModelMismatch):
-        task_arithmetic_merge(base, [vec], simple_recipe("task_arithmetic", 2, 2))
+        merge(base, [vec], simple_recipe("task_arithmetic", 2, 2))
 
 
 # --- TIES steps -------------------------------------------------------------------
 
+def arr(values):
+    return np.asarray(values, np.float32)
+
+
 def test_trim_density_one_unchanged():
-    v = tv("m", x=[3.0, -1.0, 0.5, -4.0])
-    out = ties_trim(v, 1.0)
-    assert np.array_equal(out.deltas["x"], v.deltas["x"])
+    x = arr([3.0, -1.0, 0.5, -4.0])
+    assert np.array_equal(ties_trim(x, 1.0), x)
 
 
 def test_trim_half():
-    v = tv("m", x=[3.0, -1.0, 0.5, -4.0])
-    out = ties_trim(v, 0.5)
-    assert np.array_equal(out.deltas["x"], [3.0, 0.0, 0.0, -4.0])
+    out = ties_trim(arr([3.0, -1.0, 0.5, -4.0]), 0.5)
+    assert np.array_equal(out, [3.0, 0.0, 0.0, -4.0])
 
 
 def test_trim_tie_break_low_index():
-    v = tv("m", x=[1.0, -1.0, 1.0, -1.0])
-    out = ties_trim(v, 0.5)
-    assert np.array_equal(out.deltas["x"], [1.0, -1.0, 0.0, 0.0])
+    out = ties_trim(arr([1.0, -1.0, 1.0, -1.0]), 0.5)
+    assert np.array_equal(out, [1.0, -1.0, 0.0, 0.0])
 
 
 def test_trim_idempotent(rng):
-    v = tv("m", x=rng.standard_normal(37).astype(np.float32))
-    once = ties_trim(v, 0.4)
-    twice = ties_trim(once, 0.4)
-    assert np.array_equal(once.deltas["x"], twice.deltas["x"])
+    once = ties_trim(rng.standard_normal(37).astype(np.float32), 0.4)
+    assert np.array_equal(ties_trim(once, 0.4), once)
 
 
 def test_trim_rejects_bad_density():
-    v = tv("m", x=[1.0])
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(InvalidDensity):
-            ties_trim(v, bad)
+            ties_trim(arr([1.0]), bad)
 
 
 def test_trim_matrix_flat_index_order():
-    v = tv("m", x=[[2.0, 2.0], [2.0, 2.0]])
-    out = ties_trim(v, 0.5)
-    assert np.array_equal(out.deltas["x"], [[2.0, 2.0], [0.0, 0.0]])
+    out = ties_trim(arr([[2.0, 2.0], [2.0, 2.0]]), 0.5)
+    assert np.array_equal(out, [[2.0, 2.0], [0.0, 0.0]])
 
 
 def test_elect_example():
-    v1 = tv("a", x=[2.0, 3.0])
-    v2 = tv("b", x=[-3.0, 1.0])
-    signs = ties_elect([v1, v2])
-    assert np.array_equal(signs.signs["x"], [-1.0, 1.0])
+    assert np.array_equal(ties_elect([arr([2.0, 3.0]), arr([-3.0, 1.0])]), [-1.0, 1.0])
 
 
 def test_elect_single_vector():
-    v = tv("a", x=[2.0, -5.0, 0.0])
-    signs = ties_elect([v])
-    assert np.array_equal(signs.signs["x"], [1.0, -1.0, 0.0])
+    assert np.array_equal(ties_elect([arr([2.0, -5.0, 0.0])]), [1.0, -1.0, 0.0])
 
 
 def test_elect_exact_cancellation():
-    signs = ties_elect([tv("a", x=[1.0]), tv("b", x=[-1.0])])
-    assert np.array_equal(signs.signs["x"], [0.0])
+    assert np.array_equal(ties_elect([arr([1.0]), arr([-1.0])]), [0.0])
 
 
 def test_elect_matches_magnitude_oracle(rng):
     for _ in range(200):
         n_models = int(rng.integers(1, 5))
         shape = (int(rng.integers(1, 9)),)
-        vecs = [
-            tv(f"m{m}", x=rng.integers(-3, 4, size=shape).astype(np.float32))
-            for m in range(n_models)
-        ]
-        got = ties_elect(vecs).signs["x"]
-        want = ref_elect_by_magnitude([v.deltas["x"] for v in vecs])
-        assert np.array_equal(got, want)
+        deltas = [rng.integers(-3, 4, size=shape).astype(np.float32) for _ in range(n_models)]
+        assert np.array_equal(ties_elect(deltas), ref_elect_by_magnitude(deltas))
+
+
+def test_steps_bitwise_match_scalar_reference(rng):
+    for _ in range(300):
+        n_models = int(rng.integers(1, 5))
+        shape = tuple(int(rng.integers(1, 6)) for _ in range(int(rng.integers(1, 3))))
+        if rng.integers(0, 2):
+            deltas = [rng.integers(-2, 3, size=shape).astype(np.float32) for _ in range(n_models)]
+        else:
+            deltas = [rng.standard_normal(shape).astype(np.float32) for _ in range(n_models)]
+        densities = [float(rng.choice([0.1, 0.25, 0.5, 0.73, 1.0])) for _ in range(n_models)]
+        weights = [float(rng.choice([0.0, 0.083, 0.5, 1.0])) for _ in range(n_models)]
+
+        trimmed = [ties_trim(d, p) for d, p in zip(deltas, densities)]
+        want_trimmed = [ref_trim(d, p) for d, p in zip(deltas, densities)]
+        assert [t.tobytes() for t in trimmed] == [t.tobytes() for t in want_trimmed]
+        gamma = ties_elect(trimmed)
+        assert gamma.tobytes() == ref_elect(trimmed).tobytes()
+        merged = ties_disjoint_merge(trimmed, gamma, weights)
+        assert merged.tobytes() == ref_disjoint_merge(trimmed, gamma, weights).tobytes()
 
 
 def test_disjoint_merge_example():
-    v1 = tv("a", x=[2.0, 3.0])
-    v2 = tv("b", x=[-3.0, 1.0])
-    signs = SignVector(signs={"x": np.array([-1.0, 1.0], np.float32)})
-    out = ties_disjoint_merge([v1, v2], signs, [1.0, 1.0])
-    np.testing.assert_allclose(out.deltas["x"], [-3.0, 2.0])
+    out = ties_disjoint_merge([arr([2.0, 3.0]), arr([-3.0, 1.0])], arr([-1.0, 1.0]), [1.0, 1.0])
+    np.testing.assert_allclose(out, [-3.0, 2.0])
 
 
 def test_disjoint_merge_identical_vectors(rng):
-    arr = rng.standard_normal(9).astype(np.float32)
-    v1, v2 = tv("a", x=arr.copy()), tv("b", x=arr.copy())
-    signs = ties_elect([v1, v2])
-    out = ties_disjoint_merge([v1, v2], signs, [0.5, 0.5])
-    np.testing.assert_allclose(out.deltas["x"], arr, rtol=1e-6)
+    x = rng.standard_normal(9).astype(np.float32)
+    trimmed = [x.copy(), x.copy()]
+    out = ties_disjoint_merge(trimmed, ties_elect(trimmed), [0.5, 0.5])
+    np.testing.assert_allclose(out, x, rtol=1e-6)
 
 
 def test_disjoint_merge_normalized_weights():
-    v1 = tv("a", x=[4.0])
-    v2 = tv("b", x=[2.0])
-    signs = SignVector(signs={"x": np.array([1.0], np.float32)})
-    out = ties_disjoint_merge([v1, v2], signs, [0.45, 0.52])
-    np.testing.assert_allclose(out.deltas["x"], [(0.45 * 4 + 0.52 * 2) / 0.97], rtol=1e-5)
-    assert abs(float(out.deltas["x"][0]) - 2.9278) < 1e-3
+    out = ties_disjoint_merge([arr([4.0]), arr([2.0])], arr([1.0]), [0.45, 0.52])
+    np.testing.assert_allclose(out, [(0.45 * 4 + 0.52 * 2) / 0.97], rtol=1e-5)
+    assert abs(float(out[0]) - 2.9278) < 1e-3
 
 
 def test_disjoint_merge_zero_weight_sum_gives_zero():
-    v1 = tv("a", x=[4.0])
-    signs = SignVector(signs={"x": np.array([1.0], np.float32)})
-    out = ties_disjoint_merge([v1], signs, [0.0])
-    assert np.array_equal(out.deltas["x"], [0.0])
+    out = ties_disjoint_merge([arr([4.0])], arr([1.0]), [0.0])
+    assert np.array_equal(out, [0.0])
 
 
 def test_disjoint_merge_convexity(rng):
     for _ in range(50):
         n_models = int(rng.integers(2, 5))
-        vecs = [
-            tv(f"m{m}", x=rng.standard_normal(8).astype(np.float32)) for m in range(n_models)
-        ]
+        trimmed = [rng.standard_normal(8).astype(np.float32) for _ in range(n_models)]
         weights = [float(rng.uniform(0.01, 1.0)) for _ in range(n_models)]
-        signs = ties_elect(vecs)
-        out = ties_disjoint_merge(vecs, signs, weights)
-        stacked = np.stack([v.deltas["x"] for v in vecs])
-        bound = np.abs(stacked).max(axis=0)
-        assert np.all(np.abs(out.deltas["x"]) <= bound + 1e-6)
+        out = ties_disjoint_merge(trimmed, ties_elect(trimmed), weights)
+        bound = np.abs(np.stack(trimmed)).max(axis=0)
+        assert np.all(np.abs(out) <= bound + 1e-6)
 
 
 # --- full TIES merge ------------------------------------------------------------------
@@ -396,7 +386,7 @@ def test_ties_single_model_identity(rng):
     ft = layered_ckpt(3, rng=rng, scale=2.0)
     vec = compute_task_vector(base, ft, "m0")
     recipe = simple_recipe("ties", 3, 2, weight=1.0, density=1.0, lam=1.0)
-    out = ties_merge(base, [vec], recipe)
+    out = merge(base, [vec], recipe)
     for name in base.names():
         np.testing.assert_allclose(out.array(name), ft.array(name), rtol=1e-6, atol=1e-7)
 
@@ -408,23 +398,16 @@ def test_ties_identical_vectors_full_density(rng):
     v2 = TaskVector(deltas={n: d.copy() for n, d in delta.items()}, source_id="m1")
     lam = 0.5
     recipe = simple_recipe("ties", 2, 2, n_models=2, weight=0.5, density=1.0, lam=lam)
-    out = ties_merge(base, [v1, v2], recipe)
+    out = merge(base, [v1, v2], recipe)
     for name in base.names():
         expected = base.array(name) + np.float32(lam) * delta[name]
         assert out.array(name).tobytes() == expected.tobytes()
 
 
-def test_ties_method_mismatch():
-    base = layered_ckpt(2)
-    vec = compute_task_vector(base, base, "m0")
-    with pytest.raises(RecipeMethodMismatch):
-        ties_merge(base, [vec], simple_recipe("task_arithmetic", 2, 2))
-
-
 def test_ties_matches_reference_300(rng):
     for _ in range(300):
         inst = random_ties_instance(rng)
-        out = ties_merge(inst["base"], inst["vectors"], inst["recipe"])
+        out = merge(inst["base"], inst["vectors"], inst["recipe"])
         want = ref_ties_merge(
             inst["base_arrays"],
             inst["vector_arrays"],
@@ -438,10 +421,37 @@ def test_ties_matches_reference_300(rng):
 
 def test_ties_model_order_invariance(rng):
     inst = random_ties_instance(rng, n_models=3)
-    out1 = ties_merge(inst["base"], inst["vectors"], inst["recipe"])
-    out2 = ties_merge(inst["base"], inst["vectors"][::-1], inst["recipe"])
+    out1 = merge(inst["base"], inst["vectors"], inst["recipe"])
+    out2 = merge(inst["base"], inst["vectors"][::-1], inst["recipe"])
     for name in out1.names():
         assert out1.array(name).tobytes() == out2.array(name).tobytes()
+
+
+def test_ties_steps_are_called_per_tensor_through_module_globals(rng, monkeypatch):
+    calls = {"trim": [], "elect": 0, "disjoint": 0}
+    trim, elect, disjoint = (merge_core.ties_trim, merge_core.ties_elect,
+                             merge_core.ties_disjoint_merge)
+
+    def counting_trim(delta, density):
+        calls["trim"].append(delta.shape)
+        return trim(delta, density)
+
+    def counting_elect(trimmed):
+        calls["elect"] += 1
+        return elect(trimmed)
+
+    def counting_disjoint(trimmed, gamma, weights):
+        calls["disjoint"] += 1
+        return disjoint(trimmed, gamma, weights)
+
+    monkeypatch.setattr(merge_core, "ties_trim", counting_trim)
+    monkeypatch.setattr(merge_core, "ties_elect", counting_elect)
+    monkeypatch.setattr(merge_core, "ties_disjoint_merge", counting_disjoint)
+    inst = random_ties_instance(rng, n_models=3)
+    merge(inst["base"], inst["vectors"], inst["recipe"])
+    base = inst["base"]
+    assert calls["trim"] == [base.tensors[n].shape for n in base.names() for _ in range(3)]
+    assert calls["elect"] == calls["disjoint"] == len(base)
 
 
 # --- linear -------------------------------------------------------------------------------
@@ -451,7 +461,7 @@ def test_linear_equal_weights_is_average():
     v1 = tv("m0", x=[2.0, -2.0])
     v2 = tv("m1", x=[4.0, 2.0])
     recipe = simple_recipe("linear", 1, 2, n_models=2, weight=0.5)
-    out = linear_merge(base, [v1, v2], recipe)
+    out = merge(base, [v1, v2], recipe)
     np.testing.assert_allclose(out.array("x"), [3.0, 10.0])
 
 
@@ -459,16 +469,63 @@ def test_linear_zero_weights_pass_base():
     base = ckpt(metadata={"layer_pattern": "layers.{i}.", "num_layers": "1"}, x=[7.0])
     v1 = tv("m0", x=[5.0])
     recipe = simple_recipe("linear", 1, 2, weight=0.0)
-    out = linear_merge(base, [v1], recipe)
+    out = merge(base, [v1], recipe)
     assert np.array_equal(out.array("x"), [7.0])
 
 
-def test_merge_dispatch(rng):
-    inst = random_ties_instance(rng, n_models=2)
-    out1 = merge(inst["base"], inst["vectors"], inst["recipe"])
-    out2 = ties_merge(inst["base"], inst["vectors"], inst["recipe"])
-    for name in out1.names():
-        assert out1.array(name).tobytes() == out2.array(name).tobytes()
+# --- bitwise guards for task arithmetic and linear ------------------------------------------
+
+def _group_of(name, group_size, n_groups):
+    match = re.match(r"layers\.(\d+)\.", name)
+    return int(match.group(1)) // group_size if match else n_groups - 1
+
+
+def edge_case_instance(rng, method):
+    """A random instance with -0.0 base entries, zero-weight groups and
+    all-zero deltas, the inputs where the finishing rules differ."""
+    inst = random_ties_instance(rng)
+    recipe = inst["recipe"]
+    recipe.method = method
+    n_groups = recipe.num_groups
+    dead_group = int(rng.integers(0, n_groups))
+    for model in recipe.per_model:
+        for g, coeffs in enumerate(model.groups):
+            if g == dead_group or rng.uniform() < 0.25:
+                coeffs.weight = 0.0
+    # base_arrays and vector_arrays alias the arrays that merge reads
+    for base_arr in inst["base_arrays"].values():
+        base_arr[rng.uniform(size=base_arr.shape) < 0.4] = -0.0
+    for vec in inst["vector_arrays"]:
+        for delta in vec.values():
+            if rng.uniform() < 0.3:
+                delta[...] = float(rng.choice([0.0, -0.0]))
+    inst["weights"] = {
+        name: [m.groups[_group_of(name, recipe.group_size, n_groups)].weight
+               for m in recipe.per_model]
+        for name in inst["base_arrays"]
+    }
+    return inst
+
+
+@pytest.mark.parametrize("method", ["task_arithmetic", "linear"])
+def test_merge_bitwise_matches_scalar_reference(rng, method):
+    kept = flipped = 0
+    for _ in range(300):
+        inst = edge_case_instance(rng, method)
+        out = merge(inst["base"], inst["vectors"], inst["recipe"])
+        if method == "task_arithmetic":
+            want = ref_task_arithmetic_merge(inst["base_arrays"], inst["vector_arrays"],
+                                             inst["weights"], inst["lambda"])
+        else:
+            want = ref_linear_merge(inst["base_arrays"], inst["vector_arrays"], inst["weights"])
+        for name, base_arr in inst["base_arrays"].items():
+            got = out.array(name)
+            assert got.tobytes() == want[name].tobytes(), name
+            neg_zero = np.signbit(base_arr) & (base_arr == 0)
+            kept += int(np.sum(neg_zero & (got == 0) & np.signbit(got)))
+            flipped += int(np.sum(neg_zero & (got == 0) & ~np.signbit(got)))
+    # the instances reach both sides of the -0.0 rule: kept and flipped to +0.0
+    assert kept > 0 and flipped > 0
 
 
 # --- recipe serialization ---------------------------------------------------------------------

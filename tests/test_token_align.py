@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from umm.errors import (
     OutOfVocab,
     ShapeMismatch,
 )
+from umm.jsonl import iter_jsonl
 from umm.token_align import (
     AlignmentSegment,
     AlignStats,
@@ -25,9 +27,7 @@ from umm.token_align import (
     load_stats,
     load_token_seqs,
     project_distribution,
-    save_segments,
     save_stats,
-    save_token_seqs,
     surface_distance,
     update_stats,
 )
@@ -420,7 +420,9 @@ def test_projection_shape_mismatches():
 def test_token_seq_jsonl_round_trip(tmp_path):
     seqs = [seq(["ab", "b"]), seq(["ca"])]
     path = tmp_path / "tokens.jsonl"
-    save_token_seqs(seqs, path)
+    path.write_text("".join(
+        json.dumps({"ids": s.ids, "surfaces": s.surfaces}) + "\n" for s in seqs
+    ))
     loaded = load_token_seqs(path, vocab_size=len(ALPHABET))
     assert [s.ids for s in loaded] == [s.ids for s in seqs]
     assert [s.surfaces for s in loaded] == [s.surfaces for s in seqs]
@@ -472,10 +474,10 @@ def test_stats_jsonl_malformed(tmp_path):
         load_stats(path)
 
 
-def test_segments_jsonl(tmp_path):
-    tokens = seq(["ab", "b"])
-    segments = align_sequences(tokens, tokens)
-    path = tmp_path / "segments.jsonl"
-    save_segments(segments, path)
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert lines == [seg.to_json_obj() for seg in segments]
+def test_jsonl_reader_counts_blank_lines_and_names_the_bad_one(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n\n  \n[2]\n')
+    assert list(iter_jsonl(path)) == [(1, {"a": 1}), (4, [2])]
+    path.write_text('{"p": 0, "s": 0, "c": 1}\n\nnot json\n')
+    with pytest.raises(IoFailure, match=f"{re.escape(str(path))}:3: not JSON"):
+        load_stats(path)
