@@ -23,7 +23,7 @@ from umm.distro_fusion import (
     save_toy_model,
     toy_train,
 )
-from umm.errors import IoFailure, LengthMismatch, UmmError
+from umm.errors import IoFailure, LengthMismatch, UmmError, located
 from umm.evo_search import config_from_json_obj, run_search
 from umm.jsonl import iter_jsonl
 from umm.merge_core import (
@@ -65,12 +65,11 @@ def _parse_markers(value):
     return tuple(m for m in value.split(",") if m)
 
 
-def _write_history_csv(history: list, path) -> None:
+def _write_csv(path, fieldnames: list, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "best", "best_so_far"])
-        for row in history:
-            writer.writerow([row["generation"], row["best"], row["best_so_far"]])
+        writer = csv.DictWriter(fh, fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 # --- commands -------------------------------------------------------------------
@@ -113,7 +112,7 @@ def cmd_search(args) -> dict:
     out = Path(args.out)
     result = run_search(config, out, resume=args.resume)
     (out / "best_recipe.json").write_text(result.best_recipe.dumps() + "\n")
-    _write_history_csv(result.history, out / "history.csv")
+    _write_csv(out / "history.csv", ["generation", "best", "best_so_far"], result.history)
     log.info(
         "search finished: %d generations, best fitness %r",
         result.generations, result.best_fitness,
@@ -177,7 +176,7 @@ def cmd_fuse_targets(args) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     picked_pivot = 0
     for index, entry in enumerate(raw):
-        try:
+        with located(f"example {index}"):
             pivot = TokenSeq(entry["pivot_ids"], entry["pivot_surfaces"],
                              stats.pivot_vocab_size)
             source = TokenSeq(entry["source_ids"], entry["source_surfaces"],
@@ -196,8 +195,6 @@ def cmd_fuse_targets(args) -> dict:
                 source_dist_aligned=projected,
             )
             fused = mince_fuse(example)
-        except UmmError as exc:
-            raise type(exc)(f"example {index}: {exc}") from exc
         if fused is example.pivot_dist:
             picked_pivot += 1
         save_distribution(fused, example.gold, out_dir / f"example_{index:04d}.st")
@@ -222,11 +219,8 @@ def cmd_toy_train(args) -> dict:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_toy_model(trained, out / "model.st")
-    with open(out / "history.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "combined_loss"])
-        for step, value in enumerate(history):
-            writer.writerow([step, repr(value)])
+    _write_csv(out / "history.csv", ["step", "combined_loss"],
+               ({"step": i, "combined_loss": repr(v)} for i, v in enumerate(history)))
     log.info("trained %d steps, loss %r -> %r", args.steps, history[0], history[-1])
     return {
         "steps": args.steps,
@@ -323,10 +317,7 @@ def main(argv=None) -> int:
     )
     try:
         result = args.func(args)
-    except UmmError as exc:
-        log.error("%s: %s", type(exc).__name__, exc)
-        return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (UmmError, OSError, ValueError) as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return 1
     print(json.dumps(result, indent=2))

@@ -263,28 +263,3 @@ def _rng_from_obj(obj: dict) -> np.random.Generator:
     }
     return rng
 
-
-# --- convenience loop ------------------------------------------------------------
-
-def optimize(func, mean0, sigma0: float, max_evals: int, seed: int = 0,
-             pop_size: int = None, target: float = None) -> dict:
-    """Minimize ``func`` until the evaluation budget or target is hit.
-
-    Returns {"best_x", "best_f", "evals", "generations"}.
-    """
-    mean0 = np.asarray(mean0, dtype=np.float64)
-    state = cmaes_init(mean0.size, mean0, sigma0, pop_size=pop_size, seed=seed)
-    best_x, best_f = mean0.copy(), float(func(mean0))
-    evals = 1
-    while evals + state.pop_size <= max_evals:
-        if target is not None and best_f < target:
-            break
-        genomes = cmaes_ask(state)
-        fits = [float(func(g)) for g in genomes]
-        evals += len(genomes)
-        for g, f in zip(genomes, fits):
-            if f < best_f:
-                best_x, best_f = g.copy(), f
-        cmaes_tell(state, genomes, fits)
-    return {"best_x": best_x, "best_f": best_f, "evals": evals,
-            "generations": state.generation}

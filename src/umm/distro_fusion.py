@@ -24,8 +24,10 @@ from umm.errors import (
     InvalidDistribution,
     InvalidLambda,
     IoFailure,
+    MalformedTokens,
     OutOfVocab,
     ShapeMismatch,
+    located,
 )
 from umm.jsonl import iter_jsonl
 from umm.tensor_store import Checkpoint, Tensor, load_checkpoint, save_checkpoint
@@ -33,6 +35,15 @@ from umm.tensor_store import Checkpoint, Tensor, load_checkpoint, save_checkpoin
 # floor inside every log so sparse rows cannot produce -inf
 LOG_FLOOR = 1e-12
 ROW_SUM_TOL = 1e-6
+
+
+def token_ids(values, what: str) -> list:
+    """``values`` as a list of ints; anything else raises MalformedTokens."""
+    if isinstance(values, (list, tuple, np.ndarray)) and all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values
+    ):
+        return [int(v) for v in values]
+    raise MalformedTokens(f"{what} must be a list of integers")
 
 
 @dataclass(eq=False)
@@ -82,8 +93,8 @@ class FusionExample:
     source_dist_aligned: DistributionMatrix
 
     def __post_init__(self) -> None:
-        self.instruction = [int(t) for t in self.instruction]
-        self.gold = [int(t) for t in self.gold]
+        self.instruction = token_ids(self.instruction, "instruction")
+        self.gold = token_ids(self.gold, "gold")
         n = len(self.gold)
         if self.pivot_dist.length != n or self.source_dist_aligned.length != n:
             raise ShapeMismatch(
@@ -105,14 +116,6 @@ class LossBreakdown:
     l_fusion: float
     lambda_mix: float
     combined: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "l_sft": self.l_sft,
-            "l_fusion": self.l_fusion,
-            "lambda_mix": self.lambda_mix,
-            "combined": self.combined,
-        }
 
 
 def sequence_cross_entropy(dist: DistributionMatrix, gold) -> float:
@@ -317,23 +320,9 @@ def save_toy_model(model: ToyModel, path) -> None:
     save_checkpoint(Checkpoint(tensors={"logits": Tensor(model.logits.astype(np.float32))}), path)
 
 
-def load_toy_model(path) -> ToyModel:
-    ckpt = load_checkpoint(path)
-    if "logits" not in ckpt.tensors:
-        raise IoFailure(f"{path} holds no 'logits' tensor")
-    return ToyModel(ckpt.array("logits"))
-
-
-def example_to_json_obj(example: FusionExample) -> dict:
-    return {
-        "instruction": example.instruction,
-        "gold": example.gold,
-        "pivot_rows": example.pivot_dist.rows.tolist(),
-        "source_aligned_rows": example.source_dist_aligned.rows.tolist(),
-    }
-
-
 def example_from_json_obj(obj: dict) -> FusionExample:
+    if not isinstance(obj, dict):
+        raise IoFailure(f"fusion example must be a JSON object, got {type(obj).__name__}")
     try:
         return FusionExample(
             instruction=obj["instruction"],
@@ -346,14 +335,13 @@ def example_from_json_obj(obj: dict) -> FusionExample:
 
 
 def load_fusion_corpus(path) -> list:
-    """JSONL of example_to_json_obj objects, one example per line."""
-    corpus = [example_from_json_obj(obj) for _, obj in iter_jsonl(path)]
+    """JSONL of {"instruction", "gold", "pivot_rows", "source_aligned_rows"}
+    objects, one example per line; errors name ``path:lineno``."""
+    corpus = []
+    for lineno, obj in iter_jsonl(path):
+        with located(f"{path}:{lineno}"):
+            corpus.append(example_from_json_obj(obj))
     if not corpus:
         raise EmptySequence(f"{path} holds no fusion examples")
     return corpus
 
-
-def save_fusion_corpus(corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for example in corpus:
-            fh.write(json.dumps(example_to_json_obj(example)) + "\n")

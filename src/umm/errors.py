@@ -4,6 +4,8 @@ Every domain failure raises a subclass of :class:`UmmError`, so callers
 (and the CLI) can catch one base type and still branch on specifics.
 """
 
+import contextlib
+
 
 class UmmError(Exception):
     """Base class for all toolkit errors."""
@@ -93,6 +95,10 @@ class EvaluatorProtocol(UmmError):
 
 # --- token alignment / fusion ----------------------------------------------
 
+class MalformedTokens(UmmError):
+    """Token ids are not a list of integers, or surfaces not a list of strings."""
+
+
 class EmptySequence(UmmError):
     """Token sequence is empty."""
 
@@ -111,3 +117,12 @@ class OutOfVocab(UmmError):
 
 class InvalidLambda(UmmError):
     """Mixing coefficient outside [0, 1]."""
+
+
+@contextlib.contextmanager
+def located(where: str):
+    """Re-raise a UmmError from the block, same type, prefixed with ``where``."""
+    try:
+        yield
+    except UmmError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc

@@ -47,13 +47,14 @@ from umm.errors import (
     EvaluatorFailed,
     EvaluatorProtocol,
     LengthMismatch,
-    MissingLayerMetadata,
 )
 from umm.merge_core import (
+    METHODS,
     GroupCoeffs,
     MergeRecipe,
     ModelCoeffs,
     compute_task_vector,
+    group_count,
     merge,
 )
 from umm.tensor_store import (
@@ -130,21 +131,6 @@ def decode_genome(genome, template: RecipeTemplate) -> MergeRecipe:
         lambda_scale=template.lambda_scale,
         per_model=per_model,
     )
-
-
-def encode_recipe(recipe: MergeRecipe, template: RecipeTemplate) -> np.ndarray:
-    """Inverse of decode_genome for recipes matching the template."""
-    if [m.source_id for m in recipe.per_model] != list(template.source_ids):
-        raise LengthMismatch("recipe models do not match template source_ids")
-    values = []
-    for model in recipe.per_model:
-        if len(model.groups) != template.num_groups:
-            raise LengthMismatch("recipe group count does not match template")
-        for g in model.groups:
-            values.append(g.weight)
-            if template.method == "ties":
-                values.append(g.density)
-    return np.asarray(values, dtype=np.float64)
 
 
 # --- evaluators ------------------------------------------------------------
@@ -414,7 +400,7 @@ class SearchConfig:
     retries: int = 1
 
     def validate(self) -> None:
-        if self.method not in ("linear", "task_arithmetic", "ties"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
@@ -422,23 +408,6 @@ class SearchConfig:
             raise ValueError("config lists no models")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "method": self.method,
-            "group_size": self.group_size,
-            "base_path": self.base_path,
-            "models": self.models,
-            "evaluator": self.evaluator,
-            "lambda_scale": self.lambda_scale,
-            "iterations": self.iterations,
-            "pop_size": self.pop_size,
-            "sigma0": self.sigma0,
-            "seed": self.seed,
-            "cache_dir": self.cache_dir,
-            "threads": self.threads,
-            "retries": self.retries,
-        }
 
 
 def config_from_json_obj(obj: dict) -> SearchConfig:
@@ -529,10 +498,7 @@ def run_search(config: SearchConfig, workdir, resume: bool = False,
     if sources is None:
         sources = load_sources(config.base_path, config.models)
 
-    if "num_layers" not in sources.base.metadata:
-        raise MissingLayerMetadata("base checkpoint metadata lacks num_layers")
-    num_layers = int(sources.base.metadata["num_layers"])
-    num_groups = math.ceil(num_layers / config.group_size) + 1
+    _, num_groups = group_count(sources.base.metadata, config.group_size)
     template = RecipeTemplate(
         method=config.method,
         group_size=config.group_size,
@@ -555,6 +521,17 @@ def run_search(config: SearchConfig, workdir, resume: bool = False,
             retries=config.retries, tag=tag,
         )
 
+    def save_state() -> None:
+        _persist(state_path, {
+            "fingerprint": fingerprint,
+            "cmaes": state_to_json_obj(state),
+            "best_genome": best_genome.tolist(),
+            "best_fitness": best_fitness,
+            "history": history,
+            "evaluations": evaluations,
+            "invocations": invocations,
+        })
+
     if resume and state_path.exists():
         saved = json.loads(state_path.read_text())
         if saved.get("fingerprint") != fingerprint:
@@ -566,22 +543,13 @@ def run_search(config: SearchConfig, workdir, resume: bool = False,
         evaluations = int(saved["evaluations"])
         invocations = int(saved["invocations"])
     else:
-        state = cmaes_init(dim, initial_mean(template), config.sigma0,
-                           pop_size=pop, seed=config.seed)
         best_genome = initial_mean(template)
+        state = cmaes_init(dim, best_genome, config.sigma0, pop_size=pop, seed=config.seed)
         best_fitness, invoked = score(decode_genome(best_genome, template), "initial")
         evaluations = 1
         invocations = int(invoked)
         history = [{"generation": 0, "best": best_fitness, "best_so_far": best_fitness}]
-        _persist(state_path, {
-            "fingerprint": fingerprint,
-            "cmaes": state_to_json_obj(state),
-            "best_genome": best_genome.tolist(),
-            "best_fitness": best_fitness,
-            "history": history,
-            "evaluations": evaluations,
-            "invocations": invocations,
-        })
+        save_state()
 
     while state.generation < config.iterations:
         genomes = cmaes_ask(state)
@@ -605,15 +573,7 @@ def run_search(config: SearchConfig, workdir, resume: bool = False,
             "best": float(fitnesses[gen_best_idx]),
             "best_so_far": best_fitness,
         })
-        _persist(state_path, {
-            "fingerprint": fingerprint,
-            "cmaes": state_to_json_obj(state),
-            "best_genome": best_genome.tolist(),
-            "best_fitness": best_fitness,
-            "history": history,
-            "evaluations": evaluations,
-            "invocations": invocations,
-        })
+        save_state()
 
     return SearchResult(
         best_genome=best_genome,

@@ -58,9 +58,6 @@ class TaskVector:
     deltas: dict  # tensor name -> np.ndarray (f32)
     source_id: str = ""
 
-    def names(self) -> list:
-        return sorted(self.deltas)
-
 
 @dataclass
 class GroupCoeffs:
@@ -172,7 +169,6 @@ class Schedule:
 
     group_index: dict  # tensor name -> group index
     num_layer_groups: int
-    group_size: int
     num_layers: int
     recipe: MergeRecipe
 
@@ -185,8 +181,8 @@ class Schedule:
         rows = []
         for g in range(self.num_layer_groups + 1):
             if g < self.num_layer_groups:
-                lo = g * self.group_size
-                hi = min(self.num_layers, lo + self.group_size) - 1
+                lo = g * self.recipe.group_size
+                hi = min(self.num_layers, lo + self.recipe.group_size) - 1
                 span = f"layers {lo}-{hi}"
             else:
                 span = "global"
@@ -212,6 +208,20 @@ def _layer_regex(pattern: str):
     return re.compile(r"(\d+)".join(re.escape(p) for p in parts))
 
 
+def group_count(meta: dict, group_size: int) -> tuple:
+    """(num_layers, recipe group count) from checkpoint metadata: the layers
+    fill ceil(num_layers / group_size) groups, plus one global group."""
+    if "num_layers" not in meta:
+        raise MissingLayerMetadata("checkpoint metadata lacks num_layers")
+    try:
+        num_layers = int(meta["num_layers"])
+    except ValueError as exc:
+        raise MissingLayerMetadata(f"num_layers is not an integer: {meta['num_layers']!r}") from exc
+    if num_layers < 1:
+        raise MissingLayerMetadata(f"num_layers must be positive, got {num_layers}")
+    return num_layers, math.ceil(num_layers / group_size) + 1
+
+
 def expand_schedule(recipe: MergeRecipe, ckpt: Checkpoint) -> Schedule:
     """Assign every tensor of ``ckpt`` a coefficient group.
 
@@ -220,23 +230,16 @@ def expand_schedule(recipe: MergeRecipe, ckpt: Checkpoint) -> Schedule:
     """
     recipe.validate()
     meta = ckpt.metadata
-    if "layer_pattern" not in meta or "num_layers" not in meta:
-        raise MissingLayerMetadata("checkpoint metadata needs layer_pattern and num_layers")
-    try:
-        num_layers = int(meta["num_layers"])
-    except ValueError as exc:
-        raise MissingLayerMetadata(f"num_layers is not an integer: {meta['num_layers']!r}") from exc
-    if num_layers < 1:
-        raise MissingLayerMetadata(f"num_layers must be positive, got {num_layers}")
+    if "layer_pattern" not in meta:
+        raise MissingLayerMetadata("checkpoint metadata lacks layer_pattern")
+    num_layers, num_groups = group_count(meta, recipe.group_size)
     regex = _layer_regex(meta["layer_pattern"])
-
-    num_layer_groups = math.ceil(num_layers / recipe.group_size)
-    expected = num_layer_groups + 1
-    if recipe.num_groups != expected:
+    if recipe.num_groups != num_groups:
         raise GroupCountMismatch(
             f"recipe has {recipe.num_groups} groups but {num_layers} layers at "
-            f"group_size {recipe.group_size} need {expected} (including the global group)"
+            f"group_size {recipe.group_size} need {num_groups} (including the global group)"
         )
+    num_layer_groups = num_groups - 1
 
     group_index = {}
     for name in ckpt.names():
@@ -250,7 +253,7 @@ def expand_schedule(recipe: MergeRecipe, ckpt: Checkpoint) -> Schedule:
             group_index[name] = layer // recipe.group_size
         else:
             group_index[name] = num_layer_groups
-    return Schedule(group_index, num_layer_groups, recipe.group_size, num_layers, recipe)
+    return Schedule(group_index, num_layer_groups, num_layers, recipe)
 
 
 # --- task vectors -------------------------------------------------------------

@@ -63,9 +63,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    def nbytes_stored(self) -> int:
-        return self.data.size * _DTYPES[self.dtype][1]
-
 
 @dataclass
 class Checkpoint:
@@ -90,29 +87,6 @@ class Checkpoint:
 
     def __len__(self) -> int:
         return len(self.tensors)
-
-
-@dataclass
-class CompatReport:
-    """Structural comparison of two checkpoints."""
-
-    compatible: bool
-    matching: list
-    missing_in_a: list
-    missing_in_b: list
-    shape_mismatches: list  # (name, shape_a, shape_b)
-
-    def describe(self) -> str:
-        if self.compatible:
-            return f"compatible ({len(self.matching)} tensors)"
-        parts = []
-        if self.missing_in_a:
-            parts.append(f"missing in first: {', '.join(self.missing_in_a)}")
-        if self.missing_in_b:
-            parts.append(f"missing in second: {', '.join(self.missing_in_b)}")
-        for name, sa, sb in self.shape_mismatches:
-            parts.append(f"shape mismatch {name}: {list(sa)} vs {list(sb)}")
-        return "; ".join(parts)
 
 
 def _encode_payload(tensor: Tensor) -> bytes:
@@ -259,27 +233,20 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(tensors=tensors, metadata=dict(metadata))
 
 
-def check_compat(a: Checkpoint, b: Checkpoint) -> CompatReport:
-    """Compare tensor name sets and shapes; never raises."""
+def require_compat(a: Checkpoint, b: Checkpoint, what: str = "checkpoints") -> None:
+    """Raise IncompatibleCheckpoints unless both hold the same names and shapes."""
     names_a, names_b = set(a.tensors), set(b.tensors)
-    missing_in_b = sorted(names_a - names_b)
-    missing_in_a = sorted(names_b - names_a)
-    matching = []
-    mismatches = []
+    problems = []
+    if names_b - names_a:
+        problems.append(f"missing in first: {', '.join(sorted(names_b - names_a))}")
+    if names_a - names_b:
+        problems.append(f"missing in second: {', '.join(sorted(names_a - names_b))}")
     for name in sorted(names_a & names_b):
         sa, sb = a.tensors[name].shape, b.tensors[name].shape
-        if sa == sb:
-            matching.append(name)
-        else:
-            mismatches.append((name, sa, sb))
-    compatible = not missing_in_a and not missing_in_b and not mismatches
-    return CompatReport(compatible, matching, missing_in_a, missing_in_b, mismatches)
-
-
-def require_compat(a: Checkpoint, b: Checkpoint, what: str = "checkpoints") -> None:
-    report = check_compat(a, b)
-    if not report.compatible:
-        raise IncompatibleCheckpoints(f"{what}: {report.describe()}")
+        if sa != sb:
+            problems.append(f"shape mismatch {name}: {list(sa)} vs {list(sb)}")
+    if problems:
+        raise IncompatibleCheckpoints(f"{what}: {'; '.join(problems)}")
 
 
 def tensor_summary(ckpt: Checkpoint) -> list:

@@ -24,13 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from umm.distro_fusion import DistributionMatrix
+from umm.distro_fusion import DistributionMatrix, token_ids
 from umm.errors import (
     EmptySequence,
     IoFailure,
     LengthMismatch,
+    MalformedTokens,
     OutOfVocab,
     ShapeMismatch,
+    located,
 )
 from umm.jsonl import iter_jsonl
 
@@ -55,8 +57,11 @@ class TokenSeq:
     vocab_size: int
 
     def __post_init__(self) -> None:
-        self.ids = [int(i) for i in self.ids]
-        self.surfaces = [str(s) for s in self.surfaces]
+        self.ids = token_ids(self.ids, "ids")
+        surfaces = self.surfaces
+        if not isinstance(surfaces, (list, tuple)) or not all(isinstance(s, str) for s in surfaces):
+            raise MalformedTokens("surfaces must be a list of strings")
+        self.surfaces = list(surfaces)
         self.vocab_size = int(self.vocab_size)
         if len(self.ids) != len(self.surfaces):
             raise LengthMismatch(
@@ -105,28 +110,18 @@ class AlignmentSegment:
 
     pivot_span: tuple
     source_span: tuple
-    kind: str
 
     def __post_init__(self) -> None:
         for span in (self.pivot_span, self.source_span):
             if len(span) != 2 or span[0] >= span[1] or span[0] < 0:
                 raise ValueError(f"invalid span {span}")
-        expected = classify_spans(
+
+    @property
+    def kind(self) -> str:
+        return classify_spans(
             self.pivot_span[1] - self.pivot_span[0],
             self.source_span[1] - self.source_span[0],
         )
-        if self.kind != expected:
-            raise ValueError(
-                f"kind {self.kind!r} does not match spans "
-                f"{self.pivot_span} x {self.source_span} ({expected})"
-            )
-
-    def to_json_obj(self) -> dict:
-        return {
-            "pivot_span": list(self.pivot_span),
-            "source_span": list(self.source_span),
-            "kind": self.kind,
-        }
 
 
 def char_edit_distance(a: str, b: str) -> int:
@@ -233,14 +228,7 @@ def _segment_moves(moves: list) -> list:
             j += 1
         previous = current
     spans.append((seg_p, i, seg_s, j))
-    return [
-        AlignmentSegment(
-            pivot_span=(p0, p1),
-            source_span=(s0, s1),
-            kind=classify_spans(p1 - p0, s1 - s0),
-        )
-        for p0, p1, s0, s1 in spans
-    ]
+    return [AlignmentSegment((p0, p1), (s0, s1)) for p0, p1, s0, s1 in spans]
 
 
 def align_sequences(pivot: TokenSeq, source: TokenSeq,
@@ -298,18 +286,19 @@ class AlignStats:
             if c < 1:
                 raise ValueError(f"count for ({p}, {s}) must be >= 1, got {c}")
 
-    def combine(self, other: "AlignStats") -> "AlignStats":
-        """Entrywise sum; shards of a corpus merge in any order."""
-        if (self.pivot_vocab_size != other.pivot_vocab_size
-                or self.source_vocab_size != other.source_vocab_size):
-            raise ShapeMismatch("cannot combine stats over different vocabularies")
-        merged = dict(self.counts)
-        for key, c in other.counts.items():
-            merged[key] = merged.get(key, 0) + c
-        return AlignStats(self.pivot_vocab_size, self.source_vocab_size, merged)
-
     def total(self) -> int:
         return sum(self.counts.values())
+
+
+def _require_vocabs(stats: AlignStats, pivot: TokenSeq, source: TokenSeq) -> None:
+    if pivot.vocab_size != stats.pivot_vocab_size:
+        raise ShapeMismatch(
+            f"pivot vocab {pivot.vocab_size} vs stats {stats.pivot_vocab_size}"
+        )
+    if source.vocab_size != stats.source_vocab_size:
+        raise ShapeMismatch(
+            f"source vocab {source.vocab_size} vs stats {stats.source_vocab_size}"
+        )
 
 
 def update_stats(stats: AlignStats, segments: list, pivot: TokenSeq,
@@ -320,14 +309,7 @@ def update_stats(stats: AlignStats, segments: list, pivot: TokenSeq,
     unknown, so counting their cross product would only add noise.
     Mutates and returns ``stats``.
     """
-    if pivot.vocab_size != stats.pivot_vocab_size:
-        raise ShapeMismatch(
-            f"pivot vocab {pivot.vocab_size} vs stats {stats.pivot_vocab_size}"
-        )
-    if source.vocab_size != stats.source_vocab_size:
-        raise ShapeMismatch(
-            f"source vocab {source.vocab_size} vs stats {stats.source_vocab_size}"
-        )
+    _require_vocabs(stats, pivot, source)
     for seg in segments:
         if seg.kind == MANY_MANY:
             continue
@@ -421,14 +403,7 @@ def project_distribution(src_dist: DistributionMatrix, segments: list,
             f"fallback rows over {pivot_fallback.vocab_size} tokens, "
             f"stats expect {stats.pivot_vocab_size}"
         )
-    if pivot.vocab_size != stats.pivot_vocab_size:
-        raise ShapeMismatch(
-            f"pivot vocab {pivot.vocab_size} vs stats {stats.pivot_vocab_size}"
-        )
-    if source.vocab_size != stats.source_vocab_size:
-        raise ShapeMismatch(
-            f"source vocab {source.vocab_size} vs stats {stats.source_vocab_size}"
-        )
+    _require_vocabs(stats, pivot, source)
     check_partition(segments, len(pivot), len(source))
 
     n_pivot = len(pivot)
@@ -484,18 +459,23 @@ def load_token_seqs(path, vocab_size: int = None) -> list:
 
     All sequences in a file share one vocabulary; when ``vocab_size``
     is not given it is inferred as max id + 1 over the whole file.
+    Errors in a line name ``path:lineno``.
     """
     raw = []
     for lineno, obj in iter_jsonl(path):
-        if not isinstance(obj, dict) or "ids" not in obj or "surfaces" not in obj:
-            raise IoFailure(f"{path}:{lineno}: expected ids and surfaces fields")
-        raw.append((obj["ids"], obj["surfaces"]))
+        with located(f"{path}:{lineno}"):
+            if not isinstance(obj, dict) or "ids" not in obj or "surfaces" not in obj:
+                raise IoFailure("expected ids and surfaces fields")
+            raw.append((lineno, token_ids(obj["ids"], "ids"), obj["surfaces"]))
     if not raw:
         raise EmptySequence(f"{path} holds no token sequences")
     if vocab_size is None:
-        highest = max((max(ids) for ids, _ in raw if ids), default=0)
-        vocab_size = highest + 1
-    return [TokenSeq(ids, surfaces, vocab_size) for ids, surfaces in raw]
+        vocab_size = max((max(ids) for _, ids, _ in raw if ids), default=0) + 1
+    seqs = []
+    for lineno, ids, surfaces in raw:
+        with located(f"{path}:{lineno}"):
+            seqs.append(TokenSeq(ids, surfaces, vocab_size))
+    return seqs
 
 
 def save_stats(stats: AlignStats, path) -> None:

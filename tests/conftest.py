@@ -1,3 +1,4 @@
+import json
 import sys
 
 import numpy as np
@@ -57,6 +58,22 @@ def checkpoints_bitwise_equal(a, b):
         if ta.data.tobytes() != tb.data.tobytes():
             return False
     return True
+
+
+def fusion_example_obj(ex):
+    """A FusionExample as one toy-train corpus line reads it."""
+    return {
+        "instruction": ex.instruction,
+        "gold": ex.gold,
+        "pivot_rows": ex.pivot_dist.rows.tolist(),
+        "source_aligned_rows": ex.source_dist_aligned.rows.tolist(),
+    }
+
+
+def write_fusion_corpus(corpus, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for ex in corpus:
+            fh.write(json.dumps(fusion_example_obj(ex)) + "\n")
 
 
 @pytest.fixture

@@ -12,21 +12,21 @@ import sys
 import numpy as np
 import pytest
 
+from umm import errors
 from umm.cli import main
 from umm.distro_fusion import (
     DistributionMatrix,
     FusionExample,
     example_contexts,
-    example_to_json_obj,
     init_toy_model,
     load_distribution,
     load_fusion_corpus,
-    save_fusion_corpus,
     save_toy_model,
 )
 from umm.tensor_store import Checkpoint, Tensor, load_checkpoint, save_checkpoint
 from umm.toy_mlp import init_mlp, train_mlp
 
+from conftest import write_fusion_corpus
 from reference_impls import ref_sft_train
 
 
@@ -79,6 +79,16 @@ def write_json(path, obj):
 
 def write_jsonl(path, objs):
     path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+
+
+def assert_one_located_error(code, err, where):
+    """Exit 1 with exactly one ERROR line: a UmmError naming ``where``."""
+    assert code == 1
+    lines = [line for line in err.splitlines() if line.startswith("ERROR umm: ")]
+    assert len(lines) == 1, err
+    name = lines[0][len("ERROR umm: "):].split(":")[0]
+    assert issubclass(getattr(errors, name), errors.UmmError), lines[0]
+    assert where in lines[0], lines[0]
 
 
 # --- usage errors ----------------------------------------------------------------
@@ -439,6 +449,24 @@ def test_align_stats_mismatched_line_counts_exit_1(tmp_path, capsys):
     assert code == 1 and "LengthMismatch" in err
 
 
+@pytest.mark.parametrize("bad_line", [
+    {"ids": 5, "surfaces": ["a"]},
+    {"ids": [1, "x"], "surfaces": ["a", "b"]},
+    {"ids": [1, 2], "surfaces": "ab"},
+], ids=["ids-scalar", "ids-not-int", "surfaces-string"])
+def test_align_stats_wrong_shaped_line_names_path_and_line(tmp_path, capsys, bad_line):
+    lines = token_lines_identical()
+    write_jsonl(tmp_path / "pivot.jsonl", [lines[0], bad_line, lines[2]])
+    write_jsonl(tmp_path / "source.jsonl", lines)
+    code, _, err = run_cli(
+        ["align-stats", "--pivot", str(tmp_path / "pivot.jsonl"),
+         "--source", str(tmp_path / "source.jsonl"),
+         "--out", str(tmp_path / "stats.jsonl")],
+        capsys,
+    )
+    assert_one_located_error(code, err, f"{tmp_path / 'pivot.jsonl'}:2:")
+
+
 # --- fuse-targets ----------------------------------------------------------------
 
 
@@ -527,6 +555,24 @@ def test_fuse_targets_bad_shape_names_offending_example(tmp_path, capsys):
     assert "example 1" in err and "ShapeMismatch" in err
 
 
+def test_fuse_targets_scalar_ids_name_the_example(tmp_path, capsys):
+    raw = fuse_fixture(tmp_path, capsys,
+                       source_rows_for=lambda ids: [[0.25] * 4 for _ in ids])
+    raw[1]["pivot"]["ids"] = 5
+    write_jsonl(tmp_path / "raw.jsonl", raw)
+    code, _, err = run_cli(fuse_args(tmp_path), capsys)
+    assert_one_located_error(code, err, "example 1:")
+
+
+def test_fuse_targets_scalar_instruction_names_the_example(tmp_path, capsys):
+    raw = fuse_fixture(tmp_path, capsys,
+                       source_rows_for=lambda ids: [[0.25] * 4 for _ in ids])
+    raw[2]["instruction"] = 7
+    write_jsonl(tmp_path / "raw.jsonl", raw)
+    code, _, err = run_cli(fuse_args(tmp_path), capsys)
+    assert_one_located_error(code, err, "example 2:")
+
+
 # --- toy-train -------------------------------------------------------------------
 
 
@@ -544,7 +590,7 @@ def small_corpus(vocab=4, seed=3):
 
 def test_toy_train_lambda_one_matches_gold_only_reference(tmp_path, capsys):
     corpus = small_corpus()
-    save_fusion_corpus(corpus, tmp_path / "corpus.jsonl")
+    write_fusion_corpus(corpus, tmp_path / "corpus.jsonl")
     code, out, _ = run_cli(
         ["--log-level", "warning", "toy-train",
          "--corpus", str(tmp_path / "corpus.jsonl"),
@@ -570,7 +616,7 @@ def test_toy_train_lambda_one_matches_gold_only_reference(tmp_path, capsys):
 
 
 def test_toy_train_zero_steps_keeps_the_initial_model(tmp_path, capsys):
-    save_fusion_corpus(small_corpus(), tmp_path / "corpus.jsonl")
+    write_fusion_corpus(small_corpus(), tmp_path / "corpus.jsonl")
     code, out, _ = run_cli(
         ["--log-level", "warning", "toy-train",
          "--corpus", str(tmp_path / "corpus.jsonl"),
@@ -584,13 +630,27 @@ def test_toy_train_zero_steps_keeps_the_initial_model(tmp_path, capsys):
 
 
 def test_toy_train_invalid_lambda_exits_1(tmp_path, capsys):
-    save_fusion_corpus(small_corpus(), tmp_path / "corpus.jsonl")
+    write_fusion_corpus(small_corpus(), tmp_path / "corpus.jsonl")
     code, _, err = run_cli(
         ["toy-train", "--corpus", str(tmp_path / "corpus.jsonl"),
          "--lambda", "1.5", "--out", str(tmp_path / "run")],
         capsys,
     )
     assert code == 1 and "InvalidLambda" in err
+
+
+@pytest.mark.parametrize("bad_line", [[1], {"instruction": [0], "gold": [1]}],
+                         ids=["not-an-object", "missing-field"])
+def test_toy_train_wrong_shaped_line_names_path_and_line(tmp_path, capsys, bad_line):
+    write_fusion_corpus(small_corpus(), tmp_path / "corpus.jsonl")
+    with open(tmp_path / "corpus.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(bad_line) + "\n")
+    code, _, err = run_cli(
+        ["toy-train", "--corpus", str(tmp_path / "corpus.jsonl"),
+         "--lambda", "0.5", "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert_one_located_error(code, err, f"{tmp_path / 'corpus.jsonl'}:3:")
 
 
 # --- inspect ---------------------------------------------------------------------

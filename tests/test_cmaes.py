@@ -10,7 +10,6 @@ from umm.cmaes import (
     cmaes_init,
     cmaes_tell,
     default_pop_size,
-    optimize,
     state_from_json_obj,
     state_to_json_obj,
 )
@@ -25,10 +24,6 @@ from umm.errors import (
 
 def sphere(x):
     return float(np.sum(x * x))
-
-
-def rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
 
 
 # --- init ------------------------------------------------------------------
@@ -165,19 +160,6 @@ def test_tell_maximize_mirrors_minimize():
         cmaes_tell(b, gb, [-sphere(g) for g in gb], maximize=True)
     assert np.array_equal(a.mean, b.mean)
     assert a.sigma == b.sigma
-
-
-# --- benchmark convergence ---------------------------------------------------------
-
-def test_sphere_three_seeds_quick():
-    for seed in (0, 1, 2):
-        result = optimize(sphere, np.full(10, 3.0), 0.5, max_evals=6000, seed=seed, target=1e-10)
-        assert result["best_f"] < 1e-10, f"seed {seed}: {result['best_f']}"
-
-
-def test_rosenbrock_one_seed_quick():
-    result = optimize(rosenbrock, np.zeros(5), 0.5, max_evals=30000, seed=0, target=1e-6)
-    assert result["best_f"] < 1e-6
 
 
 # --- persistence ---------------------------------------------------------------------

@@ -14,10 +14,8 @@ from umm.distro_fusion import (
     init_toy_model,
     load_distribution,
     load_fusion_corpus,
-    load_toy_model,
     mince_fuse,
     save_distribution,
-    save_fusion_corpus,
     save_toy_model,
     sequence_cross_entropy,
     sft_loss,
@@ -34,6 +32,9 @@ from umm.errors import (
     ShapeMismatch,
 )
 
+from umm.tensor_store import load_checkpoint
+
+from conftest import fusion_example_obj, write_fusion_corpus
 from reference_impls import ref_sequence_ce, ref_sft_train
 
 
@@ -443,16 +444,15 @@ def test_toy_model_round_trip(tmp_path):
     model = init_toy_model(5, seed=4)
     path = tmp_path / "model.st"
     save_toy_model(model, path)
-    loaded = load_toy_model(path)
     np.testing.assert_array_equal(
-        loaded.logits, model.logits.astype(np.float32).astype(np.float64)
+        load_checkpoint(path).array("logits"), model.logits.astype(np.float32)
     )
 
 
 def test_corpus_jsonl_round_trip(rng, tmp_path):
     corpus = make_corpus(rng, vocab=4, size=3)
     path = tmp_path / "corpus.jsonl"
-    save_fusion_corpus(corpus, path)
+    write_fusion_corpus(corpus, path)
     loaded = load_fusion_corpus(path)
     assert len(loaded) == 3
     for original, copy in zip(corpus, loaded):
@@ -483,8 +483,6 @@ def test_corpus_jsonl_empty(tmp_path):
 
 def test_example_json_round_trip(rng):
     example = random_example(rng, vocab=4, n=2)
-    from umm.distro_fusion import example_to_json_obj
-
-    copy = example_from_json_obj(example_to_json_obj(example))
+    copy = example_from_json_obj(fusion_example_obj(example))
     assert copy.gold == example.gold
     np.testing.assert_allclose(copy.pivot_dist.rows, example.pivot_dist.rows)

@@ -7,14 +7,18 @@ import time
 import numpy as np
 import pytest
 
-from umm.errors import EvaluatorFailed, EvaluatorProtocol, LengthMismatch
+from umm.errors import (
+    EvaluatorFailed,
+    EvaluatorProtocol,
+    LengthMismatch,
+    MissingLayerMetadata,
+)
 from umm.evo_search import (
     FitnessCache,
     RecipeTemplate,
     build_sources,
     config_from_json_obj,
     decode_genome,
-    encode_recipe,
     evaluate_candidate,
     initial_mean,
     make_evaluator,
@@ -31,6 +35,11 @@ def ties_template(n_models=2, n_groups=3, group_size=3):
         num_groups=n_groups,
         source_ids=[f"m{i}" for i in range(n_models)],
     )
+
+
+def recipe_coefficients(recipe):
+    """(weight, density) per group, model-major: the TIES genome layout."""
+    return [v for m in recipe.per_model for g in m.groups for v in (g.weight, g.density)]
 
 
 # --- genome codec ------------------------------------------------------------
@@ -73,9 +82,7 @@ def test_decode_encode_identity_on_box(rng):
     genome[0::2] = rng.uniform(0.0, 1.0, size=genome[0::2].shape)
     genome[1::2] = rng.uniform(0.05, 1.0, size=genome[1::2].shape)
     recipe = decode_genome(genome, template)
-    np.testing.assert_array_equal(encode_recipe(recipe, template), genome)
-    again = decode_genome(encode_recipe(recipe, template), template)
-    assert again == recipe
+    np.testing.assert_array_equal(recipe_coefficients(recipe), genome)
 
 
 def test_initial_mean_layout():
@@ -356,8 +363,15 @@ def test_run_search_zero_iterations(tmp_path):
     template = ties_template()
     np.testing.assert_array_equal(result.best_genome, initial_mean(template))
     np.testing.assert_array_equal(
-        encode_recipe(result.best_recipe, template), initial_mean(template)
+        recipe_coefficients(result.best_recipe), initial_mean(template)
     )
+
+
+def test_run_search_checks_layer_metadata_like_merge(tmp_path):
+    sources = two_expert_sources(steps=1)
+    sources.base.metadata["num_layers"] = "two"
+    with pytest.raises(MissingLayerMetadata):
+        run_search(search_config(tmp_path, iterations=0), tmp_path / "w", sources=sources)
 
 
 def test_run_search_deterministic_across_runs_and_threads(tmp_path):
@@ -439,8 +453,6 @@ def test_config_json_round_trip():
     }
     config = config_from_json_obj(obj)
     assert config.iterations == 12 and config.sigma0 == 0.2
-    round_tripped = config_from_json_obj(config.to_json_obj())
-    assert round_tripped == config
 
 
 def test_config_rejects_bad_method():

@@ -20,6 +20,7 @@ from umm.merge_core import (
     TaskVector,
     compute_task_vector,
     expand_schedule,
+    group_count,
     load_recipe,
     merge,
     recipe_from_json_obj,
@@ -173,6 +174,14 @@ def test_schedule_missing_metadata():
     base = ckpt(x=[1.0])
     with pytest.raises(MissingLayerMetadata):
         expand_schedule(simple_recipe("ties", 2, 2), base)
+
+
+def test_group_count_rule_and_metadata_errors():
+    assert group_count({"num_layers": "30"}, 10) == (30, 4)
+    assert group_count({"num_layers": "31"}, 10) == (31, 5)
+    for meta in ({}, {"num_layers": "two"}, {"num_layers": "0"}):
+        with pytest.raises(MissingLayerMetadata):
+            group_count(meta, 2)
 
 
 def test_schedule_group_count_mismatch():

@@ -14,7 +14,6 @@ from umm.errors import (
 from umm.tensor_store import (
     Checkpoint,
     Tensor,
-    check_compat,
     checkpoint_digest,
     load_checkpoint,
     require_compat,
@@ -305,26 +304,23 @@ def test_save_to_unwritable_dir(tmp_path):
 
 def test_compat_identical():
     a = make_ckpt(x=[1.0, 2.0], y=[[3.0]])
-    report = check_compat(a, a)
-    assert report.compatible and report.matching == ["x", "y"]
-    assert not report.missing_in_a and not report.missing_in_b and not report.shape_mismatches
+    require_compat(a, a)
 
 
 def test_compat_missing_tensor():
     a = make_ckpt(x=[1.0], y=[2.0])
     b = make_ckpt(x=[1.0])
-    report = check_compat(a, b)
-    assert not report.compatible
-    assert report.missing_in_b == ["y"]
-    assert "y" in report.describe()
+    with pytest.raises(IncompatibleCheckpoints, match=r"^checkpoints: missing in second: y$"):
+        require_compat(a, b)
+    with pytest.raises(IncompatibleCheckpoints, match=r"^b vs a: missing in first: y$"):
+        require_compat(b, a, "b vs a")
 
 
 def test_compat_shape_mismatch():
     a = make_ckpt(x=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     b = make_ckpt(x=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    report = check_compat(a, b)
-    assert not report.compatible
-    assert report.shape_mismatches == [("x", (2, 3), (3, 2))]
+    with pytest.raises(IncompatibleCheckpoints, match=r"^checkpoints: shape mismatch x: \[2, 3\] vs \[3, 2\]$"):
+        require_compat(a, b)
 
 
 def test_require_compat_raises():

@@ -67,11 +67,9 @@ def test_token_seq_id_out_of_vocab():
 
 
 def test_segment_kind_must_match_spans():
-    AlignmentSegment(pivot_span=(0, 1), source_span=(0, 2), kind="one_many")
+    assert AlignmentSegment(pivot_span=(0, 1), source_span=(0, 2)).kind == "one_many"
     with pytest.raises(ValueError):
-        AlignmentSegment(pivot_span=(0, 1), source_span=(0, 2), kind="one_one")
-    with pytest.raises(ValueError):
-        AlignmentSegment(pivot_span=(0, 0), source_span=(0, 1), kind="one_one")
+        AlignmentSegment(pivot_span=(0, 0), source_span=(0, 1))
 
 
 def test_classify_spans():
@@ -191,7 +189,7 @@ def test_update_stats_one_one():
     pivot = TokenSeq(ids=[7], surfaces=["x"], vocab_size=8)
     source = TokenSeq(ids=[3], surfaces=["x"], vocab_size=4)
     stats = AlignStats(8, 4)
-    segments = [AlignmentSegment((0, 1), (0, 1), "one_one")]
+    segments = [AlignmentSegment((0, 1), (0, 1))]
     update_stats(stats, segments, pivot, source)
     assert stats.counts == {(7, 3): 1}
 
@@ -200,7 +198,7 @@ def test_update_stats_one_many_cross_product():
     pivot = TokenSeq(ids=[7], surfaces=["xy"], vocab_size=8)
     source = TokenSeq(ids=[3, 9], surfaces=["x", "y"], vocab_size=10)
     stats = AlignStats(8, 10)
-    segments = [AlignmentSegment((0, 1), (0, 2), "one_many")]
+    segments = [AlignmentSegment((0, 1), (0, 2))]
     update_stats(stats, segments, pivot, source)
     assert stats.counts == {(7, 3): 1, (7, 9): 1}
 
@@ -209,7 +207,7 @@ def test_update_stats_many_many_skipped():
     pivot = TokenSeq(ids=[0, 1], surfaces=["a", "b"], vocab_size=2)
     source = TokenSeq(ids=[0, 1], surfaces=["c", "d"], vocab_size=2)
     stats = AlignStats(2, 2)
-    segments = [AlignmentSegment((0, 2), (0, 2), "many_many")]
+    segments = [AlignmentSegment((0, 2), (0, 2))]
     update_stats(stats, segments, pivot, source)
     assert stats.counts == {}
 
@@ -218,7 +216,7 @@ def test_update_stats_repeated_ids_accumulate():
     pivot = TokenSeq(ids=[5, 5], surfaces=["a", "a"], vocab_size=6)
     source = TokenSeq(ids=[2], surfaces=["aa"], vocab_size=3)
     stats = AlignStats(6, 3)
-    update_stats(stats, [AlignmentSegment((0, 2), (0, 1), "many_one")], pivot, source)
+    update_stats(stats, [AlignmentSegment((0, 2), (0, 1))], pivot, source)
     assert stats.counts == {(5, 2): 2}
 
 
@@ -244,25 +242,6 @@ def test_stats_order_independent(rng):
     assert forward.counts == backward.counts
 
 
-def test_stats_combine_matches_sequential(rng):
-    docs = []
-    for _ in range(8):
-        pivot = random_seq(rng, int(rng.integers(1, 5)))
-        source = random_seq(rng, int(rng.integers(1, 5)))
-        docs.append((pivot, source, align_sequences(pivot, source)))
-    whole = AlignStats(len(ALPHABET), len(ALPHABET))
-    for pivot, source, segments in docs:
-        update_stats(whole, segments, pivot, source)
-    shard_a = AlignStats(len(ALPHABET), len(ALPHABET))
-    shard_b = AlignStats(len(ALPHABET), len(ALPHABET))
-    for pivot, source, segments in docs[:3]:
-        update_stats(shard_a, segments, pivot, source)
-    for pivot, source, segments in docs[3:]:
-        update_stats(shard_b, segments, pivot, source)
-    assert shard_a.combine(shard_b).counts == whole.counts
-    assert shard_b.combine(shard_a).counts == whole.counts
-
-
 def test_stats_validation():
     with pytest.raises(ValueError):
         AlignStats(2, 2, {(0, 0): 0})
@@ -270,8 +249,6 @@ def test_stats_validation():
         AlignStats(2, 2, {(2, 0): 1})
     with pytest.raises(OutOfVocab):
         AlignStats(2, 2, {(0, 5): 1})
-    with pytest.raises(ShapeMismatch):
-        AlignStats(2, 2).combine(AlignStats(3, 2))
 
 
 # --- projection ----------------------------------------------------------------
@@ -283,7 +260,7 @@ def identity_setup(vocab, n):
     surfaces = [f"t{i}" for i in ids]
     tokens = TokenSeq(ids=ids, surfaces=surfaces, vocab_size=vocab)
     stats = AlignStats(vocab, vocab, {(v, v): 1 for v in range(vocab)})
-    segments = [AlignmentSegment((i, i + 1), (i, i + 1), "one_one") for i in range(n)]
+    segments = [AlignmentSegment((i, i + 1), (i, i + 1)) for i in range(n)]
     fallback = DistributionMatrix(np.full((n, vocab), 1.0 / vocab))
     return DistributionMatrix(rows), segments, stats, tokens, fallback
 
@@ -301,7 +278,7 @@ def test_projection_hand_example():
     source = TokenSeq(ids=[0], surfaces=["a"], vocab_size=2)
     src = DistributionMatrix(np.array([[0.8, 0.2]]))
     fallback = DistributionMatrix(np.array([[0.5, 0.5]]))
-    segments = [AlignmentSegment((0, 1), (0, 1), "one_one")]
+    segments = [AlignmentSegment((0, 1), (0, 1))]
     projected = project_distribution(src, segments, stats, pivot, source, fallback)
     np.testing.assert_allclose(projected.rows[0], [0.6, 0.4], atol=1e-12)
 
@@ -313,7 +290,7 @@ def test_projection_zero_mass_falls_back():
     source = TokenSeq(ids=[1], surfaces=["q"], vocab_size=2)
     src = DistributionMatrix(np.array([[0.0, 1.0]]))
     fallback = DistributionMatrix(np.array([[0.25, 0.75]]))
-    segments = [AlignmentSegment((0, 1), (0, 1), "one_one")]
+    segments = [AlignmentSegment((0, 1), (0, 1))]
     projected = project_distribution(src, segments, stats, pivot, source, fallback)
     np.testing.assert_array_equal(projected.rows[0], [0.25, 0.75])
 
@@ -324,7 +301,7 @@ def test_projection_many_many_falls_back():
     source = TokenSeq(ids=[1, 2], surfaces=["c", "d"], vocab_size=3)
     src = DistributionMatrix(np.full((2, 3), 1.0 / 3))
     fallback = DistributionMatrix(np.array([[0.6, 0.2, 0.2], [0.1, 0.1, 0.8]]))
-    segments = [AlignmentSegment((0, 2), (0, 2), "many_many")]
+    segments = [AlignmentSegment((0, 2), (0, 2))]
     projected = project_distribution(src, segments, stats, pivot, source, fallback)
     np.testing.assert_array_equal(projected.rows, fallback.rows)
 
@@ -336,7 +313,7 @@ def test_projection_one_many_picks_max_frequency_row():
     source = TokenSeq(ids=[1, 2], surfaces=["x", "y"], vocab_size=3)
     src = DistributionMatrix(np.array([[0.9, 0.05, 0.05], [0.1, 0.2, 0.7]]))
     fallback = DistributionMatrix(np.array([[1.0]]))
-    segments = [AlignmentSegment((0, 1), (0, 2), "one_many")]
+    segments = [AlignmentSegment((0, 1), (0, 2))]
     projected = project_distribution(src, segments, stats, pivot, source, fallback)
     # row 1 chosen; all its counted mass collapses onto the only pivot token
     assert projected.rows[0] == pytest.approx([1.0])
@@ -348,7 +325,7 @@ def test_projection_one_many_tie_prefers_leftmost():
     source = TokenSeq(ids=[0, 1], surfaces=["x", "y"], vocab_size=2)
     src = DistributionMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]))
     fallback = DistributionMatrix(np.array([[0.5, 0.5]]))
-    segments = [AlignmentSegment((0, 1), (0, 2), "one_many")]
+    segments = [AlignmentSegment((0, 1), (0, 2))]
     projected = project_distribution(src, segments, stats, pivot, source, fallback)
     # leftmost source row (0.9, 0.1) wins the tie, then maps through counts:
     # token 0 mass splits 2/3 vs 1/3, token 1 mass splits 2/3 vs 1/3
@@ -362,7 +339,7 @@ def test_projection_many_one_copies_single_row():
     source = TokenSeq(ids=[0], surfaces=["hello"], vocab_size=2)
     src = DistributionMatrix(np.array([[0.3, 0.7]]))
     fallback = DistributionMatrix(np.full((2, 2), 0.5))
-    segments = [AlignmentSegment((0, 2), (0, 1), "many_one")]
+    segments = [AlignmentSegment((0, 2), (0, 1))]
     projected = project_distribution(src, segments, stats, pivot, source, fallback)
     # uniform counts spread each source token's mass evenly over both
     # pivot tokens, so both positions land on (0.5, 0.5)
@@ -375,7 +352,7 @@ def test_projection_argmax_mode_concentrates_mass():
     source = TokenSeq(ids=[0], surfaces=["a"], vocab_size=2)
     src = DistributionMatrix(np.array([[0.8, 0.2]]))
     fallback = DistributionMatrix(np.array([[0.5, 0.5]]))
-    segments = [AlignmentSegment((0, 1), (0, 1), "one_one")]
+    segments = [AlignmentSegment((0, 1), (0, 1))]
     projected = project_distribution(
         src, segments, stats, pivot, source, fallback, vocab_map="argmax"
     )
@@ -408,7 +385,7 @@ def test_projection_shape_mismatches():
     wrong_vocab = DistributionMatrix(np.full((3, 5), 0.2))
     with pytest.raises(ShapeMismatch):
         project_distribution(wrong_vocab, segments, stats, tokens, tokens, fallback)
-    bad_segments = [AlignmentSegment((0, 3), (0, 3), "many_many")]
+    bad_segments = [AlignmentSegment((0, 3), (0, 3))]
     with pytest.raises(ShapeMismatch):
         project_distribution(
             src, bad_segments[:1] + bad_segments, stats, tokens, tokens, fallback
