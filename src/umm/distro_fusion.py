@@ -53,7 +53,10 @@ class DistributionMatrix:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.float64)
+        try:
+            rows = np.asarray(self.rows, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidDistribution(f"rows are not a numeric matrix: {exc}") from exc
         if rows.ndim != 2:
             raise InvalidDistribution(f"expected 2-d rows, got shape {rows.shape}")
         if rows.shape[0] < 1 or rows.shape[1] < 1:

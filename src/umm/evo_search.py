@@ -402,6 +402,8 @@ class SearchConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.group_size < 1:
+            raise ValueError(f"group_size must be >= 1, got {self.group_size}")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if not self.models:

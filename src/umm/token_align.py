@@ -13,6 +13,13 @@ costs their character-level edit distance divided by the longer length,
 and leaving a token unmatched on either side costs 1.  Surfaces are
 first stripped of leading word-boundary markers so tokenizers that
 encode whitespace differently still compare cleanly.
+
+The substitution costs of all distinct pivot x source surfaces come
+from one batched integer Levenshtein in numpy, divided once by the
+longer length.  The DP table is then filled one anti-diagonal at a
+time.  Each cell still does the float64 additions and the two strict
+comparisons of a scalar row-by-row loop, in the same order, so costs
+and tie-breaks are the same bits as that loop's.
 """
 
 from __future__ import annotations
@@ -124,26 +131,75 @@ class AlignmentSegment:
         )
 
 
-def char_edit_distance(a: str, b: str) -> int:
-    """Plain Levenshtein distance over characters."""
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        current = [i]
-        for j, cb in enumerate(b, 1):
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb))
-            )
-        previous = current
-    return previous[-1]
+# working-set cap of the batched Levenshtein, in int32 cells per array
+_LEVENSHTEIN_BLOCK_CELLS = 1 << 17
 
 
-def surface_distance(a: str, b: str) -> float:
-    """Edit distance normalized by the longer surface; 0 for identical."""
-    if a == b:
-        return 0.0
-    return char_edit_distance(a, b) / max(len(a), len(b))
+def _code_points(surfaces: list) -> tuple:
+    """(code points padded with 0, lengths) of ``surfaces`` as int arrays."""
+    lengths = np.array([len(s) for s in surfaces], dtype=np.int64)
+    width = max(1, int(lengths.max(initial=0)))
+    codes = np.array(surfaces, dtype=f"<U{width}").view(np.uint32)
+    return codes.reshape(len(surfaces), width), lengths
+
+
+def _levenshtein_block(a_codes, a_lens, b_codes, b_lens) -> np.ndarray:
+    """Edit distance of every (a, b) pair, one DP row per character of a.
+
+    A row is laid out [column j, a, b] and holds cost - j, so deleting a
+    character of b is a plain running minimum along j and every update
+    is an integer operation on whole [a, b] planes.  Cells past a pair's
+    own lengths hold values that never feed the cells before them; each
+    distance is read at row len(a), column len(b).
+    """
+    width = b_codes.shape[1]
+    b_t = b_codes.T[:, None, :]  # [j, 1, b]
+    pairs = (len(a_lens), len(b_lens))
+    out = np.empty(pairs, dtype=np.int32)
+    out[a_lens == 0] = b_lens
+    row = np.zeros((width + 1,) + pairs, dtype=np.int32)
+    previous = np.empty_like(row)
+    match = np.empty((width,) + pairs, dtype=bool)
+    take_b = np.arange(len(b_lens))
+    for i in range(1, int(a_lens.max(initial=0)) + 1):
+        row, previous = previous, row
+        np.equal(b_t, a_codes[:, i - 1][None, :, None], out=match)
+        np.subtract(previous[:-1], match, out=row[1:], casting="unsafe")  # substitute
+        np.minimum(row[1:], previous[1:] + 1, out=row[1:])  # delete from a
+        row[0] = i
+        for j in range(1, width + 1):  # delete from b
+            np.minimum(row[j], row[j - 1], out=row[j])
+        done = np.flatnonzero(a_lens == i)
+        if done.size:
+            out[done] = row[b_lens[None, :], done[:, None], take_b[None, :]] + b_lens
+    return out
+
+
+def substitution_costs(pivot_surfaces: list, source_surfaces: list) -> np.ndarray:
+    """[pivot, source] float64 matrix of surface substitution costs.
+
+    Each cost is the character edit distance divided by the longer
+    length, and 0.0 for identical surfaces (two empty ones included).
+    An int/int true division is correctly rounded, so the costs are
+    the bits a scalar Python loop gives.  Distances are computed in
+    blocks of pivot (and, for many long source surfaces, source)
+    surfaces, so the working set stays a few MiB at any vocabulary.
+    """
+    a_codes, a_lens = _code_points(pivot_surfaces)
+    b_codes, b_lens = _code_points(source_surfaces)
+    costs = np.empty((len(a_lens), len(b_lens)), dtype=np.float64)
+    per_b = b_codes.shape[1] + 1
+    b_step = max(1, _LEVENSHTEIN_BLOCK_CELLS // per_b)
+    a_step = max(1, _LEVENSHTEIN_BLOCK_CELLS // (per_b * max(1, min(b_step, len(b_lens)))))
+    for b0 in range(0, len(b_lens), b_step):
+        b_block, b_block_lens = b_codes[b0:b0 + b_step], b_lens[b0:b0 + b_step]
+        for a0 in range(0, len(a_lens), a_step):
+            a_block_lens = a_lens[a0:a0 + a_step]
+            dist = _levenshtein_block(a_codes[a0:a0 + a_step], a_block_lens,
+                                      b_block, b_block_lens)
+            longer = np.maximum(np.maximum.outer(a_block_lens, b_block_lens), 1)
+            costs[a0:a0 + a_step, b0:b0 + b_step] = dist / longer
+    return costs
 
 
 # DP moves; the order is the tie-break preference
@@ -152,47 +208,63 @@ _PIVOT_ONLY = 1    # consume a pivot token against a gap in the source
 _SOURCE_ONLY = 2   # consume a source token against a gap in the pivot
 
 
+def _unique_index(surfaces: list) -> tuple:
+    """(distinct surfaces in first-seen order, index of each surface)."""
+    index = {}
+    positions = np.array([index.setdefault(s, len(index)) for s in surfaces], dtype=np.intp)
+    return list(index), positions
+
+
 def _align_moves(pivot: TokenSeq, source: TokenSeq, norm: SurfaceNormalizer) -> tuple:
-    """Minimum-cost monotone alignment; returns (move list, total cost)."""
+    """Minimum-cost monotone alignment; returns (move list, total cost).
+
+    cost[i, j] is the least cost of aligning the first i pivot and the
+    first j source tokens: the least of cost[i-1, j-1] + sub,
+    cost[i-1, j] + 1 and cost[i, j-1] + 1, taken with two strict ``<``
+    tests in that order, so ties keep the earlier move.  The table is
+    filled one anti-diagonal i + j = d at a time; each cell reads only
+    diagonals d-1 and d-2, so a diagonal is a few numpy operations on
+    strided views of the flat table.  Every cell does the same float64
+    additions and comparisons as a row-by-row scalar loop, so costs and
+    tie-breaks are bit-identical to it.  (A row-wise running minimum
+    over the gap run would re-associate the chained ``+ 1.0`` additions
+    and could change the last bit and flip a tie.)
+    """
     if len(pivot) == 0 or len(source) == 0:
         raise EmptySequence("cannot align an empty token sequence")
-    p_surf = [norm.normalize(s) for s in pivot.surfaces]
-    s_surf = [norm.normalize(s) for s in source.surfaces]
-    sub_cache = {}
+    p_unique, p_index = _unique_index([norm.normalize(s) for s in pivot.surfaces])
+    s_unique, s_index = _unique_index([norm.normalize(s) for s in source.surfaces])
+    sub = substitution_costs(p_unique, s_unique)
 
-    def sub_cost(a: str, b: str) -> float:
-        key = (a, b)
-        if key not in sub_cache:
-            sub_cache[key] = surface_distance(a, b)
-        return sub_cache[key]
-
-    n, m = len(p_surf), len(s_surf)
-    cost = [[0.0] * (m + 1) for _ in range(n + 1)]
-    move = [[_SUB] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        cost[i][0] = i * GAP_COST
-        move[i][0] = _PIVOT_ONLY
-    for j in range(1, m + 1):
-        cost[0][j] = j * GAP_COST
-        move[0][j] = _SOURCE_ONLY
-    for i in range(1, n + 1):
-        row = cost[i]
-        above = cost[i - 1]
-        for j in range(1, m + 1):
-            best = above[j - 1] + sub_cost(p_surf[i - 1], s_surf[j - 1])
-            chosen = _SUB
-            candidate = above[j] + GAP_COST
-            if candidate < best:
-                best, chosen = candidate, _PIVOT_ONLY
-            candidate = row[j - 1] + GAP_COST
-            if candidate < best:
-                best, chosen = candidate, _SOURCE_ONLY
-            row[j] = best
-            move[i][j] = chosen
+    n, m = len(p_index), len(s_index)
+    cost = np.empty((n + 1, m + 1), dtype=np.float64)
+    move = np.empty((n + 1, m + 1), dtype=np.int8)
+    cost[:, 0] = np.arange(n + 1) * GAP_COST
+    cost[0, :] = np.arange(m + 1) * GAP_COST
+    move[:, 0] = _PIVOT_ONLY
+    move[0, :] = _SOURCE_ONLY
+    flat_cost, flat_move = cost.reshape(-1), move.reshape(-1)
+    s_reversed = s_index[::-1]  # source token d - i - 1 is s_reversed[m - d + i]
+    for d in range(2, n + m + 1):
+        i0, i1 = max(1, d - m), min(n, d - 1)
+        # cell (i, d - i) sits at flat index i * m + d
+        start, stop = i0 * m + d, i1 * m + d + 1
+        here = slice(start, stop, m)
+        diagonal = slice(start - m - 2, stop - m - 2, m)
+        above = slice(start - m - 1, stop - m - 1, m)
+        beside = slice(start - 1, stop - 1, m)
+        best = flat_cost[diagonal] + sub[p_index[i0 - 1:i1], s_reversed[m - d + i0:m - d + i1 + 1]]
+        up = flat_cost[above] + GAP_COST
+        left = flat_cost[beside] + GAP_COST
+        take_up = up < best
+        best = np.where(take_up, up, best)
+        take_left = left < best
+        flat_cost[here] = np.where(take_left, left, best)
+        flat_move[here] = np.where(take_left, _SOURCE_ONLY, take_up * _PIVOT_ONLY)
     moves = []
     i, j = n, m
     while i > 0 or j > 0:
-        chosen = move[i][j]
+        chosen = int(move[i, j])
         moves.append(chosen)
         if chosen == _SUB:
             i, j = i - 1, j - 1
@@ -201,7 +273,7 @@ def _align_moves(pivot: TokenSeq, source: TokenSeq, norm: SurfaceNormalizer) -> 
         else:
             j -= 1
     moves.reverse()
-    return moves, cost[n][m]
+    return moves, float(cost[n, m])
 
 
 def _segment_moves(moves: list) -> list:

@@ -219,6 +219,51 @@ def ref_min_alignment_cost(p_surfaces, s_surfaces, sub=None):
     return go(0, 0)
 
 
+def ref_align_moves(p_surfaces, s_surfaces):
+    """(moves, cost) of the row-by-row scalar alignment DP and backtrace.
+
+    Surfaces are already normalized.  Moves are 0 (substitute), 1 (gap
+    in the source) and 2 (gap in the pivot); at equal cost the earlier
+    of the three wins, through two strict ``<`` tests in that order.
+    """
+    n, m = len(p_surfaces), len(s_surfaces)
+    sub = {}
+    cost = [[0.0] * (m + 1) for _ in range(n + 1)]
+    move = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        cost[i][0] = i * 1.0
+        move[i][0] = 1
+    for j in range(1, m + 1):
+        cost[0][j] = j * 1.0
+        move[0][j] = 2
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            pair = (p_surfaces[i - 1], s_surfaces[j - 1])
+            if pair not in sub:
+                sub[pair] = ref_surface_distance(*pair)
+            best = cost[i - 1][j - 1] + sub[pair]
+            chosen = 0
+            if cost[i - 1][j] + 1.0 < best:
+                best, chosen = cost[i - 1][j] + 1.0, 1
+            if cost[i][j - 1] + 1.0 < best:
+                best, chosen = cost[i][j - 1] + 1.0, 2
+            cost[i][j] = best
+            move[i][j] = chosen
+    moves = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        chosen = move[i][j]
+        moves.append(chosen)
+        if chosen == 0:
+            i, j = i - 1, j - 1
+        elif chosen == 1:
+            i -= 1
+        else:
+            j -= 1
+    moves.reverse()
+    return moves, cost[n][m]
+
+
 # --- fusion oracles ----------------------------------------------------------
 
 def ref_sequence_ce(rows, gold) -> float:

@@ -298,6 +298,20 @@ def test_search_bad_config_exits_1(tmp_path, capsys):
     assert code == 1 and "missing or malformed" in err
 
 
+def test_search_zero_group_size_exits_1(tmp_path, expert_dir, capsys):
+    config = search_config_obj(expert_dir)
+    config["group_size"] = 0
+    write_json(tmp_path / "config.json", config)
+    code, _, err = run_cli(
+        ["search", "--config", str(tmp_path / "config.json"),
+         "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert code == 1
+    lines = [line for line in err.splitlines() if line.startswith("ERROR umm: ")]
+    assert len(lines) == 1 and "group_size" in lines[0], err
+
+
 CRASHY_EVALUATOR = """\
 import hashlib, json, os, sys
 
@@ -573,6 +587,17 @@ def test_fuse_targets_scalar_instruction_names_the_example(tmp_path, capsys):
     assert_one_located_error(code, err, "example 2:")
 
 
+@pytest.mark.parametrize("bad_rows", [{"a": 1}, [[0.5, 0.5], [1.0]]],
+                         ids=["object", "ragged"])
+def test_fuse_targets_malformed_rows_name_the_example(tmp_path, capsys, bad_rows):
+    raw = fuse_fixture(tmp_path, capsys,
+                       source_rows_for=lambda ids: [[0.25] * 4 for _ in ids])
+    raw[1]["source_rows"] = bad_rows
+    write_jsonl(tmp_path / "raw.jsonl", raw)
+    code, _, err = run_cli(fuse_args(tmp_path), capsys)
+    assert_one_located_error(code, err, "example 1:")
+
+
 # --- toy-train -------------------------------------------------------------------
 
 
@@ -645,6 +670,22 @@ def test_toy_train_wrong_shaped_line_names_path_and_line(tmp_path, capsys, bad_l
     write_fusion_corpus(small_corpus(), tmp_path / "corpus.jsonl")
     with open(tmp_path / "corpus.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps(bad_line) + "\n")
+    code, _, err = run_cli(
+        ["toy-train", "--corpus", str(tmp_path / "corpus.jsonl"),
+         "--lambda", "0.5", "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert_one_located_error(code, err, f"{tmp_path / 'corpus.jsonl'}:3:")
+
+
+@pytest.mark.parametrize("bad_rows", [{"a": 1}, [[0.5, 0.5], [1.0]]],
+                         ids=["object", "ragged"])
+def test_toy_train_malformed_rows_name_path_and_line(tmp_path, capsys, bad_rows):
+    write_fusion_corpus(small_corpus(), tmp_path / "corpus.jsonl")
+    line = json.loads((tmp_path / "corpus.jsonl").read_text().splitlines()[0])
+    line["pivot_rows"] = bad_rows
+    with open(tmp_path / "corpus.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(line) + "\n")
     code, _, err = run_cli(
         ["toy-train", "--corpus", str(tmp_path / "corpus.jsonl"),
          "--lambda", "0.5", "--out", str(tmp_path / "run")],

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from umm.token_align import (
     TokenSeq,
     align_sequences,
     alignment_cost,
-    char_edit_distance,
     check_partition,
     classify_spans,
     kind_histogram,
@@ -28,11 +28,12 @@ from umm.token_align import (
     load_token_seqs,
     project_distribution,
     save_stats,
-    surface_distance,
+    substitution_costs,
     update_stats,
+    _segment_moves,
 )
 
-from reference_impls import ref_min_alignment_cost, ref_surface_distance
+from reference_impls import ref_align_moves, ref_min_alignment_cost, ref_surface_distance
 
 # every surface pair costs a multiple of 1/2, so alignment costs are
 # exact binary fractions and optimality can be compared with tolerance 0
@@ -93,26 +94,34 @@ def test_normalizer_custom_markers():
     assert norm.normalize("▁foo") == "▁foo"
 
 
+def cost_of(a: str, b: str) -> float:
+    return float(substitution_costs([a], [b])[0, 0])
+
+
 def test_edit_distance_hand_cases():
-    assert char_edit_distance("kitten", "sitting") == 3
-    assert char_edit_distance("abc", "abc") == 0
-    assert char_edit_distance("", "abc") == 3
-    assert char_edit_distance("flaw", "lawn") == 2
+    assert cost_of("kitten", "sitting") == 3 / 7
+    assert cost_of("abc", "abc") == 0.0
+    assert cost_of("", "abc") == 1.0
+    assert cost_of("flaw", "lawn") == 2 / 4
 
 
 def test_edit_distance_matches_reference(rng):
-    letters = "abcd"
-    for _ in range(50):
-        a = "".join(rng.choice(list(letters)) for _ in range(rng.integers(0, 6)))
-        b = "".join(rng.choice(list(letters)) for _ in range(rng.integers(0, 6)))
-        assert surface_distance(a, b) == ref_surface_distance(a, b)
+    letters = "abcdé"
+    words = ["".join(rng.choice(list(letters)) for _ in range(rng.integers(0, 7)))
+             for _ in range(40)]
+    other = words[::-1][:25] + ["", "\0", "a\0", "\U0001f600b"]
+    costs = substitution_costs(words, other)
+    assert costs.shape == (len(words), len(other)) and costs.dtype == np.float64
+    for i, a in enumerate(words):
+        for j, b in enumerate(other):
+            assert repr(float(costs[i, j])) == repr(ref_surface_distance(a, b)), (a, b)
 
 
 def test_surface_distance_identical_and_empty():
-    assert surface_distance("x", "x") == 0.0
-    assert surface_distance("", "") == 0.0
-    assert surface_distance("ab", "b") == 0.5
-    assert surface_distance("a", "b") == 1.0
+    assert cost_of("x", "x") == 0.0
+    assert cost_of("", "") == 0.0
+    assert cost_of("ab", "b") == 0.5
+    assert cost_of("a", "b") == 1.0
 
 
 # --- alignment ---------------------------------------------------------------
@@ -175,6 +184,64 @@ def test_alignment_cost_is_optimal_random_pairs(rng):
         source = random_seq(rng, int(rng.integers(1, 6)))
         expected = ref_min_alignment_cost(pivot.surfaces, source.surfaces)
         assert alignment_cost(pivot, source) == expected
+
+
+# surfaces whose pairwise costs are multiples of 1/2, 1/3 and 1/4, so many
+# alignments tie; "", "▁" and "Ġ▁" are empty after normalization
+TIE_SURFACES = ("", "▁", "Ġ▁", "ab", "b", "ca", "abc", "▁ab", "Ġca", "é", "éa", "日本", "日")
+
+
+def assert_matches_scalar_dp(pivot_surfaces, source_surfaces):
+    pivot = TokenSeq(list(range(len(pivot_surfaces))), pivot_surfaces, len(pivot_surfaces))
+    source = TokenSeq(list(range(len(source_surfaces))), source_surfaces, len(source_surfaces))
+    norm = SurfaceNormalizer()
+    moves, cost = ref_align_moves([norm.normalize(s) for s in pivot_surfaces],
+                                  [norm.normalize(s) for s in source_surfaces])
+    assert align_sequences(pivot, source) == _segment_moves(moves)
+    assert repr(alignment_cost(pivot, source)) == repr(cost)
+
+
+def test_alignment_matches_scalar_dp_bit_for_bit(rng):
+    shapes = [(1, int(m)) for m in rng.integers(1, 12, size=20)]
+    shapes += [(int(n), 1) for n in rng.integers(1, 12, size=20)]
+    shapes += [tuple(int(k) for k in rng.integers(1, 30, size=2)) for _ in range(260)]
+    for n, m in shapes:
+        assert_matches_scalar_dp([str(s) for s in rng.choice(TIE_SURFACES, size=n)],
+                                 [str(s) for s in rng.choice(TIE_SURFACES, size=m)])
+
+
+def test_long_alignment_matches_scalar_dp_bit_for_bit(rng):
+    letters = list("abcdefgh")
+
+    def pieces(count):
+        return ["▁" * int(rng.integers(0, 2))
+                + "".join(rng.choice(letters, size=int(rng.integers(1, 5))))
+                for _ in range(count)]
+
+    assert_matches_scalar_dp(pieces(600), pieces(610))
+
+
+def test_substitution_costs_working_set_is_bounded(rng):
+    letters = list("abcdefghijklmnop")
+    n = 1500
+
+    def surfaces():
+        return ["".join(rng.choice(letters, size=int(rng.integers(12, 17)))) for _ in range(n)]
+
+    pivot = TokenSeq(list(range(n)), surfaces(), n)
+    source = TokenSeq(list(range(n)), surfaces(), n)
+    assert len(set(pivot.surfaces)) == len(set(source.surfaces)) == n
+    # the float64 cost table, the int8 move table and the float64 matrix
+    # of substitution costs; distances of all 1500 x 1500 pairs at once
+    # would take over 100 MiB more
+    tables = 8 * (n + 1) ** 2 + (n + 1) ** 2 + 8 * n * n
+    tracemalloc.start()
+    try:
+        alignment_cost(pivot, source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < tables + 4 * 2**20, (peak / 2**20, tables / 2**20)
 
 
 def test_kind_histogram():
