@@ -146,50 +146,33 @@ def cmd_align_stats(args) -> dict:
     }
 
 
-def _load_raw_examples(path) -> list:
-    lines = []
-    for lineno, obj in iter_jsonl(path):
-        try:
-            lines.append(
-                {
-                    "pivot_ids": obj["pivot"]["ids"],
-                    "pivot_surfaces": obj["pivot"]["surfaces"],
-                    "source_ids": obj["source"]["ids"],
-                    "source_surfaces": obj["source"]["surfaces"],
-                    "instruction": obj.get("instruction", []),
-                    "pivot_rows": obj["pivot_rows"],
-                    "source_rows": obj["source_rows"],
-                }
-            )
-        except (KeyError, TypeError) as exc:
-            raise IoFailure(f"{path}:{lineno}: bad example line: {exc}") from exc
-    if not lines:
-        raise IoFailure(f"{path} holds no examples")
-    return lines
-
-
 def cmd_fuse_targets(args) -> dict:
     stats = load_stats(args.stats, args.pivot_vocab, args.source_vocab)
     norm = SurfaceNormalizer(markers=_parse_markers(args.markers))
-    raw = _load_raw_examples(args.examples)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    picked_pivot = 0
-    for index, entry in enumerate(raw):
-        with located(f"example {index}"):
-            pivot = TokenSeq(entry["pivot_ids"], entry["pivot_surfaces"],
-                             stats.pivot_vocab_size)
-            source = TokenSeq(entry["source_ids"], entry["source_surfaces"],
-                              stats.source_vocab_size)
-            pivot_dist = DistributionMatrix(entry["pivot_rows"])
-            source_dist = DistributionMatrix(entry["source_rows"])
+    total = picked_pivot = 0
+    for index, (lineno, obj) in enumerate(iter_jsonl(args.examples)):
+        with located(f"{args.examples}:{lineno}: example {index}"):
+            try:
+                pivot_tokens, source_tokens = obj["pivot"], obj["source"]
+                pivot_ids, pivot_surfaces = pivot_tokens["ids"], pivot_tokens["surfaces"]
+                source_ids, source_surfaces = source_tokens["ids"], source_tokens["surfaces"]
+                instruction = obj.get("instruction", [])
+                pivot_rows, source_rows = obj["pivot_rows"], obj["source_rows"]
+            except (KeyError, TypeError) as exc:
+                raise IoFailure(f"bad example line: {exc}") from exc
+            pivot = TokenSeq(pivot_ids, pivot_surfaces, stats.pivot_vocab_size)
+            source = TokenSeq(source_ids, source_surfaces, stats.source_vocab_size)
+            pivot_dist = DistributionMatrix(pivot_rows)
+            source_dist = DistributionMatrix(source_rows)
             segments = align_sequences(pivot, source, norm)
             projected = project_distribution(
                 source_dist, segments, stats, pivot, source,
                 pivot_fallback=pivot_dist, vocab_map=args.vocab_map,
             )
             example = FusionExample(
-                instruction=entry["instruction"],
+                instruction=instruction,
                 gold=pivot.ids,
                 pivot_dist=pivot_dist,
                 source_dist_aligned=projected,
@@ -198,7 +181,9 @@ def cmd_fuse_targets(args) -> dict:
         if fused is example.pivot_dist:
             picked_pivot += 1
         save_distribution(fused, example.gold, out_dir / f"example_{index:04d}.st")
-    total = len(raw)
+        total += 1
+    if not total:
+        raise IoFailure(f"{args.examples} holds no examples")
     log.info("fused %d examples into %s", total, out_dir)
     return {
         "examples": total,

@@ -410,6 +410,10 @@ class SearchConfig:
             raise ValueError("config lists no models")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.pop_size is not None and (type(self.pop_size) is not int or self.pop_size < 2):
+            raise ValueError(f"pop_size must be null or an integer >= 2, got {self.pop_size!r}")
+        if self.cache_dir is not None and not isinstance(self.cache_dir, str):
+            raise ValueError(f"cache_dir must be null or a string, got {self.cache_dir!r}")
 
 
 def config_from_json_obj(obj: dict) -> SearchConfig:

@@ -25,6 +25,7 @@ and tie-breaks are the same bits as that loop's.
 from __future__ import annotations
 
 import json
+import sys
 
 from dataclasses import dataclass, field
 
@@ -530,23 +531,23 @@ def load_token_seqs(path, vocab_size: int = None) -> list:
     """JSONL of {"ids": [...], "surfaces": [...]} objects.
 
     All sequences in a file share one vocabulary; when ``vocab_size``
-    is not given it is inferred as max id + 1 over the whole file.
+    is not given it is inferred as max id + 1 over the whole file and set
+    on every sequence after the single pass that checks each line.
     Errors in a line name ``path:lineno``.
     """
-    raw = []
+    line_vocab = sys.maxsize if vocab_size is None else vocab_size
+    seqs = []
     for lineno, obj in iter_jsonl(path):
         with located(f"{path}:{lineno}"):
             if not isinstance(obj, dict) or "ids" not in obj or "surfaces" not in obj:
                 raise IoFailure("expected ids and surfaces fields")
-            raw.append((lineno, token_ids(obj["ids"], "ids"), obj["surfaces"]))
-    if not raw:
+            seqs.append(TokenSeq(obj["ids"], obj["surfaces"], line_vocab))
+    if not seqs:
         raise EmptySequence(f"{path} holds no token sequences")
     if vocab_size is None:
-        vocab_size = max((max(ids) for _, ids, _ in raw if ids), default=0) + 1
-    seqs = []
-    for lineno, ids, surfaces in raw:
-        with located(f"{path}:{lineno}"):
-            seqs.append(TokenSeq(ids, surfaces, vocab_size))
+        vocab_size = max((max(seq.ids) for seq in seqs if seq.ids), default=0) + 1
+        for seq in seqs:
+            seq.vocab_size = vocab_size
     return seqs
 
 
@@ -559,13 +560,16 @@ def save_stats(stats: AlignStats, path) -> None:
 
 def load_stats(path, pivot_vocab_size: int = None,
                source_vocab_size: int = None) -> AlignStats:
+    """JSONL of {"p", "s", "c"} JSON integers; repeated pairs add up."""
     counts = {}
     for lineno, obj in iter_jsonl(path):
         try:
-            key = (int(obj["p"]), int(obj["s"]))
-            counts[key] = counts.get(key, 0) + int(obj["c"])
-        except (KeyError, TypeError, ValueError) as exc:
+            p, s, c = obj["p"], obj["s"], obj["c"]
+        except (KeyError, TypeError) as exc:
             raise IoFailure(f"{path}:{lineno}: bad stats line: {exc}") from exc
+        if not type(p) is type(s) is type(c) is int:  # no float, str or bool
+            raise IoFailure(f"{path}:{lineno}: bad stats line: p, s and c must be integers")
+        counts[(p, s)] = counts.get((p, s), 0) + c
     if pivot_vocab_size is None:
         pivot_vocab_size = max((p for p, _ in counts), default=0) + 1
     if source_vocab_size is None:

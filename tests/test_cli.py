@@ -8,6 +8,7 @@ command leaves behind.
 import hashlib
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,24 @@ def test_search_zero_group_size_exits_1(tmp_path, expert_dir, capsys):
     assert len(lines) == 1 and "group_size" in lines[0], err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("pop_size", "12"), ("pop_size", 2.5), ("pop_size", 0), ("pop_size", 1),
+    ("pop_size", True), ("cache_dir", 5),
+], ids=["pop-string", "pop-float", "pop-zero", "pop-one", "pop-bool", "cache-dir-int"])
+def test_search_bad_pop_size_or_cache_dir_exits_1(tmp_path, expert_dir, capsys, field, value):
+    config = search_config_obj(expert_dir)
+    config[field] = value
+    write_json(tmp_path / "config.json", config)
+    code, _, err = run_cli(
+        ["search", "--config", str(tmp_path / "config.json"),
+         "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert code == 1
+    lines = [line for line in err.splitlines() if line.startswith("ERROR umm: ")]
+    assert len(lines) == 1 and field in lines[0], err
+
+
 CRASHY_EVALUATOR = """\
 import hashlib, json, os, sys
 
@@ -596,6 +615,83 @@ def test_fuse_targets_malformed_rows_name_the_example(tmp_path, capsys, bad_rows
     write_jsonl(tmp_path / "raw.jsonl", raw)
     code, _, err = run_cli(fuse_args(tmp_path), capsys)
     assert_one_located_error(code, err, "example 1:")
+
+
+def test_fuse_targets_missing_field_names_path_line_and_example(tmp_path, capsys):
+    raw = fuse_fixture(tmp_path, capsys,
+                       source_rows_for=lambda ids: [[0.25] * 4 for _ in ids])
+    del raw[2]["source_rows"]
+    # a blank second line puts example 2 on line 4
+    write_jsonl(tmp_path / "raw.jsonl", raw)
+    first, rest = (tmp_path / "raw.jsonl").read_text().split("\n", 1)
+    (tmp_path / "raw.jsonl").write_text(first + "\n\n" + rest)
+    code, _, err = run_cli(fuse_args(tmp_path), capsys)
+    assert_one_located_error(code, err, f"{tmp_path / 'raw.jsonl'}:4: example 2:")
+
+
+def test_fuse_targets_writes_the_examples_before_a_malformed_line(tmp_path, capsys):
+    raw = fuse_fixture(tmp_path, capsys,
+                       source_rows_for=lambda ids: [[0.25] * 4 for _ in ids])
+    code, _, _ = run_cli(fuse_args(tmp_path), capsys)
+    assert code == 0
+    fused = tmp_path / "fused"
+    clean = {path.name: path.read_bytes() for path in fused.iterdir()}
+    assert len(clean) == len(raw)
+    for path in fused.iterdir():
+        path.unlink()
+    raw[2]["pivot"]["ids"] = 5
+    write_jsonl(tmp_path / "raw.jsonl", raw)
+    code, _, err = run_cli(fuse_args(tmp_path), capsys)
+    assert_one_located_error(code, err, f"{tmp_path / 'raw.jsonl'}:3: example 2:")
+    assert {path.name: path.read_bytes() for path in fused.iterdir()} == {
+        name: clean[name] for name in ("example_0000.st", "example_0001.st")
+    }
+
+
+def test_fuse_targets_empty_examples_file_exits_1(tmp_path, capsys):
+    fuse_fixture(tmp_path, capsys, source_rows_for=lambda ids: [[0.25] * 4 for _ in ids])
+    (tmp_path / "raw.jsonl").write_text("\n")
+    code, _, err = run_cli(fuse_args(tmp_path), capsys)
+    assert_one_located_error(code, err, "holds no examples")
+
+
+def test_fuse_targets_holds_one_parsed_example_at_a_time(tmp_path, capsys):
+    """30 examples of 64 positions over a 64-token vocabulary: parsed,
+    each example's two row matrices are about 0.3 MiB of Python floats."""
+    rng = np.random.default_rng(5)
+    vocab, length, count = 64, 64, 30
+    write_jsonl(tmp_path / "stats.jsonl", [{"p": i, "s": i, "c": 1} for i in range(vocab)])
+    surfaces = [f"t{i}" for i in range(vocab)]
+    lines = []
+    for _ in range(count):
+        ids = rng.integers(0, vocab, size=length).tolist()
+        tokens = {"ids": ids, "surfaces": [surfaces[i] for i in ids]}
+        lines.append(json.dumps({
+            "pivot": tokens, "source": tokens, "instruction": [0],
+            "pivot_rows": rng.dirichlet(np.ones(vocab), size=length).tolist(),
+            "source_rows": rng.dirichlet(np.ones(vocab), size=length).tolist(),
+        }))
+    (tmp_path / "raw.jsonl").write_text("\n".join(lines) + "\n")
+
+    tracemalloc.start()
+    try:
+        parsed = [json.loads(line) for line in lines]
+        parsed_size, _ = tracemalloc.get_traced_memory()
+        del parsed
+        tracemalloc.reset_peak()
+        baseline, _ = tracemalloc.get_traced_memory()
+        code, out, _ = run_cli(
+            ["--log-level", "warning", "fuse-targets",
+             "--examples", str(tmp_path / "raw.jsonl"),
+             "--stats", str(tmp_path / "stats.jsonl"),
+             "--out-dir", str(tmp_path / "fused")],
+            capsys,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out["examples"] == count
+    assert peak - baseline < parsed_size / 4, (peak - baseline, parsed_size)
 
 
 # --- toy-train -------------------------------------------------------------------

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from umm.distro_fusion import DistributionMatrix
+from umm.distro_fusion import DistributionMatrix, token_ids
 from umm.errors import (
     EmptySequence,
     IoFailure,
@@ -479,6 +479,31 @@ def test_token_seq_jsonl_infers_vocab(tmp_path):
     assert loaded[0].vocab_size == 5
 
 
+@pytest.mark.parametrize("vocab_size", [None, len(ALPHABET)], ids=["inferred", "given"])
+def test_token_seq_jsonl_checks_each_line_once(tmp_path, monkeypatch, vocab_size):
+    calls = []
+
+    def counting_token_ids(values, what):
+        calls.append(list(values))
+        return token_ids(values, what)
+
+    monkeypatch.setattr("umm.token_align.token_ids", counting_token_ids)
+    lines = [{"ids": [0, 2], "surfaces": ["a", "b"]}, {"ids": [1], "surfaces": ["c"]},
+             {"ids": [], "surfaces": []}]
+    path = tmp_path / "tokens.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    loaded = load_token_seqs(path, vocab_size=vocab_size)
+    assert calls == [line["ids"] for line in lines]
+    assert [seq.vocab_size for seq in loaded] == [3] * 3
+
+
+def test_token_seq_jsonl_negative_id_names_the_line(tmp_path):
+    path = tmp_path / "tokens.jsonl"
+    path.write_text('{"ids": [0], "surfaces": ["a"]}\n{"ids": [-1], "surfaces": ["b"]}\n')
+    with pytest.raises(OutOfVocab, match=f"{re.escape(str(path))}:2: token id -1"):
+        load_token_seqs(path)
+
+
 def test_token_seq_jsonl_malformed(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"ids": [0]}\n')
@@ -515,6 +540,20 @@ def test_stats_jsonl_malformed(tmp_path):
     path = tmp_path / "stats.jsonl"
     path.write_text('{"p": 0}\n')
     with pytest.raises(IoFailure):
+        load_stats(path)
+
+
+@pytest.mark.parametrize("line", [
+    {"p": 1.9, "s": 0, "c": 2.7},
+    {"p": 1, "s": 0, "c": 2.0},
+    {"p": True, "s": 0, "c": 1},
+    {"p": 0, "s": "1", "c": 1},
+    {"p": 0, "s": 1, "c": None},
+], ids=["float", "integral-float", "bool", "string", "null"])
+def test_stats_jsonl_rejects_non_integers(tmp_path, line):
+    path = tmp_path / "stats.jsonl"
+    path.write_text('{"p": 0, "s": 0, "c": 1}\n' + json.dumps(line) + "\n")
+    with pytest.raises(IoFailure, match=f"{re.escape(str(path))}:2: bad stats line"):
         load_stats(path)
 
 
