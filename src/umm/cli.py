@@ -7,6 +7,7 @@ are 0 for success, 1 for any domain error, and 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -32,7 +33,7 @@ from umm.merge_core import (
     load_recipe,
     merge,
 )
-from umm.tensor_store import load_checkpoint, save_checkpoint, tensor_summary
+from umm.tensor_store import CheckpointReader, load_checkpoint, save_checkpoint, tensor_summary
 from umm.token_align import (
     DEFAULT_MARKERS,
     AlignStats,
@@ -81,14 +82,16 @@ def cmd_merge(args) -> dict:
     unknown = set(overrides) - {m.source_id for m in recipe.per_model}
     if unknown:
         raise ValueError(f"--model names not in recipe: {sorted(unknown)}")
-    vectors = []
-    for model in recipe.per_model:
-        path = overrides.get(model.source_id, model.path)
-        if not path:
-            raise ValueError(f"no checkpoint path for model {model.source_id!r}")
-        log.info("loading model %s from %s", model.source_id, path)
-        vectors.append(compute_task_vector(base, load_checkpoint(path), model.source_id))
-    merged = merge(base, vectors, recipe)
+    with contextlib.ExitStack() as stack:
+        vectors = []
+        for model in recipe.per_model:
+            path = overrides.get(model.source_id, model.path)
+            if not path:
+                raise ValueError(f"no checkpoint path for model {model.source_id!r}")
+            log.info("opening model %s from %s", model.source_id, path)
+            finetuned = stack.enter_context(CheckpointReader(path))
+            vectors.append(compute_task_vector(base, finetuned, model.source_id))
+        merged = merge(base, vectors, recipe)
     save_checkpoint(merged, args.out)
     log.info("wrote merged checkpoint to %s", args.out)
     schedule = expand_schedule(recipe, base)

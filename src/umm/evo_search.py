@@ -48,6 +48,7 @@ from umm.errors import (
     EvaluatorProtocol,
     LengthMismatch,
 )
+from umm.jsonl import want_int, want_number, want_str
 from umm.merge_core import (
     METHODS,
     GroupCoeffs,
@@ -410,6 +411,10 @@ class SearchConfig:
             raise ValueError("config lists no models")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if not isinstance(self.evaluator, dict):
+            raise ValueError(f"evaluator must be an object, got {self.evaluator!r}")
         if self.pop_size is not None and (type(self.pop_size) is not int or self.pop_size < 2):
             raise ValueError(f"pop_size must be null or an integer >= 2, got {self.pop_size!r}")
         if self.cache_dir is not None and not isinstance(self.cache_dir, str):
@@ -417,24 +422,26 @@ class SearchConfig:
 
 
 def config_from_json_obj(obj: dict) -> SearchConfig:
+    where = "search config: "
     try:
         config = SearchConfig(
-            method=str(obj["method"]),
-            group_size=int(obj["group_size"]),
-            base_path=str(obj["base_path"]),
+            method=want_str(obj, "method", where=where),
+            group_size=want_int(obj, "group_size", where=where),
+            base_path=want_str(obj, "base_path", where=where),
             models=[
-                {"source_id": str(m["source_id"]), "path": str(m["path"])}
-                for m in obj["models"]
+                {"source_id": want_str(m, "source_id", where=f"{where}models[{i}]."),
+                 "path": want_str(m, "path", where=f"{where}models[{i}].")}
+                for i, m in enumerate(obj["models"])
             ],
-            evaluator=dict(obj["evaluator"]),
-            lambda_scale=float(obj.get("lambda_scale", 1.0)),
-            iterations=int(obj.get("iterations", DEFAULT_ITERATIONS)),
+            evaluator=obj["evaluator"],
+            lambda_scale=want_number(obj, "lambda_scale", 1.0, where),
+            iterations=want_int(obj, "iterations", DEFAULT_ITERATIONS, where),
             pop_size=obj.get("pop_size"),
-            sigma0=float(obj.get("sigma0", DEFAULT_SIGMA0)),
-            seed=int(obj.get("seed", 0)),
+            sigma0=want_number(obj, "sigma0", DEFAULT_SIGMA0, where),
+            seed=want_int(obj, "seed", 0, where),
             cache_dir=obj.get("cache_dir"),
-            threads=int(obj.get("threads", 1)),
-            retries=int(obj.get("retries", 1)),
+            threads=want_int(obj, "threads", 1, where),
+            retries=want_int(obj, "retries", 1, where),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"search config missing or malformed field: {exc}") from exc

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,17 +47,44 @@ from umm.errors import (
     RecipeMethodMismatch,
     RecipeModelMismatch,
 )
-from umm.tensor_store import Checkpoint, Tensor, require_compat
+from umm.jsonl import want_int, want_number, want_str
+from umm.tensor_store import Checkpoint, CheckpointReader, Tensor, require_compat
 
 METHODS = ("linear", "task_arithmetic", "ties")
+
+
+class _FileDeltas(Mapping):
+    """finetuned[name] - base[name], read from an open container when asked."""
+
+    def __init__(self, base: Checkpoint, finetuned: CheckpointReader):
+        self._base = base
+        self._finetuned = finetuned
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._finetuned.read(name).data - self._base.array(name)
+
+    def __iter__(self):
+        return iter(self._finetuned.names())
+
+    def __len__(self) -> int:
+        return len(self._finetuned.names())
+
+    def shapes(self) -> dict:
+        return self._finetuned.shapes()
 
 
 @dataclass
 class TaskVector:
     """Per-tensor float32 deltas of one fine-tuned model against a base."""
 
-    deltas: dict  # tensor name -> np.ndarray (f32)
+    deltas: Mapping  # tensor name -> np.ndarray (f32)
     source_id: str = ""
+
+    def shapes(self) -> dict:
+        """Tensor name -> delta shape, without computing a lazy delta."""
+        if isinstance(self.deltas, _FileDeltas):
+            return self.deltas.shapes()
+        return {name: arr.shape for name, arr in self.deltas.items()}
 
 
 @dataclass
@@ -133,21 +161,21 @@ def recipe_from_json_obj(obj: dict) -> MergeRecipe:
     if not isinstance(obj, dict):
         raise ValueError("recipe must be a JSON object")
     try:
-        models = [
-            ModelCoeffs(
-                source_id=str(m["source_id"]),
-                path=str(m.get("path", "")),
-                groups=[
-                    GroupCoeffs(weight=float(g["weight"]), density=float(g.get("density", 1.0)))
-                    for g in m["groups"]
-                ],
-            )
-            for m in obj["models"]
-        ]
+        models = []
+        for i, m in enumerate(obj["models"]):
+            where = f"recipe: models[{i}]."
+            groups = [
+                GroupCoeffs(weight=want_number(g, "weight", where=f"{where}groups[{j}]."),
+                            density=want_number(g, "density", 1.0, where=f"{where}groups[{j}]."))
+                for j, g in enumerate(m["groups"])
+            ]
+            models.append(ModelCoeffs(source_id=want_str(m, "source_id", where=where),
+                                      path=want_str(m, "path", "", where=where),
+                                      groups=groups))
         recipe = MergeRecipe(
-            method=str(obj["method"]),
-            group_size=int(obj["group_size"]),
-            lambda_scale=float(obj.get("lambda_scale", 1.0)),
+            method=want_str(obj, "method", where="recipe: "),
+            group_size=want_int(obj, "group_size", where="recipe: "),
+            lambda_scale=want_number(obj, "lambda_scale", 1.0, where="recipe: "),
             per_model=models,
         )
     except (KeyError, TypeError) as exc:
@@ -258,18 +286,25 @@ def expand_schedule(recipe: MergeRecipe, ckpt: Checkpoint) -> Schedule:
 
 # --- task vectors -------------------------------------------------------------
 
-def compute_task_vector(base: Checkpoint, finetuned: Checkpoint, source_id: str = "") -> TaskVector:
-    """Elementwise float32 difference finetuned - base."""
+def compute_task_vector(base: Checkpoint, finetuned, source_id: str = "") -> TaskVector:
+    """Elementwise float32 difference finetuned - base.
+
+    From a loaded Checkpoint every delta is computed now, so a search can
+    reuse them for each candidate.  From an open CheckpointReader each
+    delta is read and computed when a merge asks for it, so a merge holds
+    one tensor's deltas at a time; the reader must stay open until then.
+    """
     require_compat(base, finetuned, "base vs finetuned")
+    if isinstance(finetuned, CheckpointReader):
+        return TaskVector(deltas=_FileDeltas(base, finetuned), source_id=source_id)
     deltas = {name: finetuned.array(name) - base.array(name) for name in base.names()}
     return TaskVector(deltas=deltas, source_id=source_id)
 
 
 def _require_vector_compat(base: Checkpoint, vectors: list) -> None:
-    base_shapes = {name: t.shape for name, t in base.items()}
+    base_shapes = base.shapes()
     for vec in vectors:
-        shapes = {name: arr.shape for name, arr in vec.deltas.items()}
-        if shapes != base_shapes:
+        if vec.shapes() != base_shapes:
             raise IncompatibleCheckpoints(
                 f"task vector {vec.source_id!r} does not match the base tensor layout"
             )
@@ -336,13 +371,22 @@ def ties_disjoint_merge(trimmed: list, gamma: np.ndarray, weights: list) -> np.n
     den = np.zeros_like(gamma)
     for v, weight in zip(trimmed, weights, strict=True):
         w32 = np.float32(weight)
-        agree = (np.sign(v) == gamma) & (v != 0) & (gamma != 0)
-        num = num + np.where(agree, w32 * v, np.float32(0.0))
-        den = den + np.where(agree, w32, np.float32(0.0))
-    merged = np.zeros_like(gamma)
+        # nonzero with the elected sign; gamma is -1, +0.0 or +1
+        agree = (v > 0) & (gamma > 0)
+        agree |= (v < 0) & (gamma < 0)
+        den += np.where(agree, w32, np.float32(0.0))
+        # Summed in place, one tensor-sized temporary at a time.  Where v
+        # does not agree, 0 * w32 may be -0.0 instead of +0.0, which adds
+        # the same: num never holds -0.0, because it starts at +0.0 and a
+        # sum is -0.0 only when both terms are.
+        term = np.where(agree, v, np.float32(0.0))
+        term *= w32
+        num += term
+        del term
     valid = (gamma != 0) & (den > 0)
-    np.divide(num, den, out=merged, where=valid)
-    return merged
+    np.divide(num, den, out=num, where=valid)
+    np.copyto(num, np.float32(0.0), where=~valid)
+    return num
 
 
 # --- per-tensor kernels: (base, deltas, coeffs, lambda) -> merged f32 array ---------
@@ -404,7 +448,8 @@ def merge(base: Checkpoint, vectors: list, recipe: MergeRecipe) -> Checkpoint:
     kernel = _KERNELS[recipe.method]
     tensors = {}
     for name, tensor in base.items():
-        deltas = [vec.deltas[name] for vec in ordered]
-        merged = kernel(tensor.data, deltas, schedule.coeffs(name), recipe.lambda_scale)
+        # the deltas live only for this call: lazy ones are read per tensor
+        merged = kernel(tensor.data, [vec.deltas[name] for vec in ordered],
+                        schedule.coeffs(name), recipe.lambda_scale)
         tensors[name] = Tensor(merged, dtype="f32")
     return Checkpoint(tensors=tensors, metadata=dict(base.metadata))

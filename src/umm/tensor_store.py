@@ -8,6 +8,10 @@ the offsets (relative to the end of the header).  Writing is canonical:
 keys in lexicographic order, no insignificant whitespace, the header
 space-padded so the data region starts on an 8-byte boundary.  The same
 in-memory checkpoint therefore always serializes to identical bytes.
+The writer computes the header from shapes and dtype sizes, then
+encodes one payload at a time; the reader (``CheckpointReader``)
+validates the header and offsets when it opens a file and decodes one
+tensor per request.
 
 Stored dtypes are f32, f16, and bf16.  Tensors are decoded to float32
 for all in-memory arithmetic; the original dtype tag is kept so a
@@ -18,8 +22,12 @@ exactly representable in f32, so the upcast/downcast pair is lossless).
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -41,6 +49,8 @@ _DTYPES = {
     "bf16": ("BF16", 2),
 }
 _TOKEN_TO_TAG = {token: tag for tag, (token, _) in _DTYPES.items()}
+# storage tag -> numpy dtype of the stored scalars (bf16 read as raw bits)
+_STORED = {"f32": "<f4", "f16": "<f2", "bf16": "<u2"}
 
 
 @dataclass
@@ -85,50 +95,49 @@ class Checkpoint:
     def array(self, name: str) -> np.ndarray:
         return self.tensors[name].data
 
+    def shapes(self) -> dict:
+        return {name: tensor.shape for name, tensor in self.items()}
+
     def __len__(self) -> int:
         return len(self.tensors)
 
 
-def _encode_payload(tensor: Tensor) -> bytes:
+def _encode_payload(tensor: Tensor) -> np.ndarray:
+    """The stored bytes of one tensor, as a flat uint8 array."""
     arr = tensor.data
     if tensor.dtype == "f32":
-        return arr.astype("<f4", copy=False).tobytes()
+        # already float32 and C-ordered, so this is a view, not a copy
+        return np.ascontiguousarray(arr, dtype="<f4").reshape(-1).view(np.uint8)
     if tensor.dtype == "f16":
-        return arr.astype("<f2").tobytes()
+        return arr.astype("<f2").reshape(-1).view(np.uint8)
     # bf16: round float32 bits to nearest-even on the upper 16
     bits = arr.astype("<f4").view(np.uint32)
     rounded = (bits + np.uint32(0x7FFF) + ((bits >> np.uint32(16)) & np.uint32(1))) >> np.uint32(16)
-    return rounded.astype("<u2").tobytes()
+    return rounded.astype("<u2").reshape(-1).view(np.uint8)
 
 
-def _decode_payload(buf: bytes, tag: str, shape: tuple) -> np.ndarray:
-    if tag == "f32":
-        arr = np.frombuffer(buf, dtype="<f4").astype(np.float32)
-    elif tag == "f16":
-        arr = np.frombuffer(buf, dtype="<f2").astype(np.float32)
-    else:
-        u16 = np.frombuffer(buf, dtype="<u2").astype(np.uint32)
-        arr = (u16 << np.uint32(16)).view(np.float32).copy()
-    return np.asarray(arr.reshape(shape), order="C")
+def _canonical_chunks(ckpt: Checkpoint) -> Iterator:
+    """Check ``ckpt`` and return its canonical serialization as byte chunks.
 
-
-def _serialize(ckpt: Checkpoint) -> bytes:
+    Every name, finiteness and metadata check runs before this returns.
+    The header is computed from the shapes and dtype sizes, so the
+    iterator yields it first and then encodes one payload at a time, in
+    name order.
+    """
     header = {}
-    payloads = []
     offset = 0
     for name, tensor in ckpt.items():
         if not isinstance(name, str) or not name or name == "__metadata__":
             raise ValueError(f"invalid tensor name {name!r}")
         if not np.all(np.isfinite(tensor.data)):
             raise NonFiniteValue(f"tensor {name!r} contains NaN or Inf")
-        payload = _encode_payload(tensor)
+        nbytes = tensor.data.size * _DTYPES[tensor.dtype][1]
         header[name] = {
             "dtype": _DTYPES[tensor.dtype][0],
             "shape": [int(d) for d in tensor.shape],
-            "data_offsets": [offset, offset + len(payload)],
+            "data_offsets": [offset, offset + nbytes],
         }
-        offset += len(payload)
-        payloads.append(payload)
+        offset += nbytes
     if ckpt.metadata:
         meta = {}
         for key, value in ckpt.metadata.items():
@@ -138,22 +147,27 @@ def _serialize(ckpt: Checkpoint) -> bytes:
         header["__metadata__"] = meta
     body = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body += b" " * (-(8 + len(body)) % 8)
-    return len(body).to_bytes(8, "little") + body + b"".join(payloads)
+    payloads = (_encode_payload(tensor) for _, tensor in ckpt.items())
+    return itertools.chain([len(body).to_bytes(8, "little") + body], payloads)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write ``ckpt`` to ``path`` in canonical container form."""
-    blob = _serialize(ckpt)
+    chunks = _canonical_chunks(ckpt)
     try:
         with open(path, "wb") as fh:
-            fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def checkpoint_digest(ckpt: Checkpoint) -> str:
     """sha256 of the canonical serialization (stable content identity)."""
-    return hashlib.sha256(_serialize(ckpt)).hexdigest()
+    digest = hashlib.sha256()
+    for chunk in _canonical_chunks(ckpt):
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _parse_entry(name: str, entry) -> tuple:
@@ -183,66 +197,141 @@ def _parse_entry(name: str, entry) -> tuple:
     return tag, tuple(shape), offsets[0], offsets[1]
 
 
+class CheckpointReader:
+    """An open container file whose header and offsets are validated.
+
+    Opening reads the length prefix and the header only.  ``read(name)``
+    then decodes one tensor, and checks it for finiteness, with a
+    positioned read of that tensor's byte range, so no more of the data
+    region is in memory than the tensor asked for.  The file stays open
+    until ``close`` (or the end of a ``with`` block).
+    """
+
+    def __init__(self, path):
+        self.path = path
+        try:
+            self._fh = open(path, "rb", buffering=0)
+            if not stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode):
+                # a pipe cannot seek, so its bytes are held instead
+                with self._fh:
+                    self._fh = io.BytesIO(self._fh.read())
+        except OSError as exc:
+            raise IoFailure(f"cannot read {path}: {exc}") from exc
+        try:
+            self._read_header()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _read_into(self, offset: int, buf) -> None:
+        """Fill the writable buffer ``buf`` from file offset ``offset``."""
+        view = memoryview(buf).cast("B")
+        try:
+            self._fh.seek(offset)
+            got = 0
+            while got < len(view):
+                n = self._fh.readinto(view[got:])
+                if not n:
+                    raise IoFailure(f"{self.path}: file ended at byte {offset + got}")
+                got += n
+        except OSError as exc:
+            raise IoFailure(f"cannot read {self.path}: {exc}") from exc
+
+    def _read_header(self) -> None:
+        path = self.path
+        size = self._fh.seek(0, os.SEEK_END)
+        if size < 8:
+            raise MalformedHeader(f"{path}: file shorter than the 8-byte length prefix")
+        prefix = bytearray(8)
+        self._read_into(0, prefix)
+        header_len = int.from_bytes(prefix, "little")
+        if 8 + header_len > size:
+            raise MalformedHeader(f"{path}: header length {header_len} exceeds file size {size}")
+        raw = bytearray(header_len)
+        self._read_into(8, raw)
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise MalformedHeader(f"{path}: header is not valid UTF-8 JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise MalformedHeader(f"{path}: header must be a JSON object")
+
+        metadata = header.pop("__metadata__", {})
+        if not isinstance(metadata, dict) or any(
+            not isinstance(k, str) or not isinstance(v, str) for k, v in metadata.items()
+        ):
+            raise MalformedHeader(f"{path}: __metadata__ must map strings to strings")
+
+        entries = {name: _parse_entry(name, spec) for name, spec in header.items()}
+
+        data_len = size - 8 - header_len
+        cursor = 0
+        for name in sorted(entries, key=lambda n: (entries[n][2], n)):
+            _, _, begin, end = entries[name]
+            if begin != cursor:
+                kind = "overlaps" if begin < cursor else "leaves a gap before"
+                raise OffsetOverlap(f"{path}: tensor {name!r} {kind} offset {cursor}")
+            cursor = end
+        if cursor != data_len:
+            raise OffsetOverlap(
+                f"{path}: data region is {data_len} bytes but offsets cover {cursor}"
+            )
+        self.metadata = dict(metadata)
+        self._entries = entries
+        self._data_start = 8 + header_len
+
+    def names(self) -> list:
+        return sorted(self._entries)
+
+    def shapes(self) -> dict:
+        return {name: self._entries[name][1] for name in self.names()}
+
+    def read(self, name: str) -> Tensor:
+        """Decode tensor ``name``; NonFiniteValue if it holds NaN or Inf."""
+        tag, shape, begin, _ = self._entries[name]
+        stored = np.empty(shape, dtype=_STORED[tag])
+        self._read_into(self._data_start + begin, stored)
+        if tag == "bf16":
+            bits = stored.astype(np.uint32)
+            bits <<= np.uint32(16)
+            arr = bits.view(np.float32)
+        else:
+            arr = stored.astype(np.float32, copy=False)
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteValue(f"{self.path}: tensor {name!r} contains NaN or Inf")
+        return Tensor(data=arr, dtype=tag)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "CheckpointReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a container file, validating structure and finiteness."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if len(raw) < 8:
-        raise MalformedHeader(f"{path}: file shorter than the 8-byte length prefix")
-    header_len = int.from_bytes(raw[:8], "little")
-    if 8 + header_len > len(raw):
-        raise MalformedHeader(f"{path}: header length {header_len} exceeds file size {len(raw)}")
-    try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedHeader(f"{path}: header is not valid UTF-8 JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise MalformedHeader(f"{path}: header must be a JSON object")
-
-    metadata = header.pop("__metadata__", {})
-    if not isinstance(metadata, dict) or any(
-        not isinstance(k, str) or not isinstance(v, str) for k, v in metadata.items()
-    ):
-        raise MalformedHeader(f"{path}: __metadata__ must map strings to strings")
-
-    entries = {name: _parse_entry(name, spec) for name, spec in header.items()}
-
-    data = raw[8 + header_len :]
-    cursor = 0
-    for name in sorted(entries, key=lambda n: (entries[n][2], n)):
-        _, _, begin, end = entries[name]
-        if begin != cursor:
-            kind = "overlaps" if begin < cursor else "leaves a gap before"
-            raise OffsetOverlap(f"{path}: tensor {name!r} {kind} offset {cursor}")
-        cursor = end
-    if cursor != len(data):
-        raise OffsetOverlap(
-            f"{path}: data region is {len(data)} bytes but offsets cover {cursor}"
-        )
-
-    tensors = {}
-    for name in sorted(entries):
-        tag, shape, begin, end = entries[name]
-        arr = _decode_payload(data[begin:end], tag, shape)
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValue(f"{path}: tensor {name!r} contains NaN or Inf")
-        tensors[name] = Tensor(data=arr, dtype=tag)
-    return Checkpoint(tensors=tensors, metadata=dict(metadata))
+    with CheckpointReader(path) as reader:
+        tensors = {name: reader.read(name) for name in reader.names()}
+        return Checkpoint(tensors=tensors, metadata=reader.metadata)
 
 
-def require_compat(a: Checkpoint, b: Checkpoint, what: str = "checkpoints") -> None:
-    """Raise IncompatibleCheckpoints unless both hold the same names and shapes."""
-    names_a, names_b = set(a.tensors), set(b.tensors)
+def require_compat(a, b, what: str = "checkpoints") -> None:
+    """Raise IncompatibleCheckpoints unless both hold the same names and shapes.
+
+    ``a`` and ``b`` are each a Checkpoint or an open CheckpointReader.
+    """
+    shapes_a, shapes_b = a.shapes(), b.shapes()
+    names_a, names_b = set(shapes_a), set(shapes_b)
     problems = []
     if names_b - names_a:
         problems.append(f"missing in first: {', '.join(sorted(names_b - names_a))}")
     if names_a - names_b:
         problems.append(f"missing in second: {', '.join(sorted(names_a - names_b))}")
     for name in sorted(names_a & names_b):
-        sa, sb = a.tensors[name].shape, b.tensors[name].shape
+        sa, sb = shapes_a[name], shapes_b[name]
         if sa != sb:
             problems.append(f"shape mismatch {name}: {list(sa)} vs {list(sb)}")
     if problems:

@@ -24,7 +24,14 @@ from umm.distro_fusion import (
     load_fusion_corpus,
     save_toy_model,
 )
-from umm.tensor_store import Checkpoint, Tensor, load_checkpoint, save_checkpoint
+from umm.merge_core import compute_task_vector, load_recipe, merge
+from umm.tensor_store import (
+    Checkpoint,
+    Tensor,
+    checkpoint_digest,
+    load_checkpoint,
+    save_checkpoint,
+)
 from umm.toy_mlp import init_mlp, train_mlp
 
 from conftest import write_fusion_corpus
@@ -217,6 +224,140 @@ def test_merge_unknown_model_flag_exits_1(tmp_path, capsys):
     assert code == 1 and "zz" in err
 
 
+def set_field(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+@pytest.mark.parametrize("path,value", [
+    (("group_size",), 1.7), (("lambda_scale",), "1"), (("lambda_scale",), True),
+    (("models", 0, "groups", 1, "weight"), "0.5"), (("models", 0, "source_id"), 7),
+], ids=["group-size-float", "lambda-string", "lambda-bool", "weight-string", "source-id-int"])
+def test_merge_wrong_typed_recipe_field_exits_1(tmp_path, capsys, path, value):
+    rng = np.random.default_rng(12)
+    save_checkpoint(layered_ckpt(rng, num_layers=2), tmp_path / "base.st")
+    save_checkpoint(layered_ckpt(rng, num_layers=2), tmp_path / "a.st")
+    recipe = recipe_obj("task_arithmetic", 1, 3, [("a", str(tmp_path / "a.st"), (0.5, 1.0))])
+    set_field(recipe, path, value)
+    write_json(tmp_path / "recipe.json", recipe)
+
+    code, _, err = run_cli(
+        ["merge", "--base", str(tmp_path / "base.st"),
+         "--recipe", str(tmp_path / "recipe.json"),
+         "--out", str(tmp_path / "merged.st")],
+        capsys,
+    )
+    assert code == 1
+    lines = [line for line in err.splitlines() if line.startswith("ERROR umm: ")]
+    assert len(lines) == 1 and path[-1] in lines[0], err
+    assert not (tmp_path / "merged.st").exists()
+
+
+def _nan_in_last_tensor(path):
+    # the last tensor in name order ends the data region
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = np.array([np.nan], "<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    return f"NonFiniteValue: {path}: tensor 'layers.1.w' contains NaN or Inf"
+
+
+def _header_past_eof(path):
+    path.write_bytes((1 << 40).to_bytes(8, "little") + b"{}")
+    return f"MalformedHeader: {path}: header length {1 << 40} exceeds file size 10"
+
+
+def _truncated_data(path):
+    raw = path.read_bytes()
+    data_len = len(raw) - 8 - int.from_bytes(raw[:8], "little")
+    path.write_bytes(raw[:-4])
+    return (f"OffsetOverlap: {path}: data region is {data_len - 4} bytes "
+            f"but offsets cover {data_len}")
+
+
+@pytest.mark.parametrize("corrupt", [_nan_in_last_tensor, _header_past_eof, _truncated_data],
+                         ids=["nan-last-tensor", "header-past-eof", "truncated-data"])
+def test_merge_bad_finetuned_file_exits_1_before_writing(tmp_path, capsys, corrupt):
+    rng = np.random.default_rng(13)
+    save_checkpoint(layered_ckpt(rng, num_layers=2), tmp_path / "base.st")
+    save_checkpoint(layered_ckpt(rng, num_layers=2), tmp_path / "a.st")
+    save_checkpoint(layered_ckpt(rng, num_layers=2), tmp_path / "b.st")
+    message = corrupt(tmp_path / "b.st")
+    recipe = recipe_obj("ties", 1, 3, [("a", str(tmp_path / "a.st"), (0.5, 0.5)),
+                                       ("b", str(tmp_path / "b.st"), (0.5, 0.5))])
+    write_json(tmp_path / "recipe.json", recipe)
+
+    code, _, err = run_cli(
+        ["merge", "--base", str(tmp_path / "base.st"),
+         "--recipe", str(tmp_path / "recipe.json"),
+         "--out", str(tmp_path / "merged.st")],
+        capsys,
+    )
+    assert_one_located_error(code, err, message)
+    assert not (tmp_path / "merged.st").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_merge_overflowing_output_exits_1_before_writing(tmp_path, capsys):
+    rng = np.random.default_rng(14)
+    base = layered_ckpt(rng, num_layers=2)
+    save_checkpoint(base, tmp_path / "base.st")
+    tuned = Checkpoint({name: Tensor(t.data + np.float32(2.0)) for name, t in base.items()},
+                       metadata=base.metadata)
+    save_checkpoint(tuned, tmp_path / "a.st")
+    recipe = recipe_obj("task_arithmetic", 1, 3, [("a", str(tmp_path / "a.st"), (1.0, 1.0))],
+                        lambda_scale=3e38)
+    write_json(tmp_path / "recipe.json", recipe)
+
+    code, _, err = run_cli(
+        ["merge", "--base", str(tmp_path / "base.st"),
+         "--recipe", str(tmp_path / "recipe.json"),
+         "--out", str(tmp_path / "merged.st")],
+        capsys,
+    )
+    assert_one_located_error(code, err, "NonFiniteValue: tensor 'embed.w' contains NaN or Inf")
+    assert not (tmp_path / "merged.st").exists()
+
+
+def test_merge_holds_one_tensors_deltas_at_a_time(tmp_path, capsys):
+    rng = np.random.default_rng(15)
+    num_layers, width, num_models = 12, 256, 3
+    meta = {"layer_pattern": "layers.{i}.", "num_layers": str(num_layers)}
+    arrays = {f"layers.{i}.w": rng.standard_normal((width, width), dtype=np.float32)
+              for i in range(num_layers)}
+    # the largest tensor comes last, when the output is nearly whole
+    arrays["out.w"] = rng.standard_normal((2 * width, width), dtype=np.float32)
+    base = Checkpoint({n: Tensor(a, "bf16") for n, a in arrays.items()}, metadata=meta)
+    save_checkpoint(base, tmp_path / "base.st")
+    models = []
+    for m in range(num_models):
+        tuned = Checkpoint({n: Tensor(a + rng.laplace(0.0, 0.01, a.shape).astype(np.float32), "bf16")
+                            for n, a in arrays.items()}, metadata=meta)
+        save_checkpoint(tuned, tmp_path / f"m{m}.st")
+        models.append((f"m{m}", str(tmp_path / f"m{m}.st"), (0.3 + 0.2 * m, 0.2 + 0.3 * m)))
+    write_json(tmp_path / "recipe.json", recipe_obj("ties", 4, 4, models))
+    argv = ["--log-level", "warning", "merge", "--base", str(tmp_path / "base.st"),
+            "--recipe", str(tmp_path / "recipe.json"), "--out", str(tmp_path / "merged.st")]
+
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(argv, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out["tensors"] == num_layers + 1
+    model_bytes = sum(a.nbytes for a in arrays.values())
+    largest = max(a.nbytes for a in arrays.values())
+    bound = 2 * model_bytes + (2 * num_models + 4) * largest
+    assert peak < bound, (peak, bound)
+
+    # the same bytes as a merge of eagerly loaded task vectors
+    loaded = load_checkpoint(tmp_path / "base.st")
+    vectors = [compute_task_vector(loaded, load_checkpoint(path), sid) for sid, path, _ in models]
+    eager = merge(loaded, vectors, load_recipe(tmp_path / "recipe.json"))
+    assert sha256_file(tmp_path / "merged.st") == checkpoint_digest(eager)
+
+
 # --- search ----------------------------------------------------------------------
 
 
@@ -318,6 +459,25 @@ def test_search_zero_group_size_exits_1(tmp_path, expert_dir, capsys):
     ("pop_size", True), ("cache_dir", 5),
 ], ids=["pop-string", "pop-float", "pop-zero", "pop-one", "pop-bool", "cache-dir-int"])
 def test_search_bad_pop_size_or_cache_dir_exits_1(tmp_path, expert_dir, capsys, field, value):
+    config = search_config_obj(expert_dir)
+    config[field] = value
+    write_json(tmp_path / "config.json", config)
+    code, _, err = run_cli(
+        ["search", "--config", str(tmp_path / "config.json"),
+         "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert code == 1
+    lines = [line for line in err.splitlines() if line.startswith("ERROR umm: ")]
+    assert len(lines) == 1 and field in lines[0], err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("retries", 0.5), ("retries", -3), ("seed", True), ("threads", 1.9), ("iterations", "3"),
+    ("evaluator", [["builtin", "toy-regression"]]),
+], ids=["retries-float", "retries-negative", "seed-bool", "threads-float", "iterations-string",
+        "evaluator-pairs"])
+def test_search_wrong_typed_or_negative_field_exits_1(tmp_path, expert_dir, capsys, field, value):
     config = search_config_obj(expert_dir)
     config[field] = value
     write_json(tmp_path / "config.json", config)

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -81,10 +83,21 @@ def test_save_load_save_fixed_point(tmp_path, rng):
 def test_digest_matches_file_content(tmp_path, rng):
     import hashlib
 
-    ckpt = random_checkpoint(rng)
-    path = tmp_path / "c.st"
-    save_checkpoint(ckpt, path)
-    assert checkpoint_digest(ckpt) == hashlib.sha256(path.read_bytes()).hexdigest()
+    # the writer and the digest share one chunk generator; hold every dtype,
+    # a rank-0 tensor and metadata to the bytes the writer leaves on disk
+    every_kind = Checkpoint(
+        tensors={
+            "a.f32": Tensor(np.array([[1.5, -0.0], [3.25, -7.0]], np.float32)),
+            "b.f16": Tensor(np.array([0.5, -2.0, 65504.0], np.float32), dtype="f16"),
+            "c.bf16": Tensor(np.array([[-0.0], [1.5], [-3.0e38]], np.float32), dtype="bf16"),
+            "d.scalar": Tensor(np.float32(-2.5), dtype="bf16"),
+        },
+        metadata={"num_layers": "2", "note": "caf\u00e9"},
+    )
+    for i, ckpt in enumerate([random_checkpoint(rng), every_kind]):
+        path = tmp_path / f"c{i}.st"
+        save_checkpoint(ckpt, path)
+        assert checkpoint_digest(ckpt) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # --- header canonical form ---------------------------------------------------
@@ -130,6 +143,20 @@ def test_bf16_negative_zero_and_payload_size(tmp_path):
     assert header["x"]["data_offsets"] == [0, 6]
     loaded = load_checkpoint(path)
     assert loaded.array("x").tobytes() == ckpt.array("x").tobytes()
+
+
+def test_load_from_a_pipe(tmp_path):
+    ckpt = make_ckpt(w=[[1.0, 2.0], [3.0, 4.0]], b=[0.5, -0.5])
+    save_checkpoint(ckpt, tmp_path / "c.st")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=((tmp_path / "c.st").read_bytes(),),
+                              daemon=True)
+    writer.start()
+    loaded = load_checkpoint(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert checkpoints_bitwise_equal(ckpt, loaded)
 
 
 # --- load failure modes ------------------------------------------------------
