@@ -287,21 +287,23 @@ class SourceSet:
 
 
 def build_sources(base: Checkpoint, finetuned: dict) -> SourceSet:
-    """From in-memory checkpoints; finetuned maps source_id -> Checkpoint."""
+    """finetuned maps source_id -> Checkpoint, or -> a path loaded when its
+    turn comes, so that set-up holds one loaded checkpoint at a time."""
     digests = [checkpoint_digest(base)]
     vectors = []
     for sid in sorted(finetuned):
-        vectors.append(compute_task_vector(base, finetuned[sid], sid))
-        digests.append(f"{sid}:{checkpoint_digest(finetuned[sid])}")
+        ckpt = finetuned[sid]
+        if not isinstance(ckpt, Checkpoint):
+            ckpt = load_checkpoint(ckpt)
+        vectors.append(compute_task_vector(base, ckpt, sid))
+        digests.append(f"{sid}:{checkpoint_digest(ckpt)}")
     return SourceSet(base, vectors, hashlib.sha256("|".join(digests).encode()).hexdigest())
 
 
 def load_sources(base_path, models: list) -> SourceSet:
-    """models: list of {source_id, path} dicts, order preserved."""
+    """models: list of {source_id, path} dicts."""
     base = load_checkpoint(base_path)
-    return build_sources(
-        base, {m["source_id"]: load_checkpoint(m["path"]) for m in models}
-    )
+    return build_sources(base, {m["source_id"]: m["path"] for m in models})
 
 
 class FitnessCache:

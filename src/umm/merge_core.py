@@ -336,17 +336,25 @@ def _trim_count(density: float, n: int) -> int:
 def ties_trim(delta: np.ndarray, density: float) -> np.ndarray:
     """Zero all but the ceil(density*n) largest-magnitude entries.
 
-    Magnitude ties keep the lower flat index.
+    Magnitude ties keep the lower flat index.  Linear time: a partition
+    finds the k-th largest magnitude, every larger one is kept, and the
+    first entries tied at it fill the remaining places.  ``delta`` holds
+    no NaN: a difference of finite checkpoints cannot.
     """
     if not (isinstance(density, (int, float)) and math.isfinite(density) and 0.0 < density <= 1.0):
         raise InvalidDensity(f"density {density!r} not in (0, 1]")
     flat = delta.ravel()
-    k = _trim_count(float(density), flat.size)
-    # stable argsort on -|v|: magnitude descending, ties keep lower index
-    order = np.argsort(-np.abs(flat), kind="stable")
-    mask = np.zeros(flat.size, dtype=bool)
-    mask[order[:k]] = True
-    return np.where(mask, flat, np.float32(0.0)).reshape(delta.shape)
+    n = flat.size
+    k = _trim_count(float(density), n)
+    if k >= n:
+        return delta.copy()
+    mag = np.abs(flat)
+    kth = np.partition(mag, n - k)[n - k]
+    keep = mag > kth
+    need = k - np.count_nonzero(keep)
+    keep[np.flatnonzero(mag == kth)[:need]] = True
+    del mag
+    return np.where(keep, flat, np.float32(0.0)).reshape(delta.shape)
 
 
 def ties_elect(trimmed: list) -> np.ndarray:
@@ -355,34 +363,39 @@ def ties_elect(trimmed: list) -> np.ndarray:
         raise IncompatibleCheckpoints("cannot elect signs from zero task vectors")
     acc = np.zeros_like(trimmed[0])
     for delta in trimmed:
-        acc = acc + delta
+        acc += delta
+    # np.sign is several times slower in place than into a new array
+    gamma = np.sign(acc)
     # + 0.0 normalizes any -0.0 produced by np.sign
-    return np.sign(acc) + np.float32(0.0)
+    gamma += np.float32(0.0)
+    return gamma
 
 
 def ties_disjoint_merge(trimmed: list, gamma: np.ndarray, weights: list) -> np.ndarray:
     """Weight-normalized average over models agreeing with the elected sign.
 
-    ``weights`` is one float per model, in the order of ``trimmed``.
-    Coordinates whose elected sign is zero, or where no model agrees, or
-    where agreeing weights sum to zero, come out exactly 0.
+    ``weights`` is one float per model, in the order of ``trimmed``, and
+    ``gamma`` is ``ties_elect(trimmed)``.  Coordinates whose elected sign
+    is zero, or where no model agrees, or where agreeing weights sum to
+    zero, come out exactly 0.
     """
     num = np.zeros_like(gamma)
     den = np.zeros_like(gamma)
+    buf = np.empty_like(gamma)
     for v, weight in zip(trimmed, weights, strict=True):
         w32 = np.float32(weight)
-        # nonzero with the elected sign; gamma is -1, +0.0 or +1
-        agree = (v > 0) & (gamma > 0)
-        agree |= (v < 0) & (gamma < 0)
-        den += np.where(agree, w32, np.float32(0.0))
-        # Summed in place, one tensor-sized temporary at a time.  Where v
-        # does not agree, 0 * w32 may be -0.0 instead of +0.0, which adds
-        # the same: num never holds -0.0, because it starts at +0.0 and a
-        # sum is -0.0 only when both terms are.
-        term = np.where(agree, v, np.float32(0.0))
-        term *= w32
-        num += term
-        del term
+        # gamma is -1, +0.0 or +1, so v * gamma is exact, and it is > 0
+        # where v is nonzero with the elected sign
+        np.multiply(v, gamma, out=buf)
+        np.multiply(buf > 0, w32, out=buf)
+        den += buf
+        # Where v does not agree, buf * v is a zero of either sign, which
+        # adds the same: num never holds -0.0, because it starts at +0.0
+        # and a sum is -0.0 only when both terms are.  (An infinite v
+        # disagrees only where gamma is NaN, and those come out 0.)
+        buf *= v
+        num += buf
+    del buf
     valid = (gamma != 0) & (den > 0)
     np.divide(num, den, out=num, where=valid)
     np.copyto(num, np.float32(0.0), where=~valid)
@@ -447,9 +460,12 @@ def merge(base: Checkpoint, vectors: list, recipe: MergeRecipe) -> Checkpoint:
     _require_vector_compat(base, ordered)
     kernel = _KERNELS[recipe.method]
     tensors = {}
-    for name, tensor in base.items():
-        # the deltas live only for this call: lazy ones are read per tensor
-        merged = kernel(tensor.data, [vec.deltas[name] for vec in ordered],
-                        schedule.coeffs(name), recipe.lambda_scale)
-        tensors[name] = Tensor(merged, dtype="f32")
+    # an overflow leaves Inf or NaN in the output, which saving reports
+    # as NonFiniteValue, so numpy's own warning would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, tensor in base.items():
+            # the deltas live only for this call: lazy ones are read per tensor
+            merged = kernel(tensor.data, [vec.deltas[name] for vec in ordered],
+                            schedule.coeffs(name), recipe.lambda_scale)
+            tensors[name] = Tensor(merged, dtype="f32")
     return Checkpoint(tensors=tensors, metadata=dict(base.metadata))

@@ -9,6 +9,7 @@ import hashlib
 import json
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -297,7 +298,6 @@ def test_merge_bad_finetuned_file_exits_1_before_writing(tmp_path, capsys, corru
     assert not (tmp_path / "merged.st").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_merge_overflowing_output_exits_1_before_writing(tmp_path, capsys):
     rng = np.random.default_rng(14)
     base = layered_ckpt(rng, num_layers=2)
@@ -309,12 +309,16 @@ def test_merge_overflowing_output_exits_1_before_writing(tmp_path, capsys):
                         lambda_scale=3e38)
     write_json(tmp_path / "recipe.json", recipe)
 
-    code, _, err = run_cli(
-        ["merge", "--base", str(tmp_path / "base.st"),
-         "--recipe", str(tmp_path / "recipe.json"),
-         "--out", str(tmp_path / "merged.st")],
-        capsys,
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(
+            ["merge", "--base", str(tmp_path / "base.st"),
+             "--recipe", str(tmp_path / "recipe.json"),
+             "--out", str(tmp_path / "merged.st")],
+            capsys,
+        )
+    # the overflow is reported once, by the error, and not as a numpy warning
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert_one_located_error(code, err, "NonFiniteValue: tensor 'embed.w' contains NaN or Inf")
     assert not (tmp_path / "merged.st").exists()
 

@@ -3,6 +3,7 @@ import signal
 import stat
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +22,11 @@ from umm.evo_search import (
     decode_genome,
     evaluate_candidate,
     initial_mean,
+    load_sources,
     make_evaluator,
     run_search,
 )
-from umm.tensor_store import save_checkpoint
+from umm.tensor_store import Checkpoint, Tensor, load_checkpoint, save_checkpoint
 from umm.toy_mlp import init_mlp, mlp_forward, mse, train_mlp
 
 
@@ -257,6 +259,39 @@ def two_expert_sources(seed=0, steps=300):
     ea = train_mlp(base, xs, np.sin(2.5 * xs), lr=0.01, steps=steps)
     eb = train_mlp(base, xs, np.cos(1.5 * xs), lr=0.01, steps=steps)
     return build_sources(base, {"m0": ea, "m1": eb})
+
+
+def test_load_sources_holds_one_finetuned_checkpoint_at_a_time(tmp_path):
+    rng = np.random.default_rng(9)
+    meta = {"layer_pattern": "layers.{i}.", "num_layers": "8"}
+    arrays = {f"layers.{i}.w": rng.standard_normal((256, 256), dtype=np.float32) for i in range(8)}
+    save_checkpoint(Checkpoint({n: Tensor(a) for n, a in arrays.items()}, metadata=meta),
+                    tmp_path / "base.st")
+    # listed out of source_id order: vectors and digest follow the sorted ids
+    models = []
+    for sid in ("m2", "m0", "m1"):
+        tuned = {n: Tensor(a + rng.standard_normal(a.shape, dtype=np.float32)) for n, a in arrays.items()}
+        save_checkpoint(Checkpoint(tuned, metadata=meta), tmp_path / f"{sid}.st")
+        models.append({"source_id": sid, "path": str(tmp_path / f"{sid}.st")})
+
+    tracemalloc.start()
+    try:
+        sources = load_sources(tmp_path / "base.st", models)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    model_bytes = sum(a.nbytes for a in arrays.values())
+    # the base and three vectors stay; besides them, one fine-tuned
+    # checkpoint and its digest's working set (all three at once is 3x)
+    assert held >= 4 * model_bytes
+    assert peak < held + 2 * model_bytes, (peak - held) / model_bytes
+
+    eager = build_sources(load_checkpoint(tmp_path / "base.st"),
+                          {m["source_id"]: load_checkpoint(m["path"]) for m in models})
+    assert [v.source_id for v in sources.vectors] == ["m0", "m1", "m2"]
+    assert sources.digest == eager.digest
+    for vec, want in zip(sources.vectors, eager.vectors):
+        assert all(vec.deltas[n].tobytes() == want.deltas[n].tobytes() for n in arrays)
 
 
 def test_cache_second_call_skips_evaluator(tmp_path):

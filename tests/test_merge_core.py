@@ -1,4 +1,6 @@
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +315,75 @@ def test_trim_rejects_bad_density():
 def test_trim_matrix_flat_index_order():
     out = ties_trim(arr([[2.0, 2.0], [2.0, 2.0]]), 0.5)
     assert np.array_equal(out, [[2.0, 2.0], [0.0, 0.0]])
+
+
+def bf16_grid(values):
+    """Truncate float32 values to the bf16 grid: few magnitudes, many ties."""
+    return (np.asarray(values, np.float32).view(np.uint32) & np.uint32(0xFFFF0000)).view(np.float32)
+
+
+def _tie_cases():
+    rng = np.random.default_rng(7)
+    laplace = bf16_grid(rng.laplace(0.0, 5e-4, 4096))
+    zeros = arr([0.0, -0.0, 3.0, 0.0, -0.0, -2.0, -0.0, 0.0, 0.0, -0.0])
+    equal = arr([0.5, -0.5] * 6)
+    grid_2d = bf16_grid(rng.integers(-3, 4, size=(6, 7)) * np.float32(0.75))
+    return {
+        "bf16-grid": (laplace, 0.3),
+        "kth-zero-signed": (zeros, 0.55),
+        "all-equal": (equal, 0.4),
+        "k-is-1": (arr([-3.0, 1.0, 3.0, -3.0, 2.0]), 0.2),
+        "k-is-n": (arr([-1.0, 0.0, -0.0, 1.0, -1.0]), 1.0),
+        "2d": (grid_2d, 0.5),
+        "2d-transposed": (grid_2d.T, 0.35),
+    }
+
+
+@pytest.mark.parametrize("case", list(_tie_cases()))
+def test_trim_cut_inside_a_tie_group_matches_reference(case):
+    values, density = _tie_cases()[case]
+    mag = np.abs(values.ravel())
+    k = max(1, math.ceil(density * mag.size - 1e-9))
+    kth = np.sort(mag)[::-1][k - 1]
+    above, at_or_above = int(np.sum(mag > kth)), int(np.sum(mag >= kth))
+    if case == "k-is-n":
+        assert k == mag.size == at_or_above
+    else:
+        # the k-th largest magnitude is shared across the cut
+        assert above < k < at_or_above, (above, k, at_or_above)
+    if case == "kth-zero-signed":
+        # both signs of zero on each side: kept +0.0 -0.0 +0.0 -0.0, dropped -0.0 +0.0 +0.0 -0.0
+        assert kth == 0 and k - above == 4
+    if case == "k-is-1":
+        assert k == 1
+    out = ties_trim(values, density)
+    assert out.shape == values.shape
+    assert out.tobytes() == ref_trim(values, density).tobytes()
+
+
+def _peak_over_input(fn, *args, input_bytes):
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / input_bytes
+
+
+def test_ties_steps_memory_per_input_size():
+    rng = np.random.default_rng(8)
+    deltas = [bf16_grid(rng.laplace(0.0, 5e-4, 1 << 20)) for _ in range(3)]
+    size = deltas[0].nbytes
+    # the magnitudes, one partition copy, the keep mask and the output
+    assert _peak_over_input(ties_trim, deltas[0], 0.4, input_bytes=size) <= 2.5
+    trimmed = [ties_trim(d, p) for d, p in zip(deltas, (0.2, 0.5, 0.8))]
+    gamma = ties_elect(trimmed)
+    # num, den, one reused buffer and a boolean mask
+    assert _peak_over_input(ties_disjoint_merge, trimmed, gamma, [0.3, 0.5, 0.7],
+                            input_bytes=size) <= 3.75
 
 
 def test_elect_example():
