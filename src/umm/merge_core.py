@@ -333,35 +333,90 @@ def _trim_count(density: float, n: int) -> int:
     return max(1, math.ceil(density * n - 1e-9))
 
 
+# float width in bytes -> the native unsigned integer type of that width
+_UINT_OF_WIDTH = {2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _uint_type(values: np.ndarray) -> type:
+    """The unsigned integer type as wide as ``values``' float type."""
+    dtype = values.dtype
+    if dtype.kind != "f" or dtype.itemsize not in _UINT_OF_WIDTH:
+        raise TypeError(f"TIES steps take float16, float32 or float64 arrays, not {dtype}")
+    return _UINT_OF_WIDTH[dtype.itemsize]
+
+
+def _select(mask: np.ndarray, values: np.ndarray, bits: type) -> np.ndarray:
+    """``values`` where ``mask`` is true and +0.0 elsewhere, bit for bit.
+
+    An all-ones or all-zeros word per entry ANDed with the raw bits (in
+    any byte order): no branch on the mask, and kept entries, -0.0 and
+    NaN included, keep their exact bits.
+    """
+    # negating an unsigned 1 wraps to all ones
+    out = np.negative(mask, dtype=bits)
+    out &= values.view(bits)
+    return out.view(values.dtype)
+
+
+# ties in spans this short are listed; longer spans are halved by counting first
+_LIST_SPAN = 2048
+
+
+def _keep_first(keep: np.ndarray, tied: np.ndarray, need: int) -> None:
+    """Set ``keep`` at the first ``need`` True entries of ``tied``.
+
+    Listing True indices costs far more per entry than counting them.  So
+    while the span is long, its first half is counted: if that half holds
+    fewer than ``need`` ties, they are all kept and the search moves on to
+    the second half, else into the first.  ``keep`` and ``tied`` narrow as
+    views, so every write lands in the caller's ``keep``.
+    """
+    while tied.size > _LIST_SPAN:
+        half = tied.size // 2
+        count = np.count_nonzero(tied[:half])
+        if count < need:
+            keep[:half] |= tied[:half]
+            keep, tied, need = keep[half:], tied[half:], need - count
+        else:
+            keep, tied = keep[:half], tied[:half]
+    keep[np.flatnonzero(tied)[:need]] = True
+
+
 def ties_trim(delta: np.ndarray, density: float) -> np.ndarray:
     """Zero all but the ceil(density*n) largest-magnitude entries.
 
     Magnitude ties keep the lower flat index.  Linear time: a partition
     finds the k-th largest magnitude, every larger one is kept, and the
-    first entries tied at it fill the remaining places.  ``delta`` holds
-    no NaN: a difference of finite checkpoints cannot.
+    first entries tied at it fill the remaining places.  The ranking runs
+    on the bits of ``abs(delta)`` viewed as unsigned integers of the same
+    width: non-negative floats order as their bit patterns do, -0.0 ties
+    with +0.0, and NaN ranks above +inf.  Kept entries keep their bits,
+    dropped ones become +0.0, and the output has ``delta``'s float dtype.
     """
     if not (isinstance(density, (int, float)) and math.isfinite(density) and 0.0 < density <= 1.0):
         raise InvalidDensity(f"density {density!r} not in (0, 1]")
+    bits = _uint_type(delta)
     flat = delta.ravel()
     n = flat.size
     k = _trim_count(float(density), n)
     if k >= n:
         return delta.copy()
-    mag = np.abs(flat)
+    # abs returns native byte order, so the native view ranks correctly
+    mag = np.abs(flat).view(bits)
     kth = np.partition(mag, n - k)[n - k]
     keep = mag > kth
-    need = k - np.count_nonzero(keep)
-    keep[np.flatnonzero(mag == kth)[:need]] = True
+    tied = mag == kth
     del mag
-    return np.where(keep, flat, np.float32(0.0)).reshape(delta.shape)
+    _keep_first(keep, tied, k - np.count_nonzero(keep))
+    return _select(keep, flat, bits).reshape(delta.shape)
 
 
 def ties_elect(trimmed: list) -> np.ndarray:
     """Per-coordinate sign, in {-1, 0, +1}, of the model-order sum."""
     if not trimmed:
         raise IncompatibleCheckpoints("cannot elect signs from zero task vectors")
-    acc = np.zeros_like(trimmed[0])
+    first = trimmed[0]
+    acc = np.zeros(first.shape, first.dtype)
     for delta in trimmed:
         acc += delta
     # np.sign is several times slower in place than into a new array
@@ -376,30 +431,35 @@ def ties_disjoint_merge(trimmed: list, gamma: np.ndarray, weights: list) -> np.n
 
     ``weights`` is one float per model, in the order of ``trimmed``, and
     ``gamma`` is ``ties_elect(trimmed)``.  Coordinates whose elected sign
-    is zero, or where no model agrees, or where agreeing weights sum to
-    zero, come out exactly 0.
+    is zero or NaN, or where no model agrees, or where agreeing weights
+    sum to zero, come out +0.0: the quotient is taken on every lane and
+    those lanes are then cleared by a bitwise AND, so their 0/0 or x/0
+    raises no warning.  Infinite entries give the inf or NaN lanes the
+    scalar reference gives, also without a warning.
     """
-    num = np.zeros_like(gamma)
-    den = np.zeros_like(gamma)
-    buf = np.empty_like(gamma)
-    for v, weight in zip(trimmed, weights, strict=True):
-        w32 = np.float32(weight)
-        # gamma is -1, +0.0 or +1, so v * gamma is exact, and it is > 0
-        # where v is nonzero with the elected sign
-        np.multiply(v, gamma, out=buf)
-        np.multiply(buf > 0, w32, out=buf)
-        den += buf
-        # Where v does not agree, buf * v is a zero of either sign, which
-        # adds the same: num never holds -0.0, because it starts at +0.0
-        # and a sum is -0.0 only when both terms are.  (An infinite v
-        # disagrees only where gamma is NaN, and those come out 0.)
-        buf *= v
-        num += buf
-    del buf
-    valid = (gamma != 0) & (den > 0)
-    np.divide(num, den, out=num, where=valid)
-    np.copyto(num, np.float32(0.0), where=~valid)
-    return num
+    bits = _uint_type(gamma)
+    num = np.zeros(gamma.shape, gamma.dtype)
+    den = np.zeros(gamma.shape, gamma.dtype)
+    buf = np.empty(gamma.shape, gamma.dtype)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for v, weight in zip(trimmed, weights, strict=True):
+            w32 = np.float32(weight)
+            # gamma is -1, +0.0 or +1, so v * gamma is exact, and it is > 0
+            # where v is nonzero with the elected sign
+            np.multiply(v, gamma, out=buf)
+            np.multiply(buf > 0, w32, out=buf)
+            den += buf
+            # Where v does not agree, buf * v is a zero of either sign, which
+            # adds the same: num never holds -0.0, because it starts at +0.0
+            # and a sum is -0.0 only when both terms are.  (An infinite v
+            # disagrees only where gamma is NaN, and those come out 0.)
+            buf *= v
+            num += buf
+        del buf
+        valid = (gamma != 0) & (den > 0)
+        num /= den
+    del den
+    return _select(valid, num, bits)
 
 
 # --- per-tensor kernels: (base, deltas, coeffs, lambda) -> merged f32 array ---------

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +362,75 @@ def test_trim_cut_inside_a_tie_group_matches_reference(case):
     assert out.tobytes() == ref_trim(values, density).tobytes()
 
 
+def _tie_heavy_bf16(n, seed):
+    """bf16-grid deltas with one mantissa bit and some signed zeros: few
+    distinct magnitudes, so the cut falls inside a large tie group."""
+    rng = np.random.default_rng(seed)
+    values = bf16_grid(rng.laplace(0.0, 5e-4, n))
+    values = (values.view(np.uint32) & np.uint32(0xFFC00000)).view(np.float32)
+    zeros = rng.random(n) < 0.1
+    values[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, np.float32(-0.0), np.float32(0.0))
+    return values
+
+
+# sizes around and well past numpy's vector widths, so the partition, the
+# comparisons and the bit-AND run their vectorized main loops and tails,
+# and the tie cut runs its halving loop (spans longer than 2048)
+@pytest.mark.parametrize("n", [1, 15, 17, 257, 4099, 65537])
+@pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+def test_trim_matches_reference_at_vector_sizes(n, density):
+    values = _tie_heavy_bf16(n, seed=n)
+    out = ties_trim(values, density)
+    assert out.dtype == np.float32 and out.shape == values.shape
+    assert out.tobytes() == ref_trim(values, density).tobytes()
+    if n > 2048:
+        mag = np.abs(values)
+        k = math.ceil(density * n - 1e-9)
+        kth = np.sort(mag)[n - k]
+        # the cut splits a tie group
+        assert np.sum(mag > kth) < k < np.sum(mag >= kth)
+
+
+def _argsort_trim(values, density):
+    """The sort-based trim, in the input's own dtype."""
+    flat = values.ravel()
+    k = max(1, math.ceil(density * flat.size - 1e-9))
+    top = np.argsort(-np.abs(flat), kind="stable")[:k]
+    out = np.zeros_like(flat)
+    out[top] = flat[top]
+    return out.reshape(values.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float64, np.dtype(">f4")])
+def test_ties_steps_keep_other_float_dtypes(dtype):
+    rng = np.random.default_rng(11)
+    # ties across the cut, and signed zeros
+    values = (rng.integers(-6, 7, size=(33, 31)) * 0.375).astype(dtype)
+    values[values == 0] = -0.0
+    for density in (0.2, 0.5, 0.8):
+        out = ties_trim(values, density)
+        assert out.dtype == values.dtype and out.shape == values.shape
+        assert out.tobytes() == _argsort_trim(values, density).tobytes()
+    # the sum and the sign come out in native byte order
+    # small integers and weights 1/2: every step is exact in each dtype,
+    # so the result equals the float32 one
+    trimmed = [ties_trim(values, p) for p in (0.3, 0.7)]
+    gamma = ties_elect(trimmed)
+    merged = ties_disjoint_merge(trimmed, gamma, [0.5, 0.5])
+    assert merged.dtype == values.dtype.newbyteorder("=") and merged.shape == values.shape
+    trimmed32 = [t.astype(np.float32) for t in trimmed]
+    want = ties_disjoint_merge(trimmed32, ties_elect(trimmed32), [0.5, 0.5])
+    assert merged.astype(np.float32).tobytes() == want.tobytes()
+
+
+def test_ties_steps_reject_non_float_arrays():
+    with pytest.raises(TypeError, match="int32"):
+        ties_trim(np.arange(8, dtype=np.int32), 0.5)
+    gamma = np.ones(4, np.int64)
+    with pytest.raises(TypeError, match="int64"):
+        ties_disjoint_merge([gamma], gamma, [1.0])
+
+
 def _peak_over_input(fn, *args, input_bytes):
     tracemalloc.start()
     try:
@@ -447,6 +517,40 @@ def test_disjoint_merge_normalized_weights():
 def test_disjoint_merge_zero_weight_sum_gives_zero():
     out = ties_disjoint_merge([arr([4.0])], arr([1.0]), [0.0])
     assert np.array_equal(out, [0.0])
+
+
+def test_disjoint_merge_lanes_bitwise():
+    """Every kind of lane, shuffled across a vector-sized tensor."""
+    inf, nzero = np.float32(np.inf), np.float32(-0.0)
+    lanes = {
+        # (model 0, model 1, model 2); weights below are 0.0, 0.5, 0.7
+        "agree": [(1.5, 2.0, 0.25), (-1.0, -3.0, 0.0)],
+        "elected-zero": [(0.0, 1.0, -1.0), (2.0, -2.0, 0.0)],
+        "only-weight-zero-agrees": [(3.0, 0.0, 0.0), (-0.5, 0.0, 0.0)],
+        "opposite-infinities": [(0.0, inf, -inf), (inf, -inf, 1.0)],
+        "one-infinity": [(0.0, inf, 1.0), (0.0, 0.0, -inf)],
+        "negative-zeros": [(nzero, 2.0, nzero), (nzero, nzero, -1.0), (nzero, nzero, nzero)],
+    }
+    rows = [(kind, row) for kind, kind_rows in lanes.items() for row in kind_rows]
+    rng = np.random.default_rng(12)
+    pick = rng.integers(0, len(rows), 4099)
+    trimmed = [np.array([rows[i][1][m] for i in pick], np.float32) for m in range(3)]
+    kinds = np.array([rows[i][0] for i in pick])
+    weights = [0.0, 0.5, 0.7]
+    with np.errstate(invalid="ignore"):
+        # inf + -inf: the elected sign is NaN
+        gamma = ties_elect(trimmed)
+        want = ref_disjoint_merge(trimmed, gamma, weights)
+    assert np.isnan(gamma[kinds == "opposite-infinities"]).all()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = ties_disjoint_merge(trimmed, gamma, weights)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert out.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+    cleared = np.isin(kinds, ["elected-zero", "only-weight-zero-agrees", "opposite-infinities"])
+    cleared |= (kinds == "negative-zeros") & (gamma == 0)
+    assert (out.view(np.uint32)[cleared] == 0).all()
+    assert np.isinf(out[kinds == "one-infinity"]).all()
 
 
 def test_disjoint_merge_convexity(rng):
