@@ -133,11 +133,12 @@ def cmd_align_stats(args) -> dict:
         )
     stats = AlignStats(pivot_seqs[0].vocab_size, source_seqs[0].vocab_size)
     totals = {kind: 0 for kind in kind_histogram([])}
-    for pivot, source in zip(pivot_seqs, source_seqs):
-        segments = align_sequences(pivot, source, norm)
-        for kind, count in kind_histogram(segments).items():
-            totals[kind] += count
-        update_stats(stats, segments, pivot, source)
+    for index, (pivot, source) in enumerate(zip(pivot_seqs, source_seqs)):
+        with located(f"pair {index}"):
+            segments = align_sequences(pivot, source, norm)
+            for kind, count in kind_histogram(segments).items():
+                totals[kind] += count
+            update_stats(stats, segments, pivot, source)
     save_stats(stats, args.out)
     log.info("wrote %d mapping pairs to %s", len(stats.counts), args.out)
     return {

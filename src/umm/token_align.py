@@ -16,10 +16,12 @@ encode whitespace differently still compare cleanly.
 
 The substitution costs of all distinct pivot x source surfaces come
 from one batched integer Levenshtein in numpy, divided once by the
-longer length.  The DP table is then filled one anti-diagonal at a
-time.  Each cell still does the float64 additions and the two strict
-comparisons of a scalar row-by-row loop, in the same order, so costs
-and tie-breaks are the same bits as that loop's.
+longer length.  The DP table holds costs only and is filled one
+anti-diagonal at a time, a few numpy calls per diagonal; each cell
+keeps the same float64 value as a scalar row-by-row loop.  The moves
+are recomputed only along the backtrace path, with that loop's float64
+sums and its two strict comparisons in the same order, so costs and
+tie-breaks are the same bits as that loop's.
 """
 
 from __future__ import annotations
@@ -134,6 +136,8 @@ class AlignmentSegment:
 
 # working-set cap of the batched Levenshtein, in int32 cells per array
 _LEVENSHTEIN_BLOCK_CELLS = 1 << 17
+# working-set cap of the substitution costs gathered into the DP table, in cells
+_SEED_BLOCK_CELLS = 1 << 14
 
 
 def _code_points(surfaces: list) -> tuple:
@@ -209,11 +213,14 @@ _PIVOT_ONLY = 1    # consume a pivot token against a gap in the source
 _SOURCE_ONLY = 2   # consume a source token against a gap in the pivot
 
 
-def _unique_index(surfaces: list) -> tuple:
-    """(distinct surfaces in first-seen order, index of each surface)."""
+def _unique_index(surfaces: list, norm: SurfaceNormalizer) -> tuple:
+    """(distinct normalized surfaces in first-seen order, index of each
+    surface); each distinct raw surface is normalized once."""
+    raw = {}
+    raw_index = [raw.setdefault(s, len(raw)) for s in surfaces]
     index = {}
-    positions = np.array([index.setdefault(s, len(index)) for s in surfaces], dtype=np.intp)
-    return list(index), positions
+    positions = [index.setdefault(norm.normalize(s), len(index)) for s in raw]
+    return list(index), np.array(positions, dtype=np.intp)[raw_index]
 
 
 def _align_moves(pivot: TokenSeq, source: TokenSeq, norm: SurfaceNormalizer) -> tuple:
@@ -221,60 +228,64 @@ def _align_moves(pivot: TokenSeq, source: TokenSeq, norm: SurfaceNormalizer) -> 
 
     cost[i, j] is the least cost of aligning the first i pivot and the
     first j source tokens: the least of cost[i-1, j-1] + sub,
-    cost[i-1, j] + 1 and cost[i, j-1] + 1, taken with two strict ``<``
-    tests in that order, so ties keep the earlier move.  The table is
-    filled one anti-diagonal i + j = d at a time; each cell reads only
-    diagonals d-1 and d-2, so a diagonal is a few numpy operations on
-    strided views of the flat table.  Every cell does the same float64
-    additions and comparisons as a row-by-row scalar loop, so costs and
-    tie-breaks are bit-identical to it.  (A row-wise running minimum
-    over the gap run would re-associate the chained ``+ 1.0`` additions
-    and could change the last bit and flip a tie.)
+    cost[i-1, j] + 1 and cost[i, j-1] + 1.  The table holds costs only.
+    Each cell is seeded with its substitution cost and then filled, one
+    anti-diagonal i + j = d at a time, with min(diagonal + sub,
+    min(above, beside) + 1): four numpy calls on strided views of the
+    flat table per diagonal, since a cell reads only diagonals d-1 and
+    d-2.  That is the value a row-by-row scalar loop keeps, bit for bit:
+    rounding is monotone, so min(a + 1, b + 1) == min(a, b) + 1, and
+    costs are never NaN or -0.0.  (A row-wise running minimum over the
+    gap run would re-associate the chained ``+ 1.0`` additions and could
+    change the last bit and flip a tie.)
+
+    The backtrace recomputes each move on the path from the finished
+    table with the scalar loop's float64 sums and its two strict ``<``
+    tests in the same order (substitute, pivot-only, source-only), so
+    ties keep the earlier move and the walk is the scalar loop's.
     """
     if len(pivot) == 0 or len(source) == 0:
         raise EmptySequence("cannot align an empty token sequence")
-    p_unique, p_index = _unique_index([norm.normalize(s) for s in pivot.surfaces])
-    s_unique, s_index = _unique_index([norm.normalize(s) for s in source.surfaces])
+    p_unique, p_index = _unique_index(pivot.surfaces, norm)
+    s_unique, s_index = _unique_index(source.surfaces, norm)
     sub = substitution_costs(p_unique, s_unique)
 
     n, m = len(p_index), len(s_index)
     cost = np.empty((n + 1, m + 1), dtype=np.float64)
-    move = np.empty((n + 1, m + 1), dtype=np.int8)
     cost[:, 0] = np.arange(n + 1) * GAP_COST
     cost[0, :] = np.arange(m + 1) * GAP_COST
-    move[:, 0] = _PIVOT_ONLY
-    move[0, :] = _SOURCE_ONLY
-    flat_cost, flat_move = cost.reshape(-1), move.reshape(-1)
-    s_reversed = s_index[::-1]  # source token d - i - 1 is s_reversed[m - d + i]
+    rows = max(1, _SEED_BLOCK_CELLS // m)  # a block of rows at a time: no n x m temporary
+    for i0 in range(0, n, rows):
+        cost[i0 + 1:i0 + rows + 1, 1:] = sub[p_index[i0:i0 + rows, None], s_index]
+    flat_cost = cost.reshape(-1)
     for d in range(2, n + m + 1):
         i0, i1 = max(1, d - m), min(n, d - 1)
         # cell (i, d - i) sits at flat index i * m + d
         start, stop = i0 * m + d, i1 * m + d + 1
-        here = slice(start, stop, m)
-        diagonal = slice(start - m - 2, stop - m - 2, m)
-        above = slice(start - m - 1, stop - m - 1, m)
-        beside = slice(start - 1, stop - 1, m)
-        best = flat_cost[diagonal] + sub[p_index[i0 - 1:i1], s_reversed[m - d + i0:m - d + i1 + 1]]
-        up = flat_cost[above] + GAP_COST
-        left = flat_cost[beside] + GAP_COST
-        take_up = up < best
-        best = np.where(take_up, up, best)
-        take_left = left < best
-        flat_cost[here] = np.where(take_left, left, best)
-        flat_move[here] = np.where(take_left, _SOURCE_ONLY, take_up * _PIVOT_ONLY)
+        here = flat_cost[start:stop:m]
+        gap = np.minimum(flat_cost[start - m - 1:stop - m - 1:m], flat_cost[start - 1:stop - 1:m])
+        gap += GAP_COST
+        here += flat_cost[start - m - 2:stop - m - 2:m]
+        np.minimum(here, gap, out=here)
     moves = []
     i, j = n, m
-    while i > 0 or j > 0:
-        chosen = int(move[i, j])
+    p_index, s_index = p_index.tolist(), s_index.tolist()
+    while i > 0 and j > 0:
+        total = cost.item(i - 1, j - 1) + sub.item(p_index[i - 1], s_index[j - 1])
+        chosen = _SUB
+        up = cost.item(i - 1, j) + GAP_COST
+        if up < total:
+            total, chosen = up, _PIVOT_ONLY
+        if cost.item(i, j - 1) + GAP_COST < total:
+            chosen = _SOURCE_ONLY
         moves.append(chosen)
-        if chosen == _SUB:
-            i, j = i - 1, j - 1
-        elif chosen == _PIVOT_ONLY:
-            i -= 1
-        else:
+        if chosen != _PIVOT_ONLY:
             j -= 1
+        if chosen != _SOURCE_ONLY:
+            i -= 1
+    moves += [_PIVOT_ONLY] * i + [_SOURCE_ONLY] * j
     moves.reverse()
-    return moves, float(cost[n, m])
+    return moves, cost.item(n, m)
 
 
 def _segment_moves(moves: list) -> list:

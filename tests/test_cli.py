@@ -664,6 +664,19 @@ def test_align_stats_wrong_shaped_line_names_path_and_line(tmp_path, capsys, bad
     assert_one_located_error(code, err, f"{tmp_path / 'pivot.jsonl'}:2:")
 
 
+def test_align_stats_empty_sequence_names_the_pair(tmp_path, capsys):
+    lines = token_lines_identical()
+    write_jsonl(tmp_path / "pivot.jsonl", [lines[0], {"ids": [], "surfaces": []}, lines[2]])
+    write_jsonl(tmp_path / "source.jsonl", lines)
+    code, _, err = run_cli(
+        ["align-stats", "--pivot", str(tmp_path / "pivot.jsonl"),
+         "--source", str(tmp_path / "source.jsonl"),
+         "--out", str(tmp_path / "stats.jsonl")],
+        capsys,
+    )
+    assert_one_located_error(code, err, "EmptySequence: pair 1: ")
+
+
 # --- fuse-targets ----------------------------------------------------------------
 
 

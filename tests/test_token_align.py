@@ -244,6 +244,45 @@ def test_substitution_costs_working_set_is_bounded(rng):
     assert peak < tables + 4 * 2**20, (peak / 2**20, tables / 2**20)
 
 
+def test_three_way_ties_match_scalar_dp_bit_for_bit():
+    # distinct single characters: each of the three moves adds 1.0, so
+    # every cell off the main diagonal ties a substitution with a gap
+    for n in range(1, 7):
+        for m in range(1, 7):
+            assert_matches_scalar_dp(list("abcdef"[:n]), list("uvwxyz"[:m]))
+
+
+def test_equal_gaps_below_substitution_prefer_a_gap_in_the_source():
+    # at the last cell a gap on either side totals 2.5 and substituting
+    # "ba" for "xy" totals 3.0; the walk through the gap in the source wins
+    pivot, source = ["b", "x", "ba"], ["x", "b", "xy"]
+    assert_matches_scalar_dp(pivot, source)
+    assert align_sequences(seq(pivot), seq(source)) == [
+        AlignmentSegment((0, 1), (0, 2)), AlignmentSegment((1, 3), (2, 3))]
+
+
+def test_alignment_working_set_holds_no_move_table(rng):
+    letters = list("abcdefghijklmnop")
+    n = 1500
+
+    def surfaces():
+        return ["".join(rng.choice(letters, size=int(rng.integers(12, 17)))) for _ in range(n)]
+
+    pivot = TokenSeq(list(range(n)), surfaces(), n)
+    source = TokenSeq(list(range(n)), surfaces(), n)
+    assert len(set(pivot.surfaces)) == len(set(source.surfaces)) == n
+    # the float64 cost table and the float64 matrix of substitution
+    # costs; an int8 move table would add 2.15 MiB
+    tables = 8 * (n + 1) ** 2 + 8 * n * n
+    tracemalloc.start()
+    try:
+        alignment_cost(pivot, source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < tables + 2**20, ((peak - tables) / 2**20)
+
+
 def test_kind_histogram():
     tokens = seq(["ab", "b"])
     histogram = kind_histogram(align_sequences(tokens, tokens))
