@@ -26,7 +26,7 @@ from umm.distro_fusion import (
 )
 from umm.errors import IoFailure, LengthMismatch, UmmError, located
 from umm.evo_search import config_from_json_obj, run_search
-from umm.jsonl import iter_jsonl
+from umm.jsonl import iter_jsonl, want_ints, want_list, want_object
 from umm.merge_core import (
     compute_task_vector,
     expand_schedule,
@@ -38,13 +38,13 @@ from umm.token_align import (
     DEFAULT_MARKERS,
     AlignStats,
     SurfaceNormalizer,
-    TokenSeq,
     align_sequences,
     kind_histogram,
     load_stats,
     load_token_seqs,
     project_distribution,
     save_stats,
+    token_seq_from_json_obj,
     update_stats,
 )
 
@@ -106,12 +106,7 @@ def cmd_merge(args) -> dict:
 
 def cmd_search(args) -> dict:
     with open(args.config, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    if args.threads is not None:
-        obj["threads"] = args.threads
-    config = config_from_json_obj(obj)
+        config = config_from_json_obj(json.load(fh), seed=args.seed, threads=args.threads)
     out = Path(args.out)
     result = run_search(config, out, resume=args.resume)
     (out / "best_recipe.json").write_text(result.best_recipe.dumps() + "\n")
@@ -158,25 +153,19 @@ def cmd_fuse_targets(args) -> dict:
     total = picked_pivot = 0
     for index, (lineno, obj) in enumerate(iter_jsonl(args.examples)):
         with located(f"{args.examples}:{lineno}: example {index}"):
-            try:
-                pivot_tokens, source_tokens = obj["pivot"], obj["source"]
-                pivot_ids, pivot_surfaces = pivot_tokens["ids"], pivot_tokens["surfaces"]
-                source_ids, source_surfaces = source_tokens["ids"], source_tokens["surfaces"]
-                instruction = obj.get("instruction", [])
-                pivot_rows, source_rows = obj["pivot_rows"], obj["source_rows"]
-            except (KeyError, TypeError) as exc:
-                raise IoFailure(f"bad example line: {exc}") from exc
-            pivot = TokenSeq(pivot_ids, pivot_surfaces, stats.pivot_vocab_size)
-            source = TokenSeq(source_ids, source_surfaces, stats.source_vocab_size)
-            pivot_dist = DistributionMatrix(pivot_rows)
-            source_dist = DistributionMatrix(source_rows)
+            pivot = token_seq_from_json_obj(want_object(obj, "pivot"), stats.pivot_vocab_size,
+                                            "pivot.")
+            source = token_seq_from_json_obj(want_object(obj, "source"), stats.source_vocab_size,
+                                             "source.")
+            pivot_dist = DistributionMatrix(want_list(obj, "pivot_rows"))
+            source_dist = DistributionMatrix(want_list(obj, "source_rows"))
             segments = align_sequences(pivot, source, norm)
             projected = project_distribution(
                 source_dist, segments, stats, pivot, source,
                 pivot_fallback=pivot_dist, vocab_map=args.vocab_map,
             )
             example = FusionExample(
-                instruction=instruction,
+                instruction=want_ints(obj, "instruction", []),
                 gold=pivot.ids,
                 pivot_dist=pivot_dist,
                 source_dist_aligned=projected,

@@ -24,26 +24,16 @@ from umm.errors import (
     InvalidDistribution,
     InvalidLambda,
     IoFailure,
-    MalformedTokens,
     OutOfVocab,
     ShapeMismatch,
     located,
 )
-from umm.jsonl import iter_jsonl
+from umm.jsonl import iter_jsonl, want_ints, want_list
 from umm.tensor_store import Checkpoint, Tensor, load_checkpoint, save_checkpoint
 
 # floor inside every log so sparse rows cannot produce -inf
 LOG_FLOOR = 1e-12
 ROW_SUM_TOL = 1e-6
-
-
-def token_ids(values, what: str) -> list:
-    """``values`` as a list of ints; anything else raises MalformedTokens."""
-    if isinstance(values, (list, tuple, np.ndarray)) and all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values
-    ):
-        return [int(v) for v in values]
-    raise MalformedTokens(f"{what} must be a list of integers")
 
 
 @dataclass(eq=False)
@@ -96,8 +86,6 @@ class FusionExample:
     source_dist_aligned: DistributionMatrix
 
     def __post_init__(self) -> None:
-        self.instruction = token_ids(self.instruction, "instruction")
-        self.gold = token_ids(self.gold, "gold")
         n = len(self.gold)
         if self.pivot_dist.length != n or self.source_dist_aligned.length != n:
             raise ShapeMismatch(
@@ -324,17 +312,12 @@ def save_toy_model(model: ToyModel, path) -> None:
 
 
 def example_from_json_obj(obj: dict) -> FusionExample:
-    if not isinstance(obj, dict):
-        raise IoFailure(f"fusion example must be a JSON object, got {type(obj).__name__}")
-    try:
-        return FusionExample(
-            instruction=obj["instruction"],
-            gold=obj["gold"],
-            pivot_dist=DistributionMatrix(obj["pivot_rows"]),
-            source_dist_aligned=DistributionMatrix(obj["source_aligned_rows"]),
-        )
-    except KeyError as exc:
-        raise IoFailure(f"fusion example missing field {exc}") from exc
+    return FusionExample(
+        instruction=want_ints(obj, "instruction"),
+        gold=want_ints(obj, "gold"),
+        pivot_dist=DistributionMatrix(want_list(obj, "pivot_rows")),
+        source_dist_aligned=DistributionMatrix(want_list(obj, "source_aligned_rows")),
+    )
 
 
 def load_fusion_corpus(path) -> list:

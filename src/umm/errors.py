@@ -33,6 +33,10 @@ class IoFailure(UmmError):
     """Underlying file I/O failed."""
 
 
+class MalformedInput(UmmError, ValueError):
+    """A field of a JSON input is missing or has the wrong type."""
+
+
 # --- merging --------------------------------------------------------------
 
 class IncompatibleCheckpoints(UmmError):
@@ -94,10 +98,6 @@ class EvaluatorProtocol(UmmError):
 
 
 # --- token alignment / fusion ----------------------------------------------
-
-class MalformedTokens(UmmError):
-    """Token ids are not a list of integers, or surfaces not a list of strings."""
-
 
 class EmptySequence(UmmError):
     """Token sequence is empty."""

@@ -47,8 +47,9 @@ from umm.errors import (
     EvaluatorFailed,
     EvaluatorProtocol,
     LengthMismatch,
+    MalformedInput,
 )
-from umm.jsonl import want_int, want_number, want_str
+from umm.jsonl import want_int, want_number, want_object, want_objects, want_pairs, want_str
 from umm.merge_core import (
     METHODS,
     GroupCoeffs,
@@ -143,11 +144,11 @@ class ExternalEvaluator:
     process group is killed, so children of a wrapping shell go too.
     """
 
-    def __init__(self, command: str, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, command: str, timeout: float):
         if "{checkpoint}" not in command:
             raise ValueError("evaluator command must contain the {checkpoint} placeholder")
         self.command = command
-        self.timeout = float(timeout)
+        self.timeout = timeout
 
     @property
     def evaluator_id(self) -> str:
@@ -182,15 +183,12 @@ class ExternalEvaluator:
         if not lines:
             raise EvaluatorProtocol("evaluator printed nothing to stdout")
         try:
-            obj = json.loads(lines[-1])
-        except json.JSONDecodeError as exc:
-            raise EvaluatorProtocol(f"last stdout line is not JSON: {lines[-1]!r}") from exc
-        if not isinstance(obj, dict) or "fitness" not in obj:
-            raise EvaluatorProtocol(f"expected {{\"fitness\": <float>}}, got {lines[-1]!r}")
-        fitness = obj["fitness"]
-        if isinstance(fitness, bool) or not isinstance(fitness, (int, float)) or not math.isfinite(fitness):
-            raise EvaluatorProtocol(f"fitness must be a finite number, got {fitness!r}")
-        return float(fitness)
+            fitness = want_number(json.loads(lines[-1]), "fitness")
+        except (json.JSONDecodeError, MalformedInput) as exc:
+            raise EvaluatorProtocol(f"last stdout line {lines[-1]!r}: {exc}") from exc
+        if not math.isfinite(fitness):
+            raise EvaluatorProtocol(f"fitness must be finite, got {fitness!r}")
+        return fitness
 
 
 class L2ToTargetEvaluator:
@@ -224,10 +222,11 @@ class ToyRegressionEvaluator:
     model that fits every target perfectly scores 0.
     """
 
-    def __init__(self, targets=DEFAULT_REGRESSION_TARGETS, lo: float = -2.0,
-                 hi: float = 2.0, points: int = 64):
-        self.targets = [(str(kind), float(freq)) for kind, freq in targets]
-        self.xs = np.linspace(float(lo), float(hi), int(points))
+    def __init__(self, targets, lo: float, hi: float, points: int):
+        if points < 1:
+            raise ValueError(f"points must be >= 1, got {points}")
+        self.targets = targets
+        self.xs = np.linspace(lo, hi, points)
         self.ys = []
         for kind, freq in self.targets:
             if kind == "sin":
@@ -237,7 +236,7 @@ class ToyRegressionEvaluator:
             else:
                 raise ValueError(f"unknown target kind {kind!r} (use sin or cos)")
         self._spec = json.dumps(
-            {"targets": self.targets, "lo": float(lo), "hi": float(hi), "points": int(points)},
+            {"targets": self.targets, "lo": lo, "hi": hi, "points": points},
             sort_keys=True,
         )
 
@@ -256,21 +255,19 @@ class ToyRegressionEvaluator:
 
 def make_evaluator(spec: dict):
     """Build an evaluator from its JSON spec (see SearchConfig)."""
-    if not isinstance(spec, dict):
-        raise ValueError("evaluator spec must be an object")
-    if "command" in spec:
-        return ExternalEvaluator(spec["command"], timeout=spec.get("timeout", DEFAULT_TIMEOUT))
-    builtin = spec.get("builtin")
+    where = "search config: evaluator."
+    command = want_str(spec, "command", None, where)
+    if command is not None:
+        return ExternalEvaluator(command, want_number(spec, "timeout", DEFAULT_TIMEOUT, where))
+    builtin = want_str(spec, "builtin", None, where)
     if builtin == "l2-to-target":
-        if "target_path" not in spec:
-            raise ValueError("l2-to-target evaluator needs target_path")
-        return L2ToTargetEvaluator(load_checkpoint(spec["target_path"]))
+        return L2ToTargetEvaluator(load_checkpoint(want_str(spec, "target_path", where=where)))
     if builtin == "toy-regression":
         return ToyRegressionEvaluator(
-            targets=spec.get("targets", DEFAULT_REGRESSION_TARGETS),
-            lo=spec.get("lo", -2.0),
-            hi=spec.get("hi", 2.0),
-            points=spec.get("points", 64),
+            targets=want_pairs(spec, "targets", DEFAULT_REGRESSION_TARGETS, where),
+            lo=want_number(spec, "lo", -2.0, where),
+            hi=want_number(spec, "hi", 2.0, where),
+            points=want_int(spec, "points", 64, where),
         )
     raise ValueError(f"unknown evaluator spec {spec!r}")
 
@@ -335,7 +332,7 @@ class FitnessCache:
         if self.directory:
             path = self.directory / f"{key}.json"
             if path.exists():
-                value = float(json.loads(path.read_text())["fitness"])
+                value = want_number(json.loads(path.read_text()), "fitness", where=f"{path}: ")
                 with self._lock:
                     self._memory[key] = value
                 return value
@@ -415,38 +412,33 @@ class SearchConfig:
             raise ValueError("threads must be >= 1")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if not isinstance(self.evaluator, dict):
-            raise ValueError(f"evaluator must be an object, got {self.evaluator!r}")
-        if self.pop_size is not None and (type(self.pop_size) is not int or self.pop_size < 2):
-            raise ValueError(f"pop_size must be null or an integer >= 2, got {self.pop_size!r}")
-        if self.cache_dir is not None and not isinstance(self.cache_dir, str):
-            raise ValueError(f"cache_dir must be null or a string, got {self.cache_dir!r}")
+        if self.pop_size is not None and self.pop_size < 2:
+            raise ValueError(f"pop_size must be null or >= 2, got {self.pop_size}")
 
 
-def config_from_json_obj(obj: dict) -> SearchConfig:
+def config_from_json_obj(obj: dict, seed: int = None, threads: int = None) -> SearchConfig:
+    """A validated SearchConfig; ``seed`` and ``threads``, when given,
+    replace the values ``obj`` holds."""
     where = "search config: "
-    try:
-        config = SearchConfig(
-            method=want_str(obj, "method", where=where),
-            group_size=want_int(obj, "group_size", where=where),
-            base_path=want_str(obj, "base_path", where=where),
-            models=[
-                {"source_id": want_str(m, "source_id", where=f"{where}models[{i}]."),
-                 "path": want_str(m, "path", where=f"{where}models[{i}].")}
-                for i, m in enumerate(obj["models"])
-            ],
-            evaluator=obj["evaluator"],
-            lambda_scale=want_number(obj, "lambda_scale", 1.0, where),
-            iterations=want_int(obj, "iterations", DEFAULT_ITERATIONS, where),
-            pop_size=obj.get("pop_size"),
-            sigma0=want_number(obj, "sigma0", DEFAULT_SIGMA0, where),
-            seed=want_int(obj, "seed", 0, where),
-            cache_dir=obj.get("cache_dir"),
-            threads=want_int(obj, "threads", 1, where),
-            retries=want_int(obj, "retries", 1, where),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"search config missing or malformed field: {exc}") from exc
+    config = SearchConfig(
+        method=want_str(obj, "method", where=where),
+        group_size=want_int(obj, "group_size", where=where),
+        base_path=want_str(obj, "base_path", where=where),
+        models=[
+            {"source_id": want_str(m, "source_id", where=f"{where}models[{i}]."),
+             "path": want_str(m, "path", where=f"{where}models[{i}].")}
+            for i, m in enumerate(want_objects(obj, "models", where=where))
+        ],
+        evaluator=want_object(obj, "evaluator", where=where),
+        lambda_scale=want_number(obj, "lambda_scale", 1.0, where),
+        iterations=want_int(obj, "iterations", DEFAULT_ITERATIONS, where),
+        pop_size=want_int(obj, "pop_size", None, where),
+        sigma0=want_number(obj, "sigma0", DEFAULT_SIGMA0, where),
+        seed=want_int(obj, "seed", 0, where) if seed is None else seed,
+        cache_dir=want_str(obj, "cache_dir", None, where),
+        threads=want_int(obj, "threads", 1, where) if threads is None else threads,
+        retries=want_int(obj, "retries", 1, where),
+    )
     config.validate()
     return config
 

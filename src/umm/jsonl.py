@@ -1,14 +1,20 @@
 """Readers for JSON inputs: the JSON-lines loop every loader of a .jsonl
-input goes through, and typed fields of a JSON object."""
+input goes through, and the typed field readers, the only code that
+decides whether a field of outside JSON has the right type.  Types are
+compared exactly as ``json`` decodes them: a bool is not a number and a
+float is not an integer.
+"""
 
 from __future__ import annotations
 
 import json
+import reprlib
 from typing import Iterator
 
-from umm.errors import IoFailure
+from umm.errors import IoFailure, MalformedInput
 
 _REQUIRED = object()
+_NUMBER = (int, float)
 
 
 def iter_jsonl(path) -> Iterator:
@@ -28,41 +34,61 @@ def iter_jsonl(path) -> Iterator:
             yield lineno, obj
 
 
-def _field(obj, key: str, default):
-    if key in obj:
-        return obj[key]
-    if default is _REQUIRED:
-        raise KeyError(key)
-    return default
+def _reader(kind: str, types: tuple, items: tuple = None):
+    """A reader of a field whose type is one of ``types`` and, for a list,
+    each element's type one of ``items``; ``kind`` names them in errors."""
+
+    def read(obj, key: str, default=_REQUIRED, where: str = ""):
+        if type(obj) is not dict:
+            raise MalformedInput(f"{where}expected a JSON object, got {reprlib.repr(obj)}")
+        value = obj.get(key, _REQUIRED)
+        if type(value) in types and (items is None or all(type(v) in items for v in value)):
+            return value
+        if value is _REQUIRED:
+            if default is _REQUIRED:
+                raise MalformedInput(f"{where}{key}: missing or malformed field")
+            return default
+        if value is None and default is None:
+            return None
+        raise MalformedInput(f"{where}{key} must be {kind}, got {reprlib.repr(value)}")
+
+    return read
 
 
-def want_int(obj, key: str, default=_REQUIRED, where: str = "") -> int:
-    """``obj[key]`` if it is a JSON integer, or ``default`` when absent.
+# want_X(obj, key, default=<required>, where="") returns obj[key] if it has
+# the type named below, or ``default`` when the key is absent.  A non-object
+# ``obj``, a missing key without a default or a value of another type raises
+# MalformedInput naming ``where`` + ``key``; with a default of None, null also
+# reads as None.
+want_int = _reader("an integer", (int,))
+want_str = _reader("a string", (str,))
+want_object = _reader("a JSON object", (dict,))
+want_list = _reader("a list", (list,))  # its elements are not checked
+want_ints = _reader("a list of integers", (list,), (int,))
+want_strs = _reader("a list of strings", (list,), (str,))
+want_objects = _reader("a list of JSON objects", (list,), (dict,))
+_want_number = _reader("a number", _NUMBER)
+_PAIRS = "a list of [string, number] pairs"
+_want_pairs = _reader(_PAIRS, (list,), (list,))
 
-    A missing key without a default raises KeyError.  A value of another
-    type, bools included, raises ValueError naming ``where`` + ``key``.
-    The other readers follow the same rules.
-    """
-    value = _field(obj, key, default)
-    if type(value) is not int:
-        raise ValueError(f"{where}{key} must be an integer, got {value!r}")
-    return value
 
-
-def want_number(obj, key: str, default=_REQUIRED, where: str = "") -> float:
-    """``obj[key]`` as a float if it is a JSON number (not a bool)."""
-    value = _field(obj, key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{where}{key} must be a number, got {value!r}")
+def _float(value, what: str) -> float:
     try:
         return float(value)
     except OverflowError as exc:
-        raise ValueError(f"{where}{key} is out of range for a float") from exc
+        raise MalformedInput(f"{what} is out of range for a float") from exc
 
 
-def want_str(obj, key: str, default=_REQUIRED, where: str = "") -> str:
-    """``obj[key]`` if it is a JSON string."""
-    value = _field(obj, key, default)
-    if not isinstance(value, str):
-        raise ValueError(f"{where}{key} must be a string, got {value!r}")
-    return value
+def want_number(obj, key: str, default=_REQUIRED, where: str = "") -> float:
+    """``obj[key]`` as a float if it is a JSON number."""
+    value = _want_number(obj, key, default, where)
+    return value if value is None else _float(value, f"{where}{key}")
+
+
+def want_pairs(obj, key: str, default=_REQUIRED, where: str = "") -> list:
+    """``obj[key]`` as (string, float) tuples if it is a list of
+    [string, number] pairs."""
+    value = _want_pairs(obj, key, default, where)
+    if not all(len(p) == 2 and type(p[0]) is str and type(p[1]) in _NUMBER for p in value):
+        raise MalformedInput(f"{where}{key} must be {_PAIRS}, got {reprlib.repr(value)}")
+    return [(name, _float(number, f"{where}{key}")) for name, number in value]

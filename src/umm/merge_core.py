@@ -47,7 +47,7 @@ from umm.errors import (
     RecipeMethodMismatch,
     RecipeModelMismatch,
 )
-from umm.jsonl import want_int, want_number, want_str
+from umm.jsonl import want_int, want_number, want_objects, want_str
 from umm.tensor_store import Checkpoint, CheckpointReader, Tensor, require_compat
 
 METHODS = ("linear", "task_arithmetic", "ties")
@@ -158,28 +158,23 @@ class MergeRecipe:
 
 
 def recipe_from_json_obj(obj: dict) -> MergeRecipe:
-    if not isinstance(obj, dict):
-        raise ValueError("recipe must be a JSON object")
-    try:
-        models = []
-        for i, m in enumerate(obj["models"]):
-            where = f"recipe: models[{i}]."
-            groups = [
-                GroupCoeffs(weight=want_number(g, "weight", where=f"{where}groups[{j}]."),
-                            density=want_number(g, "density", 1.0, where=f"{where}groups[{j}]."))
-                for j, g in enumerate(m["groups"])
-            ]
-            models.append(ModelCoeffs(source_id=want_str(m, "source_id", where=where),
-                                      path=want_str(m, "path", "", where=where),
-                                      groups=groups))
-        recipe = MergeRecipe(
-            method=want_str(obj, "method", where="recipe: "),
-            group_size=want_int(obj, "group_size", where="recipe: "),
-            lambda_scale=want_number(obj, "lambda_scale", 1.0, where="recipe: "),
-            per_model=models,
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"recipe JSON missing or malformed field: {exc}") from exc
+    models = []
+    for i, m in enumerate(want_objects(obj, "models", where="recipe: ")):
+        where = f"recipe: models[{i}]."
+        groups = [
+            GroupCoeffs(weight=want_number(g, "weight", where=f"{where}groups[{j}]."),
+                        density=want_number(g, "density", 1.0, where=f"{where}groups[{j}]."))
+            for j, g in enumerate(want_objects(m, "groups", where=where))
+        ]
+        models.append(ModelCoeffs(source_id=want_str(m, "source_id", where=where),
+                                  path=want_str(m, "path", "", where=where),
+                                  groups=groups))
+    recipe = MergeRecipe(
+        method=want_str(obj, "method", where="recipe: "),
+        group_size=want_int(obj, "group_size", where="recipe: "),
+        lambda_scale=want_number(obj, "lambda_scale", 1.0, where="recipe: "),
+        per_model=models,
+    )
     recipe.validate()
     return recipe
 

@@ -34,17 +34,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from umm.distro_fusion import DistributionMatrix, token_ids
+from umm.distro_fusion import DistributionMatrix
 from umm.errors import (
     EmptySequence,
-    IoFailure,
     LengthMismatch,
-    MalformedTokens,
+    MalformedInput,
     OutOfVocab,
     ShapeMismatch,
     located,
 )
-from umm.jsonl import iter_jsonl
+from umm.jsonl import iter_jsonl, want_int, want_ints, want_strs
 
 ONE_ONE = "one_one"
 ONE_MANY = "one_many"
@@ -67,11 +66,6 @@ class TokenSeq:
     vocab_size: int
 
     def __post_init__(self) -> None:
-        self.ids = token_ids(self.ids, "ids")
-        surfaces = self.surfaces
-        if not isinstance(surfaces, (list, tuple)) or not all(isinstance(s, str) for s in surfaces):
-            raise MalformedTokens("surfaces must be a list of strings")
-        self.surfaces = list(surfaces)
         self.vocab_size = int(self.vocab_size)
         if len(self.ids) != len(self.surfaces):
             raise LengthMismatch(
@@ -85,6 +79,12 @@ class TokenSeq:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def token_seq_from_json_obj(obj: dict, vocab_size: int, where: str = "") -> TokenSeq:
+    """A TokenSeq from a {"ids": [...], "surfaces": [...]} object."""
+    return TokenSeq(want_ints(obj, "ids", where=where), want_strs(obj, "surfaces", where=where),
+                    vocab_size)
 
 
 class SurfaceNormalizer:
@@ -550,9 +550,7 @@ def load_token_seqs(path, vocab_size: int = None) -> list:
     seqs = []
     for lineno, obj in iter_jsonl(path):
         with located(f"{path}:{lineno}"):
-            if not isinstance(obj, dict) or "ids" not in obj or "surfaces" not in obj:
-                raise IoFailure("expected ids and surfaces fields")
-            seqs.append(TokenSeq(obj["ids"], obj["surfaces"], line_vocab))
+            seqs.append(token_seq_from_json_obj(obj, line_vocab))
     if not seqs:
         raise EmptySequence(f"{path} holds no token sequences")
     if vocab_size is None:
@@ -574,12 +572,10 @@ def load_stats(path, pivot_vocab_size: int = None,
     """JSONL of {"p", "s", "c"} JSON integers; repeated pairs add up."""
     counts = {}
     for lineno, obj in iter_jsonl(path):
-        try:
-            p, s, c = obj["p"], obj["s"], obj["c"]
-        except (KeyError, TypeError) as exc:
-            raise IoFailure(f"{path}:{lineno}: bad stats line: {exc}") from exc
-        if not type(p) is type(s) is type(c) is int:  # no float, str or bool
-            raise IoFailure(f"{path}:{lineno}: bad stats line: p, s and c must be integers")
+        try:  # not located(): a stats file has one line per counted pair
+            p, s, c = want_int(obj, "p"), want_int(obj, "s"), want_int(obj, "c")
+        except MalformedInput as exc:
+            raise MalformedInput(f"{path}:{lineno}: bad stats line: {exc}") from exc
         counts[(p, s)] = counts.get((p, s), 0) + c
     if pivot_vocab_size is None:
         pivot_vocab_size = max((p for p, _ in counts), default=0) + 1

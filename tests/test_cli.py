@@ -495,6 +495,46 @@ def test_search_wrong_typed_or_negative_field_exits_1(tmp_path, expert_dir, caps
     assert len(lines) == 1 and field in lines[0], err
 
 
+@pytest.mark.parametrize("top_level", [[], "x", 5], ids=["list", "string", "int"])
+def test_search_seed_and_threads_flags_on_a_non_object_config_exit_1(tmp_path, capsys,
+                                                                    top_level):
+    write_json(tmp_path / "config.json", top_level)
+    code, _, err = run_cli(
+        ["--seed", "1", "--threads", "2", "search", "--config", str(tmp_path / "config.json"),
+         "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert_one_located_error(code, err, "search config: expected a JSON object")
+
+
+COMMAND_SPEC = {"command": "evaluate {checkpoint}"}
+TOY_SPEC = {"builtin": "toy-regression"}
+
+
+@pytest.mark.parametrize("spec,field,value", [
+    (COMMAND_SPEC, "command", 5),
+    (COMMAND_SPEC, "timeout", True),
+    ({"builtin": "l2-to-target", "target_path": "target.st"}, "target_path", 0),
+    (TOY_SPEC, "points", True),
+    (TOY_SPEC, "points", "64"),
+    (TOY_SPEC, "points", 0),
+    (TOY_SPEC, "targets", [["sin", "2.5"]]),
+], ids=["command-int", "timeout-bool", "target-path-int", "points-bool", "points-string",
+        "points-zero", "frequency-string"])
+def test_search_bad_evaluator_field_exits_1(tmp_path, expert_dir, capsys, spec, field, value):
+    evaluator = dict(spec, **{field: value})
+    write_json(tmp_path / "config.json",
+               search_config_obj(expert_dir, iterations=0, evaluator=evaluator))
+    code, _, err = run_cli(
+        ["search", "--config", str(tmp_path / "config.json"),
+         "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert code == 1
+    lines = [line for line in err.splitlines() if line.startswith("ERROR umm: ")]
+    assert len(lines) == 1 and field in lines[0], err
+
+
 CRASHY_EVALUATOR = """\
 import hashlib, json, os, sys
 
@@ -650,7 +690,14 @@ def test_align_stats_mismatched_line_counts_exit_1(tmp_path, capsys):
     {"ids": 5, "surfaces": ["a"]},
     {"ids": [1, "x"], "surfaces": ["a", "b"]},
     {"ids": [1, 2], "surfaces": "ab"},
-], ids=["ids-scalar", "ids-not-int", "surfaces-string"])
+    {"ids": [1, True], "surfaces": ["a", "b"]},
+    {"ids": [1.0], "surfaces": ["a"]},
+    {"ids": [1], "surfaces": [None]},
+    {"ids": [1]},
+    [[1], ["a"]],
+    None,
+], ids=["ids-scalar", "ids-not-int", "surfaces-string", "ids-bool", "ids-float", "surfaces-null",
+        "surfaces-missing", "line-list", "line-null"])
 def test_align_stats_wrong_shaped_line_names_path_and_line(tmp_path, capsys, bad_line):
     lines = token_lines_identical()
     write_jsonl(tmp_path / "pivot.jsonl", [lines[0], bad_line, lines[2]])
@@ -783,8 +830,8 @@ def test_fuse_targets_scalar_instruction_names_the_example(tmp_path, capsys):
     assert_one_located_error(code, err, "example 2:")
 
 
-@pytest.mark.parametrize("bad_rows", [{"a": 1}, [[0.5, 0.5], [1.0]]],
-                         ids=["object", "ragged"])
+@pytest.mark.parametrize("bad_rows", [{"a": 1}, [[0.5, 0.5], [1.0]], "x", None, 1.0],
+                         ids=["object", "ragged", "string", "null", "number"])
 def test_fuse_targets_malformed_rows_name_the_example(tmp_path, capsys, bad_rows):
     raw = fuse_fixture(tmp_path, capsys,
                        source_rows_for=lambda ids: [[0.25] * 4 for _ in ids])
@@ -937,8 +984,11 @@ def test_toy_train_invalid_lambda_exits_1(tmp_path, capsys):
     assert code == 1 and "InvalidLambda" in err
 
 
-@pytest.mark.parametrize("bad_line", [[1], {"instruction": [0], "gold": [1]}],
-                         ids=["not-an-object", "missing-field"])
+@pytest.mark.parametrize("bad_line", [
+    [1], {"instruction": [0], "gold": [1]}, None,
+    {"instruction": [0], "gold": [True], "pivot_rows": [[1.0]], "source_aligned_rows": [[1.0]]},
+    {"instruction": 0, "gold": [0], "pivot_rows": [[1.0]], "source_aligned_rows": [[1.0]]},
+], ids=["not-an-object", "missing-field", "null", "gold-bool", "instruction-scalar"])
 def test_toy_train_wrong_shaped_line_names_path_and_line(tmp_path, capsys, bad_line):
     write_fusion_corpus(small_corpus(), tmp_path / "corpus.jsonl")
     with open(tmp_path / "corpus.jsonl", "a", encoding="utf-8") as fh:
@@ -951,8 +1001,8 @@ def test_toy_train_wrong_shaped_line_names_path_and_line(tmp_path, capsys, bad_l
     assert_one_located_error(code, err, f"{tmp_path / 'corpus.jsonl'}:3:")
 
 
-@pytest.mark.parametrize("bad_rows", [{"a": 1}, [[0.5, 0.5], [1.0]]],
-                         ids=["object", "ragged"])
+@pytest.mark.parametrize("bad_rows", [{"a": 1}, [[0.5, 0.5], [1.0]], "x", None, 1.0],
+                         ids=["object", "ragged", "string", "null", "number"])
 def test_toy_train_malformed_rows_name_path_and_line(tmp_path, capsys, bad_rows):
     write_fusion_corpus(small_corpus(), tmp_path / "corpus.jsonl")
     line = json.loads((tmp_path / "corpus.jsonl").read_text().splitlines()[0])
@@ -1002,3 +1052,124 @@ def test_inspect_truncated_container_exits_1(tmp_path, capsys):
 def test_inspect_missing_file_exits_1(tmp_path, capsys):
     code, _, err = run_cli(["inspect", "--ckpt", str(tmp_path / "nope.st")], capsys)
     assert code == 1 and "IoFailure" in err
+
+
+# --- every input field, replaced by a value of each JSON type --------------------
+
+
+WRONG_VALUES = (5, "x", True, None, [], {})
+
+
+def json_paths(value, path=()):
+    """The path of every node of a parsed JSON value, itself included."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+def recipe_input(tmp_path):
+    rng = np.random.default_rng(16)
+    save_checkpoint(layered_ckpt(rng, num_layers=2), tmp_path / "base.st")
+    save_checkpoint(layered_ckpt(rng, num_layers=2), tmp_path / "a.st")
+    recipe = recipe_obj("ties", 1, 3, [("a", str(tmp_path / "a.st"), (0.5, 0.5))])
+    return "recipe.json", recipe, ["merge", "--base", str(tmp_path / "base.st"),
+                                   "--recipe", "recipe.json", "--out", "merged.st"]
+
+
+def search_input(tmp_path, evaluator):
+    for seed, name in enumerate(("base", "a", "b")):
+        save_checkpoint(init_mlp(seed, widths=(1, 3, 3, 1)), tmp_path / f"{name}.st")
+    config = {
+        "method": "ties", "group_size": 2, "base_path": "base.st",
+        "models": [{"source_id": "a", "path": "a.st"}, {"source_id": "b", "path": "b.st"}],
+        "evaluator": evaluator, "lambda_scale": 1.0, "iterations": 0, "pop_size": None,
+        "sigma0": 0.1, "seed": 0, "cache_dir": None, "threads": 1, "retries": 0,
+    }
+    return "config.json", config, ["--seed", "1", "search", "--config", "config.json",
+                                   "--out", "run"]
+
+
+def token_input(tmp_path):
+    lines = [{"ids": [0, 1], "surfaces": ["▁a", "b"]}, {"ids": [2], "surfaces": ["c"]}]
+    write_jsonl(tmp_path / "source.jsonl", lines)
+    return "pivot.jsonl", lines, ["align-stats", "--pivot", "pivot.jsonl",
+                                  "--source", "source.jsonl", "--out", "stats.jsonl"]
+
+
+def example_lines():
+    tokens = {"ids": [0, 1], "surfaces": ["a", "b"]}
+    rows = [[0.5, 0.5], [0.25, 0.75]]
+    return [{"pivot": tokens, "source": tokens, "instruction": [1],
+             "pivot_rows": rows, "source_rows": rows}]
+
+
+def fuse_argv():
+    return ["fuse-targets", "--examples", "raw.jsonl", "--stats", "stats.jsonl",
+            "--pivot-vocab", "2", "--source-vocab", "2", "--out-dir", "fused"]
+
+
+def stats_input(tmp_path):
+    write_jsonl(tmp_path / "raw.jsonl", example_lines())
+    return "stats.jsonl", [{"p": 0, "s": 0, "c": 2}, {"p": 1, "s": 1, "c": 1}], fuse_argv()
+
+
+def example_input(tmp_path):
+    write_jsonl(tmp_path / "stats.jsonl", [{"p": 0, "s": 0, "c": 2}, {"p": 1, "s": 1, "c": 1}])
+    return "raw.jsonl", example_lines(), fuse_argv()
+
+
+def corpus_input(tmp_path):
+    corpus = [{"instruction": [1], "gold": [0, 1], "pivot_rows": [[0.5, 0.5], [0.25, 0.75]],
+               "source_aligned_rows": [[1.0, 0.0], [0.5, 0.5]]}]
+    return "corpus.jsonl", corpus, ["toy-train", "--corpus", "corpus.jsonl",
+                                    "--lambda", "0.5", "--steps", "1", "--out", "run"]
+
+
+INPUTS = {
+    "recipe": recipe_input,
+    "search-builtin": lambda tmp_path: search_input(tmp_path, {
+        "builtin": "toy-regression", "targets": [["sin", 2.5], ["cos", 1.5]],
+        "lo": -1.0, "hi": 1.0, "points": 8}),
+    "search-command": lambda tmp_path: search_input(tmp_path, {
+        "command": """sh -c 'echo "{\\"fitness\\": 0.5}"' {checkpoint}""", "timeout": 60}),
+    "search-target": lambda tmp_path: search_input(tmp_path, {
+        "builtin": "l2-to-target", "target_path": "a.st"}),
+    "tokens": token_input,
+    "stats": stats_input,
+    "example": example_input,
+    "corpus": corpus_input,
+}
+
+
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_every_input_field_of_a_wrong_type_exits_0_or_1(tmp_path, monkeypatch, capsys, name):
+    """Each node of a valid input, replaced by each JSON type in turn,
+    ends in exit 0 or 1 and never in an uncaught exception."""
+    monkeypatch.chdir(tmp_path)
+    filename, doc, argv = INPUTS[name](tmp_path)
+    jsonl = filename.endswith(".jsonl")
+    argv = ["--log-level", "error"] + argv
+    (write_jsonl if jsonl else write_json)(tmp_path / filename, doc)
+    assert main(argv) == 0, capsys.readouterr().err
+    for path in json_paths(doc):
+        if jsonl and not path:
+            continue  # a JSON-lines file is its lines, not one array
+        for value in WRONG_VALUES:
+            if path:
+                changed = json.loads(json.dumps(doc))
+                set_field(changed, path, value)
+            else:
+                changed = value
+            (write_jsonl if jsonl else write_json)(tmp_path / filename, changed)
+            try:
+                code = main(argv)
+            except Exception as exc:  # report which input, not just the traceback
+                pytest.fail(f"{name}: {path} = {value!r} raised {type(exc).__name__}: {exc}")
+            capsys.readouterr()
+            assert code in (0, 1), (name, path, value, code)

@@ -28,6 +28,7 @@ from umm.errors import (
     InvalidDistribution,
     InvalidLambda,
     IoFailure,
+    MalformedInput,
     OutOfVocab,
     ShapeMismatch,
 )
@@ -470,7 +471,7 @@ def test_corpus_jsonl_malformed(tmp_path):
     with pytest.raises(IoFailure):
         load_fusion_corpus(path)
     path.write_text('{"instruction": [0], "gold": [0]}\n')
-    with pytest.raises(IoFailure):
+    with pytest.raises(MalformedInput):
         load_fusion_corpus(path)
 
 

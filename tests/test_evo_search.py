@@ -12,6 +12,7 @@ from umm.errors import (
     EvaluatorFailed,
     EvaluatorProtocol,
     LengthMismatch,
+    MalformedInput,
     MissingLayerMetadata,
 )
 from umm.evo_search import (
@@ -317,6 +318,14 @@ def test_cache_persists_on_disk(tmp_path):
         recipe, ev, tmp_path, sources, cache=FitnessCache(cache_dir)
     )
     assert not invoked2 and f1 == f2 and ev.calls == 1
+
+
+@pytest.mark.parametrize("text", ['{"score": 1.0}', '{"fitness": "1.0"}', "[1.0]"],
+                         ids=["missing", "string", "list"])
+def test_cache_file_of_the_wrong_shape_is_malformed_input(tmp_path, text):
+    (tmp_path / "key.json").write_text(text)
+    with pytest.raises(MalformedInput, match="key.json: "):
+        FitnessCache(tmp_path).get("key")
 
 
 def test_cache_put_survives_a_concurrent_put_of_the_same_key(tmp_path, monkeypatch):

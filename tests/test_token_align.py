@@ -5,15 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from umm.distro_fusion import DistributionMatrix, token_ids
+from umm.distro_fusion import DistributionMatrix
 from umm.errors import (
     EmptySequence,
     IoFailure,
     LengthMismatch,
+    MalformedInput,
     OutOfVocab,
     ShapeMismatch,
 )
-from umm.jsonl import iter_jsonl
+from umm.jsonl import iter_jsonl, want_ints
 from umm.token_align import (
     AlignmentSegment,
     AlignStats,
@@ -522,11 +523,11 @@ def test_token_seq_jsonl_infers_vocab(tmp_path):
 def test_token_seq_jsonl_checks_each_line_once(tmp_path, monkeypatch, vocab_size):
     calls = []
 
-    def counting_token_ids(values, what):
-        calls.append(list(values))
-        return token_ids(values, what)
+    def counting_want_ints(obj, key, *args, **kwargs):
+        calls.append(list(obj[key]))
+        return want_ints(obj, key, *args, **kwargs)
 
-    monkeypatch.setattr("umm.token_align.token_ids", counting_token_ids)
+    monkeypatch.setattr("umm.token_align.want_ints", counting_want_ints)
     lines = [{"ids": [0, 2], "surfaces": ["a", "b"]}, {"ids": [1], "surfaces": ["c"]},
              {"ids": [], "surfaces": []}]
     path = tmp_path / "tokens.jsonl"
@@ -546,7 +547,7 @@ def test_token_seq_jsonl_negative_id_names_the_line(tmp_path):
 def test_token_seq_jsonl_malformed(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"ids": [0]}\n')
-    with pytest.raises(IoFailure):
+    with pytest.raises(MalformedInput):
         load_token_seqs(path)
     path.write_text("not json\n")
     with pytest.raises(IoFailure):
@@ -578,7 +579,7 @@ def test_stats_jsonl_accumulates_duplicates(tmp_path):
 def test_stats_jsonl_malformed(tmp_path):
     path = tmp_path / "stats.jsonl"
     path.write_text('{"p": 0}\n')
-    with pytest.raises(IoFailure):
+    with pytest.raises(MalformedInput):
         load_stats(path)
 
 
@@ -588,11 +589,16 @@ def test_stats_jsonl_malformed(tmp_path):
     {"p": True, "s": 0, "c": 1},
     {"p": 0, "s": "1", "c": 1},
     {"p": 0, "s": 1, "c": None},
-], ids=["float", "integral-float", "bool", "string", "null"])
+    {"p": 0, "s": [1], "c": 1},
+    {"p": {}, "s": 1, "c": 1},
+    [0, 1, 1],
+    5,
+], ids=["float", "integral-float", "bool", "string", "null", "list", "object", "line-list",
+        "line-int"])
 def test_stats_jsonl_rejects_non_integers(tmp_path, line):
     path = tmp_path / "stats.jsonl"
     path.write_text('{"p": 0, "s": 0, "c": 1}\n' + json.dumps(line) + "\n")
-    with pytest.raises(IoFailure, match=f"{re.escape(str(path))}:2: bad stats line"):
+    with pytest.raises(MalformedInput, match=f"{re.escape(str(path))}:2: bad stats line"):
         load_stats(path)
 
 
