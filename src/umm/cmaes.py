@@ -22,9 +22,11 @@ from umm.errors import (
     CovarianceNotPD,
     InvalidDimension,
     LengthMismatch,
+    MalformedInput,
     NonFiniteFitness,
     StepSizeOutOfRange,
 )
+from umm.jsonl import want_int, want_number, want_numbers, want_object, want_str
 
 SIGMA_MIN = 1e-300
 SIGMA_MAX = 1e300
@@ -226,17 +228,29 @@ def state_to_json_obj(state: CmaesState) -> dict:
     }
 
 
-def state_from_json_obj(obj: dict) -> CmaesState:
-    dim = int(obj["dim"])
+def state_from_json_obj(obj: dict, where: str = "") -> CmaesState:
+    """The state ``state_to_json_obj`` wrote.  A field of the wrong type or
+    length raises MalformedInput naming ``where`` and the field."""
+    dim = want_int(obj, "dim", where=where)
+    pop_size = want_int(obj, "pop_size", where=where)
+    if dim < 1 or pop_size < 2:
+        raise MalformedInput(f"{where}dim {dim} must be >= 1 and pop_size {pop_size} >= 2")
+
+    def vector(key: str, size: int) -> np.ndarray:
+        values = want_numbers(obj, key, where=where)
+        if len(values) != size:
+            raise MalformedInput(f"{where}{key} has {len(values)} entries, expected {size}")
+        return np.asarray(values, dtype=np.float64)
+
     state = CmaesState(
-        params=CmaesParams.make(dim, int(obj["pop_size"])),
-        mean=np.asarray(obj["mean"], dtype=np.float64),
-        sigma=float(obj["sigma"]),
-        cov=np.asarray(obj["cov"], dtype=np.float64).reshape(dim, dim),
-        path_sigma=np.asarray(obj["path_sigma"], dtype=np.float64),
-        path_cov=np.asarray(obj["path_cov"], dtype=np.float64),
-        generation=int(obj["generation"]),
-        rng=_rng_from_obj(obj["rng_state"]),
+        params=CmaesParams.make(dim, pop_size),
+        mean=vector("mean", dim),
+        sigma=want_number(obj, "sigma", where=where),
+        cov=vector("cov", dim * dim).reshape(dim, dim),
+        path_sigma=vector("path_sigma", dim),
+        path_cov=vector("path_cov", dim),
+        generation=want_int(obj, "generation", where=where),
+        rng=_rng_from_obj(want_object(obj, "rng_state", where=where), f"{where}rng_state."),
     )
     _decompose(state)
     return state
@@ -253,13 +267,24 @@ def _rng_state_to_obj(rng: np.random.Generator) -> dict:
     }
 
 
-def _rng_from_obj(obj: dict) -> np.random.Generator:
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = {
-        "bit_generator": obj["bit_generator"],
-        "state": {"state": int(obj["state"]), "inc": int(obj["inc"])},
-        "has_uint32": int(obj["has_uint32"]),
-        "uinteger": int(obj["uinteger"]),
-    }
-    return rng
+def _want_uint(obj: dict, key: str, where: str) -> int:
+    """A non-negative integer written as a decimal string."""
+    text = want_str(obj, key, where=where)
+    if not text.isdecimal():
+        raise MalformedInput(f"{where}{key} must be a decimal integer string, got {text!r}")
+    return int(text)
 
+
+def _rng_from_obj(obj: dict, where: str = "") -> np.random.Generator:
+    state = {
+        "bit_generator": want_str(obj, "bit_generator", where=where),
+        "state": {"state": _want_uint(obj, "state", where), "inc": _want_uint(obj, "inc", where)},
+        "has_uint32": want_int(obj, "has_uint32", where=where),
+        "uinteger": want_int(obj, "uinteger", where=where),
+    }
+    rng = np.random.default_rng(0)
+    try:
+        rng.bit_generator.state = state
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInput(f"{where.rstrip('.')} is not a PCG64 generator state: {exc}") from exc
+    return rng

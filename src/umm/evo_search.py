@@ -49,7 +49,15 @@ from umm.errors import (
     LengthMismatch,
     MalformedInput,
 )
-from umm.jsonl import want_int, want_number, want_object, want_objects, want_pairs, want_str
+from umm.jsonl import (
+    want_int,
+    want_number,
+    want_numbers,
+    want_object,
+    want_objects,
+    want_pairs,
+    want_str,
+)
 from umm.merge_core import (
     METHODS,
     GroupCoeffs,
@@ -541,14 +549,26 @@ def run_search(config: SearchConfig, workdir, resume: bool = False,
 
     if resume and state_path.exists():
         saved = json.loads(state_path.read_text())
-        if saved.get("fingerprint") != fingerprint:
+        where = f"{state_path}: "
+        if want_str(saved, "fingerprint", where=where) != fingerprint:
             raise ValueError("search_state.json does not match this configuration")
-        state = state_from_json_obj(saved["cmaes"])
-        best_genome = np.asarray(saved["best_genome"], dtype=np.float64)
-        best_fitness = float(saved["best_fitness"])
-        history = list(saved["history"])
-        evaluations = int(saved["evaluations"])
-        invocations = int(saved["invocations"])
+        state = state_from_json_obj(want_object(saved, "cmaes", where=where), f"{where}cmaes.")
+        if (state.dim, state.pop_size) != (dim, pop):
+            raise MalformedInput(f"{where}cmaes: dim {state.dim} and pop_size "
+                                 f"{state.pop_size}, expected {dim} and {pop}")
+        best_genome = np.asarray(want_numbers(saved, "best_genome", where=where), np.float64)
+        if best_genome.shape != (dim,):
+            raise MalformedInput(f"{where}best_genome has {best_genome.size} entries, "
+                                 f"expected {dim}")
+        best_fitness = want_number(saved, "best_fitness", where=where)
+        history = []
+        for i, row in enumerate(want_objects(saved, "history", where=where)):
+            at = f"{where}history[{i}]."
+            history.append({"generation": want_int(row, "generation", where=at),
+                            "best": want_number(row, "best", where=at),
+                            "best_so_far": want_number(row, "best_so_far", where=at)})
+        evaluations = want_int(saved, "evaluations", where=where)
+        invocations = want_int(saved, "invocations", where=where)
     else:
         best_genome = initial_mean(template)
         state = cmaes_init(dim, best_genome, config.sigma0, pop_size=pop, seed=config.seed)

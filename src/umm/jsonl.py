@@ -68,6 +68,7 @@ want_ints = _reader("a list of integers", (list,), (int,))
 want_strs = _reader("a list of strings", (list,), (str,))
 want_objects = _reader("a list of JSON objects", (list,), (dict,))
 _want_number = _reader("a number", _NUMBER)
+_want_numbers = _reader("a list of numbers", (list,), _NUMBER)
 _PAIRS = "a list of [string, number] pairs"
 _want_pairs = _reader(_PAIRS, (list,), (list,))
 
@@ -83,6 +84,12 @@ def want_number(obj, key: str, default=_REQUIRED, where: str = "") -> float:
     """``obj[key]`` as a float if it is a JSON number."""
     value = _want_number(obj, key, default, where)
     return value if value is None else _float(value, f"{where}{key}")
+
+
+def want_numbers(obj, key: str, default=_REQUIRED, where: str = "") -> list:
+    """``obj[key]`` as a list of floats if it is a list of JSON numbers."""
+    value = _want_numbers(obj, key, default, where)
+    return value if value is None else [_float(v, f"{where}{key}") for v in value]
 
 
 def want_pairs(obj, key: str, default=_REQUIRED, where: str = "") -> list:

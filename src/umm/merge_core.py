@@ -8,15 +8,18 @@ the kernel of ``recipe.method`` with the base array, the M deltas and
 that tensor's per-model (weight, density) pairs:
 
 * task_arithmetic: base + lambda * sum of weighted deltas
-* ties: trim each delta to its largest-magnitude entries (``ties_trim``),
-  elect a per-coordinate consensus sign (``ties_elect``), average the
-  sign-agreeing survivors with normalized weights
-  (``ties_disjoint_merge``), then add to the base scaled by lambda
+* ties: trim each delta to its largest-magnitude entries (``ties_trim``)
+  as it is read, elect a per-coordinate consensus sign (``ties_elect``),
+  average the sign-agreeing survivors with normalized weights
+  (``ties_disjoint_merge``), then add to the base scaled by lambda; all
+  but the trim run on blocks of ``_BLOCK`` entries that fit in L2
 * linear: base + (sum of weighted deltas) / (sum of weights); lambda and
   densities are ignored, and a zero weight sum passes the base through
 
-task_arithmetic and ties keep the base bits, -0.0 included, for a tensor
-whose scaled contribution is exactly zero.
+The deltas reach the kernel as a generator, so a kernel holds only the
+deltas it has read.  task_arithmetic and ties keep the base bits, -0.0
+included, for a tensor whose scaled contribution is exactly zero in
+every block.
 
 Coefficients are organized in layer groups: tensors whose names match
 the checkpoint's layer-name template with index i share the group
@@ -459,13 +462,32 @@ def ties_disjoint_merge(trimmed: list, gamma: np.ndarray, weights: list) -> np.n
 
 # --- per-tensor kernels: (base, deltas, coeffs, lambda) -> merged f32 array ---------
 
-def _add_scaled(base: np.ndarray, delta: np.ndarray, lam: float) -> np.ndarray:
-    """base + lam * delta; an exact-zero contribution keeps the base bits."""
-    scaled = np.float32(lam) * delta
-    if not scaled.any():
-        # avoids flipping -0.0 in the base to +0.0
+# entries per block of the TIES finish and the scaled add: the few f32
+# working arrays of one block, about 1 MiB in all, fit in a 2 MiB
+# per-core L2, which whole multi-MiB tensors do not
+_BLOCK = 1 << 15
+
+
+def _add_scaled_blocks(base: np.ndarray, part, lam: float) -> np.ndarray:
+    """base + lam * contribution, one block of flat entries at a time.
+
+    ``part(lo, hi)`` returns the contribution to flat entries lo:hi.  A
+    tensor whose scaled contribution is exactly zero in every block keeps
+    the base bits, -0.0 included; otherwise every entry is base + scaled,
+    so a -0.0 base entry comes out +0.0 even in a block that adds +0.0.
+    """
+    lam32 = np.float32(lam)
+    flat = base.ravel()
+    out = np.empty_like(flat)
+    contributes = False
+    for lo in range(0, flat.size, _BLOCK):
+        hi = lo + _BLOCK
+        scaled = lam32 * part(lo, hi)
+        contributes = contributes or scaled.any()
+        np.add(flat[lo:hi], scaled, out=out[lo:hi])
+    if not contributes:
         return base.copy()
-    return base + scaled
+    return out.reshape(base.shape)
 
 
 def _weighted_sum(base, deltas, coeffs) -> np.ndarray:
@@ -476,15 +498,23 @@ def _weighted_sum(base, deltas, coeffs) -> np.ndarray:
 
 
 def _task_arithmetic_kernel(base, deltas, coeffs, lam):
-    return _add_scaled(base, _weighted_sum(base, deltas, coeffs), lam)
+    acc = _weighted_sum(base, deltas, coeffs).ravel()
+    return _add_scaled_blocks(base, lambda lo, hi: acc[lo:hi], lam)
 
 
 def _ties_kernel(base, deltas, coeffs, lam):
-    # the steps are looked up at call time so they can be rebound
-    trimmed = [ties_trim(delta, density) for delta, (_, density) in zip(deltas, coeffs)]
-    gamma = ties_elect(trimmed)
-    merged = ties_disjoint_merge(trimmed, gamma, [weight for weight, _ in coeffs])
-    return _add_scaled(base, merged, lam)
+    # The steps are looked up at call time so they can be rebound.  map
+    # trims each delta as it is read and then drops it, so one raw delta
+    # is alive beside the trimmed ones.  Sign election and the disjoint
+    # merge are elementwise, so they run one block at a time.
+    trimmed = [t.ravel() for t in map(ties_trim, deltas, [d for _, d in coeffs])]
+    weights = [weight for weight, _ in coeffs]
+
+    def part(lo, hi):
+        parts = [t[lo:hi] for t in trimmed]
+        return ties_disjoint_merge(parts, ties_elect(parts), weights)
+
+    return _add_scaled_blocks(base, part, lam)
 
 
 def _linear_kernel(base, deltas, coeffs, lam):
@@ -519,8 +549,8 @@ def merge(base: Checkpoint, vectors: list, recipe: MergeRecipe) -> Checkpoint:
     # as NonFiniteValue, so numpy's own warning would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for name, tensor in base.items():
-            # the deltas live only for this call: lazy ones are read per tensor
-            merged = kernel(tensor.data, [vec.deltas[name] for vec in ordered],
+            # a generator: the kernel reads each delta when it needs it
+            merged = kernel(tensor.data, (vec.deltas[name] for vec in ordered),
                             schedule.coeffs(name), recipe.lambda_scale)
             tensors[name] = Tensor(merged, dtype="f32")
     return Checkpoint(tensors=tensors, metadata=dict(base.metadata))

@@ -1095,6 +1095,18 @@ def search_input(tmp_path, evaluator):
                                    "--out", "run"]
 
 
+def search_state_input(tmp_path):
+    """A finished search's state file, read back by ``--resume``."""
+    _, config, argv = search_input(tmp_path, {
+        "builtin": "toy-regression", "targets": [["sin", 2.5]], "points": 4})
+    # one layer group and the global one keep the covariance at 8 x 8
+    config.update(iterations=1, group_size=4)
+    write_json(tmp_path / "config.json", config)
+    assert main(["--log-level", "error"] + argv) == 0
+    state = json.loads((tmp_path / "run" / "search_state.json").read_text())
+    return "run/search_state.json", state, argv + ["--resume"]
+
+
 def token_input(tmp_path):
     lines = [{"ids": [0, 1], "surfaces": ["▁a", "b"]}, {"ids": [2], "surfaces": ["c"]}]
     write_jsonl(tmp_path / "source.jsonl", lines)
@@ -1140,6 +1152,7 @@ INPUTS = {
         "command": """sh -c 'echo "{\\"fitness\\": 0.5}"' {checkpoint}""", "timeout": 60}),
     "search-target": lambda tmp_path: search_input(tmp_path, {
         "builtin": "l2-to-target", "target_path": "a.st"}),
+    "search-state": search_state_input,
     "tokens": token_input,
     "stats": stats_input,
     "example": example_input,
@@ -1173,3 +1186,26 @@ def test_every_input_field_of_a_wrong_type_exits_0_or_1(tmp_path, monkeypatch, c
                 pytest.fail(f"{name}: {path} = {value!r} raised {type(exc).__name__}: {exc}")
             capsys.readouterr()
             assert code in (0, 1), (name, path, value, code)
+
+
+@pytest.mark.parametrize("path,value,field", [
+    ((), [], "search_state.json"),
+    (("evaluations",), "5", "evaluations"),
+    (("history", 0, "best"), "x", "history[0].best"),
+    (("cmaes", "mean"), [0.5], "cmaes.mean"),
+    (("cmaes", "rng_state", "bit_generator"), [], "cmaes.rng_state.bit_generator"),
+    (("cmaes", "rng_state", "state"), "-1", "cmaes.rng_state.state"),
+    (("cmaes", "rng_state", "uinteger"), -1, "cmaes.rng_state"),
+])
+def test_search_resume_bad_state_field_exits_1(tmp_path, monkeypatch, capsys, path, value, field):
+    monkeypatch.chdir(tmp_path)
+    filename, state, argv = search_state_input(tmp_path)
+    if path:
+        set_field(state, path, value)
+    else:
+        state = value
+    write_json(tmp_path / filename, state)
+    capsys.readouterr()
+    code, _, err = run_cli(argv, capsys)
+    assert_one_located_error(code, err, "search_state.json")
+    assert "MalformedInput" in err and field in err, err

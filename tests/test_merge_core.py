@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import tracemalloc
@@ -13,6 +14,7 @@ from umm.errors import (
     InvalidDensity,
     InvalidWeight,
     MissingLayerMetadata,
+    NonFiniteValue,
     RecipeMethodMismatch,
     RecipeModelMismatch,
 )
@@ -31,7 +33,13 @@ from umm.merge_core import (
     ties_elect,
     ties_trim,
 )
-from umm.tensor_store import Checkpoint, Tensor
+from umm.tensor_store import (
+    Checkpoint,
+    CheckpointReader,
+    Tensor,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 from conftest import random_ties_instance
 from reference_impls import (
@@ -611,8 +619,43 @@ def test_ties_model_order_invariance(rng):
         assert out1.array(name).tobytes() == out2.array(name).tobytes()
 
 
-def test_ties_steps_are_called_per_tensor_through_module_globals(rng, monkeypatch):
-    calls = {"trim": [], "elect": 0, "disjoint": 0}
+_BLOCK = merge_core._BLOCK
+_ONE_LAYER = {"layer_pattern": "layers.{i}.", "num_layers": "1"}
+_WEIGHTS = (0.3, 0.5, 0.7)
+_DENSITIES = (0.2, 0.5, 0.8)
+
+
+def _global_recipe(method, lam=1.0):
+    """Three models with distinct weights and densities, for a checkpoint
+    of one layer whose tensors all fall in the global group."""
+    per_model = [ModelCoeffs(source_id=f"m{m}",
+                             groups=[GroupCoeffs(weight=w, density=d)] * 2)
+                 for m, (w, d) in enumerate(zip(_WEIGHTS, _DENSITIES))]
+    return MergeRecipe(method=method, group_size=1, lambda_scale=lam, per_model=per_model)
+
+
+def _blocked_instance(rng, shapes):
+    """Base arrays and three models' deltas of the given shapes on the bf16
+    grid, with signed zeros in both."""
+    def draw(shape, scale):
+        values = np.array(bf16_grid(rng.laplace(0.0, scale, shape)))
+        values[rng.random(shape) < 0.1] = -0.0
+        return values
+
+    base = {name: draw(shape, 1.0) for name, shape in shapes.items()}
+    vectors = [{name: draw(shape, 5e-4) for name, shape in shapes.items()} for _ in _WEIGHTS]
+    return base, vectors
+
+
+def _merge_arrays(method, base, vectors, lam=1.0):
+    out = merge(Checkpoint({n: Tensor(a) for n, a in base.items()}, metadata=_ONE_LAYER),
+                [TaskVector(deltas=v, source_id=f"m{m}") for m, v in enumerate(vectors)],
+                _global_recipe(method, lam))
+    return {name: out.array(name) for name in base}
+
+
+def test_ties_steps_are_called_per_tensor_and_block_through_module_globals(rng, monkeypatch):
+    calls = {"trim": [], "elect": [], "disjoint": 0}
     trim, elect, disjoint = (merge_core.ties_trim, merge_core.ties_elect,
                              merge_core.ties_disjoint_merge)
 
@@ -621,7 +664,7 @@ def test_ties_steps_are_called_per_tensor_through_module_globals(rng, monkeypatc
         return trim(delta, density)
 
     def counting_elect(trimmed):
-        calls["elect"] += 1
+        calls["elect"].append(trimmed[0].size)
         return elect(trimmed)
 
     def counting_disjoint(trimmed, gamma, weights):
@@ -631,11 +674,97 @@ def test_ties_steps_are_called_per_tensor_through_module_globals(rng, monkeypatc
     monkeypatch.setattr(merge_core, "ties_trim", counting_trim)
     monkeypatch.setattr(merge_core, "ties_elect", counting_elect)
     monkeypatch.setattr(merge_core, "ties_disjoint_merge", counting_disjoint)
-    inst = random_ties_instance(rng, n_models=3)
-    merge(inst["base"], inst["vectors"], inst["recipe"])
-    base = inst["base"]
-    assert calls["trim"] == [base.tensors[n].shape for n in base.names() for _ in range(3)]
-    assert calls["elect"] == calls["disjoint"] == len(base)
+    shapes = {"a.w": (3, 5), "b.w": (2 * _BLOCK + 7,), "c.w": ()}
+    base, vectors = _blocked_instance(rng, shapes)
+    _merge_arrays("ties", base, vectors)
+    # each delta is trimmed whole, once per model, in name order
+    assert calls["trim"] == [shape for shape in shapes.values() for _ in _WEIGHTS]
+    # sign election and the disjoint merge run once per block
+    assert calls["elect"] == [15, _BLOCK, _BLOCK, 7, 1]
+    assert calls["disjoint"] == len(calls["elect"])
+
+
+_BOUNDARY_SHAPES = {
+    "a.one": (1,), "b.below": (_BLOCK - 1,), "c.block": (_BLOCK,), "d.above": (_BLOCK + 1,),
+    "e.blocks": (2 * _BLOCK + 7,), "f.scalar": (), "g.tail": (2 * _BLOCK + 7,),
+    "h.none": (_BLOCK + 1,),
+}
+
+
+@pytest.mark.parametrize("method", ["ties", "task_arithmetic"])
+def test_merge_block_boundaries_bitwise(method):
+    rng = np.random.default_rng(31)
+    base, vectors = _blocked_instance(rng, _BOUNDARY_SHAPES)
+    # g.tail: -0.0 base entries in the first block, and the only nonzero
+    # deltas in the last one; h.none: no model contributes anywhere
+    base["g.tail"][:_BLOCK:3] = -0.0
+    for vec in vectors:
+        vec["g.tail"][:-7] = 0.0
+        vec["h.none"][:] = np.where(rng.random(_BLOCK + 1) < 0.5, np.float32(-0.0), 0.0)
+    lam = 0.75
+    out = _merge_arrays(method, base, vectors, lam)
+    weights = {name: list(_WEIGHTS) for name in base}
+    if method == "ties":
+        densities = [{name: d for name in base} for d in _DENSITIES]
+        want = ref_ties_merge(base, vectors, densities, weights, lam)
+    else:
+        want = ref_task_arithmetic_merge(base, vectors, weights, lam)
+    for name, shape in _BOUNDARY_SHAPES.items():
+        assert out[name].shape == shape, name
+        assert np.array_equal(out[name].view(np.uint32), want[name].view(np.uint32)), name
+    # a contribution in the last block recomputes the first: -0.0 + 0.0 is +0.0
+    assert not out["g.tail"][:_BLOCK:3].view(np.uint32).any()
+    assert np.array_equal(out["h.none"].view(np.uint32), base["h.none"].view(np.uint32))
+    assert np.signbit(out["h.none"][out["h.none"] == 0]).any()
+
+
+def test_ties_lambda_overflow_over_blocks_is_nonfinite_without_warning(rng, tmp_path):
+    base, vectors = _blocked_instance(rng, {"w": (3 * _BLOCK + 5,)})
+    for vec in vectors:
+        vec["w"][:] = np.float32(4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _merge_arrays("ties", base, vectors, lam=3e38)["w"]
+    # density 0.8 keeps the first 80% of the tied deltas: inf in three blocks
+    assert np.isinf(out[:2 * _BLOCK + 1]).all()
+    with pytest.raises(NonFiniteValue):
+        save_checkpoint(Checkpoint({"w": Tensor(out)}, metadata=_ONE_LAYER), tmp_path / "out.st")
+
+
+def test_ties_trims_each_lazy_delta_as_it_is_read(tmp_path):
+    rng = np.random.default_rng(32)
+    shape = (1024, 1024)
+    base_arr = bf16_grid(rng.standard_normal(shape, dtype=np.float32))
+    base = Checkpoint({"w": Tensor(base_arr, "bf16")}, metadata=_ONE_LAYER)
+    for m in range(len(_WEIGHTS)):
+        tuned = bf16_grid(base_arr + rng.laplace(0.0, 0.01, shape).astype(np.float32))
+        save_checkpoint(Checkpoint({"w": Tensor(tuned, "bf16")}, metadata=_ONE_LAYER),
+                        tmp_path / f"m{m}.st")
+    recipe = _global_recipe("ties")
+    with contextlib.ExitStack() as stack:
+        readers = [stack.enter_context(CheckpointReader(tmp_path / f"m{m}.st"))
+                   for m in range(len(_WEIGHTS))]
+        vectors = [compute_task_vector(base, r, f"m{m}") for m, r in enumerate(readers)]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = merge(base, vectors, recipe)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    tensor_bytes = base_arr.nbytes
+    # Above the one-tensor output: while the last delta is trimmed, M - 1
+    # trimmed deltas, the raw one and the trim's two scratch arrays, before
+    # the output exists; while the blocks finish, M trimmed deltas and one
+    # block's working arrays.  Holding every raw delta through a
+    # whole-tensor finish needs about 3M tensors.
+    block_scratch = 16 * _BLOCK * 4
+    over_output = peak - before - tensor_bytes
+    assert over_output < (len(_WEIGHTS) + 1) * tensor_bytes + block_scratch
+    eager = [TaskVector(deltas={"w": load_checkpoint(tmp_path / f"m{m}.st").array("w") - base_arr},
+                        source_id=f"m{m}") for m in range(len(_WEIGHTS))]
+    assert out.array("w").tobytes() == merge(base, eager, recipe).array("w").tobytes()
 
 
 # --- linear -------------------------------------------------------------------------------
