@@ -43,10 +43,15 @@ class DistributionMatrix:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
+        # no dtype on the way in, so strings and bools keep their own kind
+        # and are rejected; a bool among numbers still becomes a number
         try:
-            rows = np.asarray(self.rows, dtype=np.float64)
+            rows = np.asarray(self.rows)
         except (TypeError, ValueError) as exc:
             raise InvalidDistribution(f"rows are not a numeric matrix: {exc}") from exc
+        if rows.dtype.kind not in "iuf":
+            raise InvalidDistribution(f"rows are not a numeric matrix: dtype {rows.dtype}")
+        rows = rows.astype(np.float64, copy=False)
         if rows.ndim != 2:
             raise InvalidDistribution(f"expected 2-d rows, got shape {rows.shape}")
         if rows.shape[0] < 1 or rows.shape[1] < 1:

@@ -119,22 +119,20 @@ def decode_genome(genome, template: RecipeTemplate) -> MergeRecipe:
         raise LengthMismatch(
             f"genome has {values.size} values, template needs {template.genome_length}"
         )
-    per_model = []
-    idx = 0
-    for sid in template.source_ids:
-        groups = []
-        for _ in range(template.num_groups):
-            weight = float(np.clip(values[idx], WEIGHT_LO, WEIGHT_HI))
-            idx += 1
-            if template.method == "ties":
-                density = float(np.clip(values[idx], DENSITY_LO, DENSITY_HI))
-                idx += 1
-            else:
-                density = 1.0
-            groups.append(GroupCoeffs(weight=weight, density=density))
-        per_model.append(
-            ModelCoeffs(source_id=sid, groups=groups, path=template.model_paths.get(sid, ""))
-        )
+    # each model lists its groups in order, each group as (weight[, density])
+    per_group = values.reshape(len(template.source_ids), template.num_groups,
+                               template.per_group_values)
+    weights = np.clip(per_group[..., 0], WEIGHT_LO, WEIGHT_HI).tolist()
+    if template.method == "ties":
+        densities = np.clip(per_group[..., 1], DENSITY_LO, DENSITY_HI).tolist()
+    else:
+        densities = [[1.0] * template.num_groups for _ in template.source_ids]
+    per_model = [
+        ModelCoeffs(source_id=sid,
+                    groups=[GroupCoeffs(weight=w, density=d) for w, d in zip(ws, ds)],
+                    path=template.model_paths.get(sid, ""))
+        for sid, ws, ds in zip(template.source_ids, weights, densities)
+    ]
     return MergeRecipe(
         method=template.method,
         group_size=template.group_size,

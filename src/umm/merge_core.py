@@ -3,23 +3,29 @@
 ``merge(base, vectors, recipe)`` is the one driver.  It resolves the
 recipe's layer-group schedule, orders the task vectors (float32 deltas
 of fine-tuned checkpoints against the base) by recipe model and checks
-their layout once.  Then, for each base tensor in name order, it calls
-the kernel of ``recipe.method`` with the base array, the M deltas and
-that tensor's per-model (weight, density) pairs:
+their layout once.  Then it walks the base tensors in name order as
+spans: consecutive tensors laid end to end, up to ``_BLOCK`` entries
+(which fit in L2) in all, or one larger tensor alone.  Each span's
+contribution comes from the rule of ``recipe.method``, with every
+tensor's per-model (weight, density) pairs:
 
 * task_arithmetic: base + lambda * sum of weighted deltas
-* ties: trim each delta to its largest-magnitude entries (``ties_trim``)
-  as it is read, elect a per-coordinate consensus sign (``ties_elect``),
-  average the sign-agreeing survivors with normalized weights
-  (``ties_disjoint_merge``), then add to the base scaled by lambda; all
-  but the trim run on blocks of ``_BLOCK`` entries that fit in L2
+* ties: trim each delta whole to its largest-magnitude entries
+  (``ties_trim``) as it is read, elect a per-coordinate consensus sign
+  (``ties_elect``), average the sign-agreeing survivors with normalized
+  weights (``ties_disjoint_merge``), then add to the base scaled by
+  lambda
 * linear: base + (sum of weighted deltas) / (sum of weights); lambda and
-  densities are ignored, and a zero weight sum passes the base through
+  densities are ignored, and a tensor whose weights sum to zero passes
+  its base through
 
-The deltas reach the kernel as a generator, so a kernel holds only the
-deltas it has read.  task_arithmetic and ties keep the base bits, -0.0
-included, for a tensor whose scaled contribution is exactly zero in
-every block.
+Everything after the trim runs once per block of a span, so many small
+tensors cost one set of numpy calls, and a large tensor is finished in
+``_BLOCK``-entry blocks.  A span over several layer groups gets a
+per-entry float32 weight array per model.  Deltas are read one tensor
+and model at a time, so a merge holds only the current span's deltas.
+task_arithmetic and ties keep a tensor's base bits, -0.0 included, when
+its scaled contribution is exactly zero.
 
 Coefficients are organized in layer groups: tensors whose names match
 the checkpoint's layer-name template with index i share the group
@@ -33,6 +39,7 @@ is float32 elementwise, so identical inputs produce identical bits.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -427,12 +434,14 @@ def ties_elect(trimmed: list) -> np.ndarray:
 def ties_disjoint_merge(trimmed: list, gamma: np.ndarray, weights: list) -> np.ndarray:
     """Weight-normalized average over models agreeing with the elected sign.
 
-    ``weights`` is one float per model, in the order of ``trimmed``, and
-    ``gamma`` is ``ties_elect(trimmed)``.  Coordinates whose elected sign
-    is zero or NaN, or where no model agrees, or where agreeing weights
-    sum to zero, come out +0.0: the quotient is taken on every lane and
-    those lanes are then cleared by a bitwise AND, so their 0/0 or x/0
-    raises no warning.  Infinite entries give the inf or NaN lanes the
+    ``weights`` holds one weight per model, in the order of ``trimmed``:
+    a float, or a float32 array with one weight per entry, as for a span
+    of tensors from several layer groups.  ``gamma`` is
+    ``ties_elect(trimmed)``.  Coordinates whose elected sign is zero or
+    NaN, or where no model agrees, or where agreeing weights sum to zero,
+    come out +0.0: the quotient is taken on every lane and those lanes
+    are then cleared by a bitwise AND, so their 0/0 or x/0 raises no
+    warning.  Infinite entries give the inf or NaN lanes the
     scalar reference gives, also without a warning.
     """
     bits = _uint_type(gamma)
@@ -460,7 +469,7 @@ def ties_disjoint_merge(trimmed: list, gamma: np.ndarray, weights: list) -> np.n
     return _select(valid, num, bits)
 
 
-# --- per-tensor kernels: (base, deltas, coeffs, lambda) -> merged f32 array ---------
+# --- spans: packed tensors, finished one block at a time ------------------------
 
 # entries per block of the TIES finish and the scaled add: the few f32
 # working arrays of one block, about 1 MiB in all, fit in a 2 MiB
@@ -468,74 +477,152 @@ def ties_disjoint_merge(trimmed: list, gamma: np.ndarray, weights: list) -> np.n
 _BLOCK = 1 << 15
 
 
-def _add_scaled_blocks(base: np.ndarray, part, lam: float) -> np.ndarray:
-    """base + lam * contribution, one block of flat entries at a time.
+class _Span:
+    """Consecutive base tensors laid end to end as one flat run of entries.
 
-    ``part(lo, hi)`` returns the contribution to flat entries lo:hi.  A
-    tensor whose scaled contribution is exactly zero in every block keeps
-    the base bits, -0.0 included; otherwise every entry is base + scaled,
-    so a -0.0 base entry comes out +0.0 even in a block that adds +0.0.
+    A span is either tensors of at most ``_BLOCK`` entries in all, so one
+    block, or a single larger tensor.  Each tensor keeps its own
+    coefficients: a per-model value is one float32 scalar when every
+    tensor of the span is in the same layer group, else a float32 array
+    with one entry per span entry.
     """
-    lam32 = np.float32(lam)
-    flat = base.ravel()
-    out = np.empty_like(flat)
-    contributes = False
-    for lo in range(0, flat.size, _BLOCK):
-        hi = lo + _BLOCK
-        scaled = lam32 * part(lo, hi)
-        contributes = contributes or scaled.any()
-        np.add(flat[lo:hi], scaled, out=out[lo:hi])
-    if not contributes:
-        return base.copy()
-    return out.reshape(base.shape)
+
+    def __init__(self, names: list, arrays: list, group_index: dict):
+        self.names = names
+        self.shapes = [arr.shape for arr in arrays]
+        self.sizes = [arr.size for arr in arrays]
+        self.offsets = list(itertools.accumulate(self.sizes, initial=0))
+        self.size = self.offsets[-1]
+        # where each tensor starts within the span's one block, or [0]
+        # for a lone tensor over many blocks (tensors are never empty)
+        self.cuts = np.array(self.offsets[:-1])
+        self.one_group = len({group_index[name] for name in names}) == 1
+        self.base = self.flat(arrays)
+
+    def flat(self, arrays: list) -> np.ndarray:
+        """The span's entries of per-tensor ``arrays``: a lone tensor's
+        flat view, or one concatenated copy."""
+        if len(arrays) == 1:
+            return arrays[0].ravel()
+        return np.concatenate(arrays, axis=None)
+
+    def per_entry(self, values: list):
+        """One value per tensor as a float32 scalar or per-entry array."""
+        if self.one_group:
+            return np.float32(values[0])
+        return np.repeat(np.array(values, np.float32), self.sizes)
+
+    def weights(self, coeffs: list) -> list:
+        """Each model's weight, from per-tensor lists of (weight, density)."""
+        return [self.per_entry([weight for weight, _ in model]) for model in zip(*coeffs)]
+
+    def finish(self, scaled_block, contributes=None) -> list:
+        """base + scaled, one block at a time, as one array per tensor.
+
+        ``scaled_block(lo, hi)`` returns the scaled contribution to span
+        entries lo:hi.  A tensor whose scaled contribution is exactly zero
+        in every entry keeps its base bits, -0.0 included, unless
+        ``contributes`` gives each tensor's flag up front; otherwise every
+        entry is base + scaled, so a -0.0 base entry that adds +0.0 comes
+        out +0.0.
+        """
+        out = np.empty_like(self.base)
+        flags = np.zeros(len(self.names), bool) if contributes is None else contributes
+        for lo in range(0, self.size, _BLOCK):
+            hi = lo + _BLOCK
+            scaled = scaled_block(lo, hi)
+            if contributes is None:
+                # only a lone tensor has more than one block, and its cut is 0
+                flags |= np.logical_or.reduceat(scaled != 0, self.cuts)
+            np.add(self.base[lo:hi], scaled, out=out[lo:hi])
+        for t in np.flatnonzero(~flags):
+            lo, hi = self.offsets[t], self.offsets[t + 1]
+            out[lo:hi] = self.base[lo:hi]
+        return [out[lo:hi].reshape(shape)
+                for lo, hi, shape in zip(self.offsets, self.offsets[1:], self.shapes)]
 
 
-def _weighted_sum(base, deltas, coeffs) -> np.ndarray:
-    acc = np.zeros_like(base)
-    for delta, (weight, _) in zip(deltas, coeffs):
-        acc = acc + np.float32(weight) * delta
+def _spans(base: Checkpoint, schedule: Schedule):
+    """The base tensors in name order, packed into spans: consecutive
+    tensors fill a span up to ``_BLOCK`` entries, and a tensor larger
+    than that is a span of its own."""
+    names, arrays, size = [], [], 0
+    for name, tensor in base.items():
+        if names and size + tensor.data.size > _BLOCK:
+            yield _Span(names, arrays, schedule.group_index)
+            names, arrays, size = [], [], 0
+        names.append(name)
+        arrays.append(tensor.data)
+        size += tensor.data.size
+    if names:
+        yield _Span(names, arrays, schedule.group_index)
+
+
+# --- per-method contributions: (span, vectors, coeffs, lambda) -> scaled blocks ------
+
+def _block(value, lo: int, hi: int):
+    """Entries lo:hi of a per-entry array; a scalar serves every block."""
+    return value if value.ndim == 0 else value[lo:hi]
+
+
+def _weighted_sum(span, vectors, coeffs) -> np.ndarray:
+    acc = np.zeros(span.size, np.float32)
+    for vec, weight in zip(vectors, span.weights(coeffs)):
+        acc += weight * span.flat([vec.deltas[name] for name in span.names])
     return acc
 
 
-def _task_arithmetic_kernel(base, deltas, coeffs, lam):
-    acc = _weighted_sum(base, deltas, coeffs).ravel()
-    return _add_scaled_blocks(base, lambda lo, hi: acc[lo:hi], lam)
+def _task_arithmetic_part(span, vectors, coeffs, lam):
+    lam32 = np.float32(lam)
+    acc = _weighted_sum(span, vectors, coeffs)
+    return lambda lo, hi: lam32 * acc[lo:hi], None
 
 
-def _ties_kernel(base, deltas, coeffs, lam):
-    # The steps are looked up at call time so they can be rebound.  map
-    # trims each delta as it is read and then drops it, so one raw delta
-    # is alive beside the trimmed ones.  Sign election and the disjoint
-    # merge are elementwise, so they run one block at a time.
-    trimmed = [t.ravel() for t in map(ties_trim, deltas, [d for _, d in coeffs])]
-    weights = [weight for weight, _ in coeffs]
+def _ties_part(span, vectors, coeffs, lam):
+    # The steps are looked up at call time so they can be rebound.  Each
+    # delta is trimmed whole as it is read and then dropped, so one raw
+    # delta is alive beside the trimmed ones.  Sign election and the
+    # disjoint merge are elementwise, so they run one block at a time.
+    trimmed = [[ties_trim(vec.deltas[name], density)
+                for vec, (_, density) in zip(vectors, per_model)]
+               for name, per_model in zip(span.names, coeffs)]
+    # one flat run per model
+    flats = [span.flat(tensors) for tensors in zip(*trimmed)]
+    del trimmed
+    weights = span.weights(coeffs)
+    lam32 = np.float32(lam)
 
-    def part(lo, hi):
-        parts = [t[lo:hi] for t in trimmed]
-        return ties_disjoint_merge(parts, ties_elect(parts), weights)
+    def scaled(lo, hi):
+        parts = [t[lo:hi] for t in flats]
+        return lam32 * ties_disjoint_merge(parts, ties_elect(parts),
+                                           [_block(w, lo, hi) for w in weights])
 
-    return _add_scaled_blocks(base, part, lam)
-
-
-def _linear_kernel(base, deltas, coeffs, lam):
-    # lambda is ignored: the weights are normalized instead
-    total = np.float32(0.0)
-    for weight, _ in coeffs:
-        total = total + np.float32(weight)
-    if total == 0:
-        return base.copy()
-    return base + _weighted_sum(base, deltas, coeffs) / total
+    return scaled, None
 
 
-_KERNELS = {
-    "linear": _linear_kernel,
-    "task_arithmetic": _task_arithmetic_kernel,
-    "ties": _ties_kernel,
+def _linear_part(span, vectors, coeffs, lam):
+    # lambda is ignored: the weights are normalized instead, and a tensor
+    # whose weights sum to zero passes its base through
+    totals = []
+    for per_model in coeffs:
+        total = np.float32(0.0)
+        for weight, _ in per_model:
+            total = total + np.float32(weight)
+        totals.append(total)
+    acc = _weighted_sum(span, vectors, coeffs)
+    divisor = span.per_entry(totals)
+    return lambda lo, hi: acc[lo:hi] / _block(divisor, lo, hi), np.array(totals) != 0
+
+
+_PARTS = {
+    "linear": _linear_part,
+    "task_arithmetic": _task_arithmetic_part,
+    "ties": _ties_part,
 }
 
 
 def merge(base: Checkpoint, vectors: list, recipe: MergeRecipe) -> Checkpoint:
-    """Merge task vectors onto ``base`` by ``recipe.method``, one tensor at a time.
+    """Merge task vectors onto ``base`` by ``recipe.method``, one span at a time.
 
     ``vectors`` holds one TaskVector per recipe model, in any order.  The
     output has the base's tensor names and metadata, every tensor f32.
@@ -543,14 +630,15 @@ def merge(base: Checkpoint, vectors: list, recipe: MergeRecipe) -> Checkpoint:
     schedule = expand_schedule(recipe, base)
     ordered = _ordered_vectors(recipe, vectors)
     _require_vector_compat(base, ordered)
-    kernel = _KERNELS[recipe.method]
+    part = _PARTS[recipe.method]
     tensors = {}
-    # an overflow leaves Inf or NaN in the output, which saving reports
-    # as NonFiniteValue, so numpy's own warning would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name, tensor in base.items():
-            # a generator: the kernel reads each delta when it needs it
-            merged = kernel(tensor.data, (vec.deltas[name] for vec in ordered),
-                            schedule.coeffs(name), recipe.lambda_scale)
-            tensors[name] = Tensor(merged, dtype="f32")
+    # An overflow leaves Inf or NaN in the output, which saving reports
+    # as NonFiniteValue, so numpy's own warning would only repeat it.
+    # linear divides by a zero weight sum only in tensors that keep the base.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for span in _spans(base, schedule):
+            coeffs = [schedule.coeffs(name) for name in span.names]
+            merged = span.finish(*part(span, ordered, coeffs, recipe.lambda_scale))
+            for name, arr in zip(span.names, merged):
+                tensors[name] = Tensor(arr, dtype="f32")
     return Checkpoint(tensors=tensors, metadata=dict(base.metadata))

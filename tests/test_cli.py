@@ -830,12 +830,20 @@ def test_fuse_targets_scalar_instruction_names_the_example(tmp_path, capsys):
     assert_one_located_error(code, err, "example 2:")
 
 
-@pytest.mark.parametrize("bad_rows", [{"a": 1}, [[0.5, 0.5], [1.0]], "x", None, 1.0],
-                         ids=["object", "ragged", "string", "null", "number"])
+@pytest.mark.parametrize("bad_rows", [
+    lambda rows: {"a": 1},
+    lambda rows: [[0.5, 0.5], [1.0]],
+    lambda rows: "x",
+    lambda rows: None,
+    lambda rows: 1.0,
+    # rows of the right shape that sum to 1 once coerced
+    lambda rows: [[str(v) for v in row] for row in rows],
+    lambda rows: [[True] + [False] * (len(row) - 1) for row in rows],
+], ids=["object", "ragged", "string", "null", "number", "numeric-string", "bools"])
 def test_fuse_targets_malformed_rows_name_the_example(tmp_path, capsys, bad_rows):
     raw = fuse_fixture(tmp_path, capsys,
                        source_rows_for=lambda ids: [[0.25] * 4 for _ in ids])
-    raw[1]["source_rows"] = bad_rows
+    raw[1]["source_rows"] = bad_rows(raw[1]["source_rows"])
     write_jsonl(tmp_path / "raw.jsonl", raw)
     code, _, err = run_cli(fuse_args(tmp_path), capsys)
     assert_one_located_error(code, err, "example 1:")

@@ -16,6 +16,10 @@ from umm.errors import (
     MissingLayerMetadata,
 )
 from umm.evo_search import (
+    DENSITY_HI,
+    DENSITY_LO,
+    WEIGHT_HI,
+    WEIGHT_LO,
     FitnessCache,
     RecipeTemplate,
     build_sources,
@@ -86,6 +90,37 @@ def test_decode_encode_identity_on_box(rng):
     genome[1::2] = rng.uniform(0.05, 1.0, size=genome[1::2].shape)
     recipe = decode_genome(genome, template)
     np.testing.assert_array_equal(recipe_coefficients(recipe), genome)
+
+
+def scalar_decoded_coefficients(genome, template):
+    """(weight, density) per group, model-major, clipped one value at a time."""
+    values = np.asarray(genome, dtype=np.float64).reshape(-1)
+    coefficients = []
+    idx = 0
+    for _ in template.source_ids:
+        for _ in range(template.num_groups):
+            weight = float(np.clip(values[idx], WEIGHT_LO, WEIGHT_HI))
+            idx += 1
+            density = 1.0
+            if template.method == "ties":
+                density = float(np.clip(values[idx], DENSITY_LO, DENSITY_HI))
+                idx += 1
+            coefficients.append((weight, density))
+    return coefficients
+
+
+@pytest.mark.parametrize("method", ["ties", "task_arithmetic"])
+def test_decode_matches_scalar_clips_bitwise(rng, method):
+    template = RecipeTemplate(method, 2, 4, ["a", "b", "c"])
+    edges = [-0.0, 0.0, -1e-300, 1.0, np.nextafter(1.0, 2.0), DENSITY_LO, -np.inf, np.inf, np.nan]
+    for _ in range(200):
+        genome = rng.uniform(-0.5, 1.5, template.genome_length)
+        genome[rng.random(genome.size) < 0.2] = rng.choice(edges)
+        recipe = decode_genome(genome, template)
+        got = [(g.weight, g.density) for m in recipe.per_model for g in m.groups]
+        want = scalar_decoded_coefficients(genome, template)
+        assert all(type(v) is float for pair in got for v in pair)
+        assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
 
 def test_initial_mean_layout():

@@ -767,6 +767,146 @@ def test_ties_trims_each_lazy_delta_as_it_is_read(tmp_path):
     assert out.array("w").tobytes() == merge(base, eager, recipe).array("w").tobytes()
 
 
+# --- packed spans of small tensors ---------------------------------------------------------
+
+# six layers in groups of two, plus the global group; group 2 has zero weights
+_SPAN_META = {"layer_pattern": "layers.{i}.", "num_layers": "6"}
+_SPAN_WEIGHTS = ((0.3, 0.5, 0.7), (0.6, 0.2, 0.9), (0.0, 0.0, 0.0), (0.25, 0.5, 0.75))
+_SPAN_DENSITIES = ((0.2, 0.5, 0.8), (0.7, 0.4, 0.1), (0.5, 0.5, 0.5), (0.9, 0.3, 0.6))
+
+# In name order these pack into spans of exactly _BLOCK entries (a.scalar
+# to layers.2.w, over three groups), then layers.2.x and layers.3.w, which
+# hold _BLOCK + 1 entries between them and so split, then the large
+# layers.3.x alone, then layers.4.w to z.end.
+_SPAN_SHAPES = {
+    "a.scalar": (), "layers.0.w": (3, 5), "layers.0.x": (7,), "layers.1.w": (1000,),
+    "layers.2.w": (_BLOCK - 1023,), "layers.2.x": (_BLOCK // 2,),
+    "layers.3.w": (_BLOCK // 2 + 1,), "layers.3.x": (_BLOCK + 3,), "layers.4.w": (6,),
+    "z.after": (4, 4), "z.end": (5,),
+}
+_SPAN_ELECTS = [_BLOCK, _BLOCK // 2, _BLOCK // 2 + 1, _BLOCK, 3, 27]
+
+
+def _span_group(name):
+    match = re.match(r"layers\.(\d+)\.", name)
+    return int(match.group(1)) // 2 if match else 3
+
+
+def _span_recipe(method, lam):
+    per_model = [ModelCoeffs(source_id=f"m{m}", groups=[
+        GroupCoeffs(weight=_SPAN_WEIGHTS[g][m], density=_SPAN_DENSITIES[g][m]) for g in range(4)])
+        for m in range(3)]
+    return MergeRecipe(method=method, group_size=2, lambda_scale=lam, per_model=per_model)
+
+
+@pytest.mark.parametrize("method", ["ties", "task_arithmetic", "linear"])
+def test_merge_packed_spans_bitwise(method, monkeypatch):
+    rng = np.random.default_rng(33)
+    base, vectors = _blocked_instance(rng, _SPAN_SHAPES)
+    # layers.0.x adds nothing between neighbours that do, and keeps its -0.0
+    # entries; layers.1.w adds exactly zero at its -0.0 entries, which the
+    # rest of the tensor makes +0.0; layers.4.w has zero weights
+    base["layers.0.x"][::2] = -0.0
+    base["layers.1.w"][::3] = -0.0
+    base["layers.4.w"][::2] = -0.0
+    for vec in vectors:
+        vec["layers.0.x"][:] = np.where(rng.random(7) < 0.5, np.float32(-0.0), 0.0)
+        vec["layers.1.w"][::3] = 0.0
+    elect_sizes = []
+    elect = merge_core.ties_elect
+
+    def counting_elect(trimmed):
+        elect_sizes.append(trimmed[0].size)
+        return elect(trimmed)
+
+    monkeypatch.setattr(merge_core, "ties_elect", counting_elect)
+    lam = 0.75
+    out = merge(Checkpoint({n: Tensor(a) for n, a in base.items()}, metadata=_SPAN_META),
+                [TaskVector(deltas=v, source_id=f"m{m}") for m, v in enumerate(vectors)],
+                _span_recipe(method, lam))
+    weights = {name: list(_SPAN_WEIGHTS[_span_group(name)]) for name in base}
+    if method == "ties":
+        assert elect_sizes == _SPAN_ELECTS
+        densities = [{name: _SPAN_DENSITIES[_span_group(name)][m] for name in base}
+                     for m in range(3)]
+        want = ref_ties_merge(base, vectors, densities, weights, lam)
+    elif method == "task_arithmetic":
+        want = ref_task_arithmetic_merge(base, vectors, weights, lam)
+    else:
+        want = ref_linear_merge(base, vectors, weights)
+    for name, shape in _SPAN_SHAPES.items():
+        got = out.array(name)
+        assert got.shape == shape, name
+        assert np.array_equal(got.view(np.uint32), want[name].view(np.uint32)), name
+    assert not out.array("layers.1.w")[::3].view(np.uint32).any()
+    # layers.4.w keeps its base bits under every method; layers.0.x too,
+    # except under linear, whose weights there do not sum to zero
+    for name in ["layers.4.w"] + (["layers.0.x"] if method != "linear" else []):
+        got = out.array(name)
+        assert np.array_equal(got.view(np.uint32), base[name].view(np.uint32)), name
+        assert np.signbit(got[got == 0]).any(), name
+
+
+def test_ties_steps_run_once_per_packed_span(rng, monkeypatch):
+    calls = {"trim": [], "elect": [], "weights": []}
+    trim, elect, disjoint = (merge_core.ties_trim, merge_core.ties_elect,
+                             merge_core.ties_disjoint_merge)
+
+    def counting_trim(delta, density):
+        calls["trim"].append(delta.shape)
+        return trim(delta, density)
+
+    def counting_elect(trimmed):
+        calls["elect"].append(trimmed[0].size)
+        return elect(trimmed)
+
+    def counting_disjoint(trimmed, gamma, weights):
+        calls["weights"].append(weights)
+        return disjoint(trimmed, gamma, weights)
+
+    monkeypatch.setattr(merge_core, "ties_trim", counting_trim)
+    monkeypatch.setattr(merge_core, "ties_elect", counting_elect)
+    monkeypatch.setattr(merge_core, "ties_disjoint_merge", counting_disjoint)
+    shapes = {"a.w": (2, 3), "layers.0.w": (4,), "layers.1.w": (), "layers.2.w": (3, 3)}
+    base, vectors = _blocked_instance(rng, shapes)
+    merge(Checkpoint({n: Tensor(a) for n, a in base.items()}, metadata=_SPAN_META),
+          [TaskVector(deltas=v, source_id=f"m{m}") for m, v in enumerate(vectors)],
+          _span_recipe("ties", 1.0))
+    # each delta is still trimmed whole, then the four tensors finish as one
+    assert calls["trim"] == [shape for shape in shapes.values() for _ in range(3)]
+    assert calls["elect"] == [20]
+    # the span crosses groups, so each model's weight is one f32 per entry
+    sizes = [6, 4, 1, 9]
+    groups = [3, 0, 0, 1]
+    for m, weight in enumerate(calls["weights"][0]):
+        want = np.repeat(np.array([_SPAN_WEIGHTS[g][m] for g in groups], np.float32), sizes)
+        assert weight.dtype == np.float32
+        assert np.array_equal(weight, want)
+
+
+def test_disjoint_merge_per_entry_weights_match_scalar_segments():
+    rng = np.random.default_rng(34)
+    sizes = [5, 1, 300, 17, 64]
+    segment_weights = [(0.3, 0.5, 0.7), (0.0, 0.9, 0.1), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
+                       (0.25, 0.0, 0.6)]
+    n = sum(sizes)
+    trimmed = [bf16_grid(rng.laplace(0.0, 1.0, n)) for _ in range(3)]
+    for t in trimmed:
+        t[rng.random(n) < 0.3] = 0.0
+        t[rng.random(n) < 0.1] = -0.0
+    trimmed[0][:3] = -trimmed[1][:3]  # elected sign 0 where a pair cancels
+    gamma = ties_elect(trimmed)
+    weights = [np.repeat(np.array([w[m] for w in segment_weights], np.float32), sizes)
+               for m in range(3)]
+    got = ties_disjoint_merge(trimmed, gamma, weights)
+    edges = np.cumsum([0] + sizes)
+    want = np.concatenate([
+        ties_disjoint_merge([t[lo:hi] for t in trimmed], gamma[lo:hi], list(w))
+        for lo, hi, w in zip(edges, edges[1:], segment_weights)])
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    assert not got[edges[2]:edges[3]].view(np.uint32).any()
+
+
 # --- linear -------------------------------------------------------------------------------
 
 def test_linear_equal_weights_is_average():
