@@ -76,13 +76,14 @@ def _write_csv(path, fieldnames: list, rows) -> None:
 # --- commands -------------------------------------------------------------------
 
 def cmd_merge(args) -> dict:
-    base = load_checkpoint(args.base)
-    recipe = load_recipe(args.recipe)
-    overrides = dict(args.model or [])
-    unknown = set(overrides) - {m.source_id for m in recipe.per_model}
-    if unknown:
-        raise ValueError(f"--model names not in recipe: {sorted(unknown)}")
     with contextlib.ExitStack() as stack:
+        # the base is opened, not loaded: merge decodes each tensor once
+        base = stack.enter_context(CheckpointReader(args.base))
+        recipe = load_recipe(args.recipe)
+        overrides = dict(args.model or [])
+        unknown = set(overrides) - {m.source_id for m in recipe.per_model}
+        if unknown:
+            raise ValueError(f"--model names not in recipe: {sorted(unknown)}")
         vectors = []
         for model in recipe.per_model:
             path = overrides.get(model.source_id, model.path)

@@ -1,11 +1,15 @@
 """Parameter-level checkpoint merging.
 
-``merge(base, vectors, recipe)`` is the one driver.  It resolves the
+``merge(base, vectors, recipe)`` is the one driver.  The base is a
+loaded Checkpoint or an open CheckpointReader.  ``merge`` resolves the
 recipe's layer-group schedule, orders the task vectors (float32 deltas
 of fine-tuned checkpoints against the base) by recipe model and checks
-their layout once.  Then it walks the base tensors in name order as
-spans: consecutive tensors laid end to end, up to ``_BLOCK`` entries
-(which fit in L2) in all, or one larger tensor alone.  Each span's
+their layout once, all from names and shapes.  Then it walks the base
+tensors in name order as spans: consecutive tensors laid end to end, up
+to ``_BLOCK`` entries (which fit in L2) in all, or one larger tensor
+alone.  A span decodes its base tensors when it is built, so a base
+reader decodes each tensor once and a merge holds the output plus one
+span's base, deltas and working arrays.  Each span's
 contribution comes from the rule of ``recipe.method``, with every
 tensor's per-model (weight, density) pairs:
 
@@ -22,8 +26,9 @@ tensor's per-model (weight, density) pairs:
 Everything after the trim runs once per block of a span, so many small
 tensors cost one set of numpy calls, and a large tensor is finished in
 ``_BLOCK``-entry blocks.  A span over several layer groups gets a
-per-entry float32 weight array per model.  Deltas are read one tensor
-and model at a time, so a merge holds only the current span's deltas.
+per-entry float32 weight array per model.  Lazy deltas are read one
+tensor and model at a time, each against the span's decoded base, so a
+merge holds only the current span's deltas.
 task_arithmetic and ties keep a tensor's base bits, -0.0 included, when
 its scaled contribution is exactly zero.
 
@@ -66,12 +71,19 @@ METHODS = ("linear", "task_arithmetic", "ties")
 class _FileDeltas(Mapping):
     """finetuned[name] - base[name], read from an open container when asked."""
 
-    def __init__(self, base: Checkpoint, finetuned: CheckpointReader):
+    def __init__(self, base, finetuned: CheckpointReader):
         self._base = base
         self._finetuned = finetuned
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._finetuned.read(name).data - self._base.array(name)
+        return self.minus(name, self._base.array(name))
+
+    def minus(self, name: str, base_arr: np.ndarray) -> np.ndarray:
+        """finetuned[name] - base_arr, for a base tensor already decoded."""
+        # read returns a new array, so the difference can overwrite it
+        delta = self._finetuned.read(name).data
+        delta -= base_arr
+        return delta
 
     def __iter__(self):
         return iter(self._finetuned.names())
@@ -95,6 +107,13 @@ class TaskVector:
         if isinstance(self.deltas, _FileDeltas):
             return self.deltas.shapes()
         return {name: arr.shape for name, arr in self.deltas.items()}
+
+    def delta(self, name: str, base_arr: np.ndarray) -> np.ndarray:
+        """The delta of tensor ``name``; a lazy one is computed against
+        ``base_arr``, the base tensor the caller has decoded."""
+        if isinstance(self.deltas, _FileDeltas):
+            return self.deltas.minus(name, base_arr)
+        return self.deltas[name]
 
 
 @dataclass
@@ -296,8 +315,10 @@ def compute_task_vector(base: Checkpoint, finetuned, source_id: str = "") -> Tas
 
     From a loaded Checkpoint every delta is computed now, so a search can
     reuse them for each candidate.  From an open CheckpointReader each
-    delta is read and computed when a merge asks for it, so a merge holds
-    one tensor's deltas at a time; the reader must stay open until then.
+    delta is read and computed when a merge asks for it, against the base
+    tensor the merge has decoded, so a merge holds one tensor's deltas at
+    a time; the reader must stay open until then.  ``base`` is a
+    Checkpoint or an open CheckpointReader.
     """
     require_compat(base, finetuned, "base vs finetuned")
     if isinstance(finetuned, CheckpointReader):
@@ -407,11 +428,16 @@ def ties_trim(delta: np.ndarray, density: float) -> np.ndarray:
     if k >= n:
         return delta.copy()
     # abs returns native byte order, so the native view ranks correctly
-    mag = np.abs(flat).view(bits)
-    kth = np.partition(mag, n - k)[n - k]
-    keep = mag > kth
-    tied = mag == kth
-    del mag
+    mag = np.abs(flat)
+    ranks = mag.view(bits)
+    ranks.partition(n - k)
+    kth = ranks[n - k]
+    # the partition reordered the magnitudes in place: put them back in
+    # flat order, rather than partition a second copy
+    np.abs(flat, out=mag)
+    keep = ranks > kth
+    tied = ranks == kth
+    del mag, ranks
     _keep_first(keep, tied, k - np.count_nonzero(keep))
     return _select(keep, flat, bits).reshape(delta.shape)
 
@@ -506,6 +532,11 @@ class _Span:
             return arrays[0].ravel()
         return np.concatenate(arrays, axis=None)
 
+    def split(self, flat: np.ndarray) -> list:
+        """Per-tensor views, in the tensors' shapes, of span-length ``flat``."""
+        return [flat[lo:hi].reshape(shape)
+                for lo, hi, shape in zip(self.offsets, self.offsets[1:], self.shapes)]
+
     def per_entry(self, values: list):
         """One value per tensor as a float32 scalar or per-entry array."""
         if self.one_group:
@@ -538,24 +569,28 @@ class _Span:
         for t in np.flatnonzero(~flags):
             lo, hi = self.offsets[t], self.offsets[t + 1]
             out[lo:hi] = self.base[lo:hi]
-        return [out[lo:hi].reshape(shape)
-                for lo, hi, shape in zip(self.offsets, self.offsets[1:], self.shapes)]
+        return self.split(out)
 
 
-def _spans(base: Checkpoint, schedule: Schedule):
+def _spans(base, schedule: Schedule):
     """The base tensors in name order, packed into spans: consecutive
     tensors fill a span up to ``_BLOCK`` entries, and a tensor larger
-    than that is a span of its own."""
-    names, arrays, size = [], [], 0
-    for name, tensor in base.items():
-        if names and size + tensor.data.size > _BLOCK:
-            yield _Span(names, arrays, schedule.group_index)
-            names, arrays, size = [], [], 0
+    than that is a span of its own.  Spans are laid out from the shapes,
+    so a base reader decodes each tensor once, as its span is built, and
+    no tensor of the next span is decoded before it is asked for."""
+
+    def span(names):
+        return _Span(names, [base.array(name) for name in names], schedule.group_index)
+
+    names, size = [], 0
+    for name, shape in base.shapes().items():
+        if names and size + math.prod(shape) > _BLOCK:
+            yield span(names)
+            names, size = [], 0
         names.append(name)
-        arrays.append(tensor.data)
-        size += tensor.data.size
+        size += math.prod(shape)
     if names:
-        yield _Span(names, arrays, schedule.group_index)
+        yield span(names)
 
 
 # --- per-method contributions: (span, vectors, coeffs, lambda) -> scaled blocks ------
@@ -567,8 +602,9 @@ def _block(value, lo: int, hi: int):
 
 def _weighted_sum(span, vectors, coeffs) -> np.ndarray:
     acc = np.zeros(span.size, np.float32)
+    bases = span.split(span.base)
     for vec, weight in zip(vectors, span.weights(coeffs)):
-        acc += weight * span.flat([vec.deltas[name] for name in span.names])
+        acc += weight * span.flat([vec.delta(name, base) for name, base in zip(span.names, bases)])
     return acc
 
 
@@ -583,9 +619,9 @@ def _ties_part(span, vectors, coeffs, lam):
     # delta is trimmed whole as it is read and then dropped, so one raw
     # delta is alive beside the trimmed ones.  Sign election and the
     # disjoint merge are elementwise, so they run one block at a time.
-    trimmed = [[ties_trim(vec.deltas[name], density)
+    trimmed = [[ties_trim(vec.delta(name, base), density)
                 for vec, (_, density) in zip(vectors, per_model)]
-               for name, per_model in zip(span.names, coeffs)]
+               for name, base, per_model in zip(span.names, span.split(span.base), coeffs)]
     # one flat run per model
     flats = [span.flat(tensors) for tensors in zip(*trimmed)]
     del trimmed
@@ -621,11 +657,13 @@ _PARTS = {
 }
 
 
-def merge(base: Checkpoint, vectors: list, recipe: MergeRecipe) -> Checkpoint:
+def merge(base, vectors: list, recipe: MergeRecipe) -> Checkpoint:
     """Merge task vectors onto ``base`` by ``recipe.method``, one span at a time.
 
-    ``vectors`` holds one TaskVector per recipe model, in any order.  The
-    output has the base's tensor names and metadata, every tensor f32.
+    ``base`` is a Checkpoint or an open CheckpointReader; a reader's
+    tensors are decoded once each, as their span is merged.  ``vectors``
+    holds one TaskVector per recipe model, in any order.  The output has
+    the base's tensor names and metadata, every tensor f32.
     """
     schedule = expand_schedule(recipe, base)
     ordered = _ordered_vectors(recipe, vectors)
@@ -641,4 +679,6 @@ def merge(base: Checkpoint, vectors: list, recipe: MergeRecipe) -> Checkpoint:
             merged = span.finish(*part(span, ordered, coeffs, recipe.lambda_scale))
             for name, arr in zip(span.names, merged):
                 tensors[name] = Tensor(arr, dtype="f32")
+            # drop the span's base before the next span is decoded
+            del span
     return Checkpoint(tensors=tensors, metadata=dict(base.metadata))

@@ -11,7 +11,10 @@ in-memory checkpoint therefore always serializes to identical bytes.
 The writer computes the header from shapes and dtype sizes, then
 encodes one payload at a time; the reader (``CheckpointReader``)
 validates the header and offsets when it opens a file and decodes one
-tensor per request.
+tensor per request.  An open reader offers the read-only surface of a
+``Checkpoint`` (``names``, ``shapes``, ``items``, ``array``, ``tensors``,
+``metadata``, ``len``), decoding a tensor each time one is asked for, so
+a merge can walk its base without holding it.
 
 Stored dtypes are f32, f16, and bf16.  Tensors are decoded to float32
 for all in-memory arithmetic; the original dtype tag is kept so a
@@ -28,6 +31,7 @@ import json
 import math
 import os
 import stat
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -197,14 +201,34 @@ def _parse_entry(name: str, entry) -> tuple:
     return tag, tuple(shape), offsets[0], offsets[1]
 
 
+class _DecodedTensors(Mapping):
+    """An open reader's tensors by name, each decoded when it is looked up."""
+
+    def __init__(self, reader: "CheckpointReader"):
+        self._reader = reader
+
+    def __getitem__(self, name: str) -> Tensor:
+        return self._reader.read(name)
+
+    def __contains__(self, name) -> bool:
+        return name in self._reader._entries
+
+    def __iter__(self):
+        return iter(self._reader.names())
+
+    def __len__(self) -> int:
+        return len(self._reader)
+
+
 class CheckpointReader:
     """An open container file whose header and offsets are validated.
 
     Opening reads the length prefix and the header only.  ``read(name)``
     then decodes one tensor, and checks it for finiteness, with a
     positioned read of that tensor's byte range, so no more of the data
-    region is in memory than the tensor asked for.  The file stays open
-    until ``close`` (or the end of a ``with`` block).
+    region is in memory than the tensor asked for.  ``items``, ``array``
+    and ``tensors`` read the same way, each time they are asked.  The file
+    stays open until ``close`` (or the end of a ``with`` block).
     """
 
     def __init__(self, path):
@@ -286,15 +310,30 @@ class CheckpointReader:
     def shapes(self) -> dict:
         return {name: self._entries[name][1] for name in self.names()}
 
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def tensors(self) -> Mapping:
+        """Tensor name -> Tensor, read-only, decoding on each lookup."""
+        return _DecodedTensors(self)
+
+    def items(self) -> Iterator:
+        """(name, Tensor) in name order, one tensor decoded at a time."""
+        for name in self.names():
+            yield name, self.read(name)
+
+    def array(self, name: str) -> np.ndarray:
+        return self.read(name).data
+
     def read(self, name: str) -> Tensor:
-        """Decode tensor ``name``; NonFiniteValue if it holds NaN or Inf."""
+        """Decode tensor ``name`` into a new array; NonFiniteValue if it
+        holds NaN or Inf."""
         tag, shape, begin, _ = self._entries[name]
         stored = np.empty(shape, dtype=_STORED[tag])
         self._read_into(self._data_start + begin, stored)
         if tag == "bf16":
-            bits = stored.astype(np.uint32)
-            bits <<= np.uint32(16)
-            arr = bits.view(np.float32)
+            arr = np.left_shift(stored, np.uint32(16), dtype=np.uint32).view(np.float32)
         else:
             arr = stored.astype(np.float32, copy=False)
         if not np.all(np.isfinite(arr)):
@@ -314,8 +353,7 @@ class CheckpointReader:
 def load_checkpoint(path) -> Checkpoint:
     """Read a container file, validating structure and finiteness."""
     with CheckpointReader(path) as reader:
-        tensors = {name: reader.read(name) for name in reader.names()}
-        return Checkpoint(tensors=tensors, metadata=reader.metadata)
+        return Checkpoint(tensors=dict(reader.items()), metadata=reader.metadata)
 
 
 def require_compat(a, b, what: str = "checkpoints") -> None:

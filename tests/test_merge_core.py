@@ -37,6 +37,7 @@ from umm.tensor_store import (
     Checkpoint,
     CheckpointReader,
     Tensor,
+    checkpoint_digest,
     load_checkpoint,
     save_checkpoint,
 )
@@ -455,8 +456,9 @@ def test_ties_steps_memory_per_input_size():
     rng = np.random.default_rng(8)
     deltas = [bf16_grid(rng.laplace(0.0, 5e-4, 1 << 20)) for _ in range(3)]
     size = deltas[0].nbytes
-    # the magnitudes, one partition copy, the keep mask and the output
-    assert _peak_over_input(ties_trim, deltas[0], 0.4, input_bytes=size) <= 2.5
+    # the magnitudes, partitioned in place, the keep and tie masks, and
+    # then the output with the two masks
+    assert _peak_over_input(ties_trim, deltas[0], 0.4, input_bytes=size) <= 1.75
     trimmed = [ties_trim(d, p) for d, p in zip(deltas, (0.2, 0.5, 0.8))]
     gamma = ties_elect(trimmed)
     # num, den, one reused buffer and a boolean mask
@@ -905,6 +907,40 @@ def test_disjoint_merge_per_entry_weights_match_scalar_segments():
         for lo, hi, w in zip(edges, edges[1:], segment_weights)])
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
     assert not got[edges[2]:edges[3]].view(np.uint32).any()
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f16", "bf16"])
+@pytest.mark.parametrize("method", ["ties", "task_arithmetic", "linear"])
+def test_merge_from_open_base_matches_loaded_base(method, dtype, tmp_path):
+    rng = np.random.default_rng(35)
+    base, vectors = _blocked_instance(rng, _SPAN_SHAPES)
+    for values in base.values():
+        values.reshape(-1)[::5] = -0.0
+    save_checkpoint(Checkpoint({n: Tensor(a, dtype) for n, a in base.items()}, metadata=_SPAN_META),
+                    tmp_path / "base.st")
+    for m, vec in enumerate(vectors):
+        tuned = {n: Tensor(base[n] + vec[n], dtype) for n in base}
+        # layers.0.x is stored as the base, so it contributes exactly zero
+        tuned["layers.0.x"] = Tensor(base["layers.0.x"], dtype)
+        save_checkpoint(Checkpoint(tuned, metadata=_SPAN_META), tmp_path / f"m{m}.st")
+    recipe = _span_recipe(method, 0.75)
+
+    loaded = load_checkpoint(tmp_path / "base.st")
+    eager = merge(loaded, [compute_task_vector(loaded, load_checkpoint(tmp_path / f"m{m}.st"), f"m{m}")
+                           for m in range(len(vectors))], recipe)
+    with contextlib.ExitStack() as stack:
+        reader = stack.enter_context(CheckpointReader(tmp_path / "base.st"))
+        readers = [stack.enter_context(CheckpointReader(tmp_path / f"m{m}.st"))
+                   for m in range(len(vectors))]
+        lazy = merge(reader, [compute_task_vector(reader, r, f"m{m}") for m, r in enumerate(readers)],
+                     recipe)
+    assert lazy.metadata == eager.metadata == _SPAN_META
+    assert checkpoint_digest(lazy) == checkpoint_digest(eager)
+    kept = lazy.array("layers.0.x")
+    if method != "linear":
+        # the tensor that adds nothing keeps its -0.0 base entries
+        assert np.array_equal(kept.view(np.uint32), loaded.array("layers.0.x").view(np.uint32))
+        assert np.signbit(kept[kept == 0]).any()
 
 
 # --- linear -------------------------------------------------------------------------------

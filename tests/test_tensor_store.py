@@ -15,6 +15,7 @@ from umm.errors import (
 )
 from umm.tensor_store import (
     Checkpoint,
+    CheckpointReader,
     Tensor,
     checkpoint_digest,
     load_checkpoint,
@@ -143,6 +144,31 @@ def test_bf16_negative_zero_and_payload_size(tmp_path):
     assert header["x"]["data_offsets"] == [0, 6]
     loaded = load_checkpoint(path)
     assert loaded.array("x").tobytes() == ckpt.array("x").tobytes()
+
+
+def test_open_reader_offers_the_read_only_checkpoint_surface(tmp_path, rng):
+    ckpt = random_checkpoint(rng, metadata={"k": "v"})
+    save_checkpoint(ckpt, tmp_path / "c.st")
+    with CheckpointReader(tmp_path / "c.st") as reader:
+        reads = []
+        read = reader.read
+
+        def counting_read(name):
+            reads.append(name)
+            return read(name)
+
+        reader.read = counting_read
+        tensors = reader.tensors
+        assert len(reader) == len(tensors) == len(ckpt)
+        assert list(tensors) == reader.names() == ckpt.names()
+        assert ckpt.names()[0] in tensors and "absent" not in tensors
+        assert reads == []  # names, lengths and membership decode nothing
+        assert checkpoints_bitwise_equal(ckpt, Checkpoint(dict(reader.items()), reader.metadata))
+        assert reads == ckpt.names()
+        name = ckpt.names()[-1]
+        assert reader.array(name).tobytes() == tensors[name].data.tobytes() == ckpt.array(name).tobytes()
+        # each request decodes into new memory, which a caller may overwrite
+        assert not np.shares_memory(reader.array(name), reader.array(name))
 
 
 def test_load_from_a_pipe(tmp_path):
