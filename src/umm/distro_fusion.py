@@ -24,6 +24,7 @@ from umm.errors import (
     InvalidDistribution,
     InvalidLambda,
     IoFailure,
+    MalformedInput,
     OutOfVocab,
     ShapeMismatch,
     located,
@@ -299,13 +300,17 @@ def save_distribution(dist: DistributionMatrix, gold, path) -> None:
 
 
 def load_distribution(path) -> tuple:
-    """Returns (DistributionMatrix, gold id list)."""
+    """Returns (DistributionMatrix, gold id list); the ``gold`` metadata
+    must be a JSON list of integers."""
     ckpt = load_checkpoint(path)
     if "dist" not in ckpt.tensors:
         raise IoFailure(f"{path} holds no 'dist' tensor")
     if "gold" not in ckpt.metadata:
         raise IoFailure(f"{path} metadata lacks 'gold'")
-    gold = [int(t) for t in json.loads(ckpt.metadata["gold"])]
+    try:
+        gold = want_ints({"gold": json.loads(ckpt.metadata["gold"])}, "gold", where=f"{path}: ")
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"{path}: gold metadata is not JSON: {exc}") from exc
     dist = DistributionMatrix(ckpt.array("dist"))
     if len(gold) != dist.length:
         raise ShapeMismatch(f"{len(gold)} gold tokens for {dist.length} rows")

@@ -48,7 +48,6 @@ import itertools
 import json
 import math
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,51 +67,37 @@ from umm.tensor_store import Checkpoint, CheckpointReader, Tensor, require_compa
 METHODS = ("linear", "task_arithmetic", "ties")
 
 
-class _FileDeltas(Mapping):
-    """finetuned[name] - base[name], read from an open container when asked."""
+class _FileTaskVector:
+    """finetuned - base, one tensor read from an open container when a
+    merge asks for it; the same interface as TaskVector."""
 
-    def __init__(self, base, finetuned: CheckpointReader):
-        self._base = base
+    def __init__(self, finetuned: CheckpointReader, source_id: str = ""):
         self._finetuned = finetuned
+        self.source_id = source_id
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.minus(name, self._base.array(name))
+    def shapes(self) -> dict:
+        return self._finetuned.shapes()
 
-    def minus(self, name: str, base_arr: np.ndarray) -> np.ndarray:
-        """finetuned[name] - base_arr, for a base tensor already decoded."""
+    def delta(self, name: str, base_arr: np.ndarray) -> np.ndarray:
         # read returns a new array, so the difference can overwrite it
         delta = self._finetuned.read(name).data
         delta -= base_arr
         return delta
-
-    def __iter__(self):
-        return iter(self._finetuned.names())
-
-    def __len__(self) -> int:
-        return len(self._finetuned.names())
-
-    def shapes(self) -> dict:
-        return self._finetuned.shapes()
 
 
 @dataclass
 class TaskVector:
     """Per-tensor float32 deltas of one fine-tuned model against a base."""
 
-    deltas: Mapping  # tensor name -> np.ndarray (f32)
+    deltas: dict  # tensor name -> np.ndarray (f32)
     source_id: str = ""
 
     def shapes(self) -> dict:
-        """Tensor name -> delta shape, without computing a lazy delta."""
-        if isinstance(self.deltas, _FileDeltas):
-            return self.deltas.shapes()
+        """Tensor name -> delta shape."""
         return {name: arr.shape for name, arr in self.deltas.items()}
 
     def delta(self, name: str, base_arr: np.ndarray) -> np.ndarray:
-        """The delta of tensor ``name``; a lazy one is computed against
-        ``base_arr``, the base tensor the caller has decoded."""
-        if isinstance(self.deltas, _FileDeltas):
-            return self.deltas.minus(name, base_arr)
+        """The delta of tensor ``name``; a lazy vector subtracts ``base_arr``."""
         return self.deltas[name]
 
 
@@ -310,19 +295,21 @@ def expand_schedule(recipe: MergeRecipe, ckpt: Checkpoint) -> Schedule:
 
 # --- task vectors -------------------------------------------------------------
 
-def compute_task_vector(base: Checkpoint, finetuned, source_id: str = "") -> TaskVector:
+def compute_task_vector(base: Checkpoint, finetuned,
+                        source_id: str = "") -> TaskVector | _FileTaskVector:
     """Elementwise float32 difference finetuned - base.
 
     From a loaded Checkpoint every delta is computed now, so a search can
-    reuse them for each candidate.  From an open CheckpointReader each
-    delta is read and computed when a merge asks for it, against the base
+    reuse them for each candidate.  From an open CheckpointReader the
+    vector is lazy, with the same ``shapes`` and ``delta``: each delta is
+    read and computed when a merge asks for it, against the base
     tensor the merge has decoded, so a merge holds one tensor's deltas at
     a time; the reader must stay open until then.  ``base`` is a
     Checkpoint or an open CheckpointReader.
     """
     require_compat(base, finetuned, "base vs finetuned")
     if isinstance(finetuned, CheckpointReader):
-        return TaskVector(deltas=_FileDeltas(base, finetuned), source_id=source_id)
+        return _FileTaskVector(finetuned, source_id)
     deltas = {name: finetuned.array(name) - base.array(name) for name in base.names()}
     return TaskVector(deltas=deltas, source_id=source_id)
 

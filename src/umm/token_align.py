@@ -416,42 +416,31 @@ def kind_histogram(segments: list) -> dict:
 def _transfer_matrix(stats: AlignStats, vocab_map: str):
     """Sparse [pivot vocab x source vocab] map applied to source rows.
 
-    proportional: column v splits the source token's mass across pivot
-    tokens t in proportion to counts[(t, v)].  argmax: all of the mass
-    goes to the highest-count pivot token (ties: lowest id).  Columns
-    with no counts are zero, so unseen source tokens contribute nothing.
+    Both come from one canonical CSR of the counts.  proportional: column
+    v splits the source token's mass across pivot tokens t in proportion
+    to counts[(t, v)].  argmax: all of the mass goes to the highest-count
+    pivot token (ties: lowest id).  Columns with no counts are zero, so
+    unseen source tokens contribute nothing.
     """
     if vocab_map not in ("proportional", "argmax"):
         raise ValueError(f"unknown vocab_map {vocab_map!r}")
-    if not stats.counts:
-        return sparse.csr_matrix((stats.pivot_vocab_size, stats.source_vocab_size))
-    if vocab_map == "argmax":
-        best = {}
-        for (p, s), c in stats.counts.items():
-            incumbent = best.get(s)
-            if incumbent is None or c > incumbent[0] or (c == incumbent[0] and p < incumbent[1]):
-                best[s] = (c, p)
-        rows = [p for _, p in best.values()]
-        cols = list(best.keys())
-        vals = np.ones(len(best))
-        return sparse.csr_matrix(
-            (vals, (rows, cols)),
-            shape=(stats.pivot_vocab_size, stats.source_vocab_size),
-        )
     rows, cols, vals = [], [], []
     for (p, s), c in stats.counts.items():
         rows.append(p)
         cols.append(s)
         vals.append(float(c))
-    matrix = sparse.csr_matrix(
-        (vals, (rows, cols)),
-        shape=(stats.pivot_vocab_size, stats.source_vocab_size),
-    )
-    column_sums = np.asarray(matrix.sum(axis=0)).ravel()
+    shape = (stats.pivot_vocab_size, stats.source_vocab_size)
+    counts = sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+    if vocab_map == "argmax":  # no sparse argmax: scipy's loops over columns in Python
+        coo = counts.tocoo()  # entries in (pivot id, source id) order
+        top = np.flatnonzero(coo.data == counts.max(axis=0).toarray().ravel()[coo.col])
+        seen, first = np.unique(coo.col[top], return_index=True)  # first is the lowest pivot id
+        return sparse.csr_matrix((np.ones(seen.size), (coo.row[top][first], seen)), shape=shape)
+    column_sums = np.asarray(counts.sum(axis=0)).ravel()
     inverse = np.zeros_like(column_sums)
     nonzero = column_sums > 0
     inverse[nonzero] = 1.0 / column_sums[nonzero]
-    return matrix @ sparse.diags(inverse)
+    return counts @ sparse.diags(inverse)
 
 
 def project_distribution(src_dist: DistributionMatrix, segments: list,
@@ -460,14 +449,15 @@ def project_distribution(src_dist: DistributionMatrix, segments: list,
                          vocab_map: str = "proportional") -> DistributionMatrix:
     """Rebuild source probability rows over the pivot vocabulary.
 
-    Position mapping per segment: one_one copies its source row;
-    one_many picks the source row whose token co-occurs most often with
-    the pivot token (ties: leftmost); many_one gives every covered
-    pivot position the count-weighted average of the segment's source
-    rows (a single row in practice); many_many positions take the
-    fallback row.  Each mapped row is then pushed through the vocab
-    transfer matrix and renormalized; a row is kept bit-identical when
-    no mass was lost, and falls back when almost none survives.
+    Every pivot position takes one source row as ``row * w / w``: one_one
+    copies its source row; one_many picks the source row whose token
+    co-occurs most often with the pivot token (ties: leftmost); a many_one
+    segment has one source row, and w is its count against each covered
+    pivot token (1 if none), the rounding of a count-weighted average; w
+    is 1 elsewhere, which copies bits.  many_many positions fall back.
+    Rows are then pushed through the vocab transfer matrix and
+    renormalized; a row is kept bit-identical when no mass was lost, and
+    falls back when almost none survives.
     """
     if src_dist.length != len(source):
         raise ShapeMismatch(
@@ -491,48 +481,33 @@ def project_distribution(src_dist: DistributionMatrix, segments: list,
     check_partition(segments, len(pivot), len(source))
 
     n_pivot = len(pivot)
-    chosen = np.zeros((n_pivot, src_dist.vocab_size))
-    fallback_mask = np.zeros(n_pivot, dtype=bool)
+    row_of = np.zeros(n_pivot, dtype=np.intp)
+    weight = np.ones(n_pivot)
+    fallback = np.zeros(n_pivot, dtype=bool)
     for seg in segments:
         p0, p1 = seg.pivot_span
         s0, s1 = seg.source_span
         if seg.kind == MANY_MANY:
-            fallback_mask[p0:p1] = True
-        elif seg.kind == ONE_ONE:
-            chosen[p0] = src_dist.rows[s0]
+            fallback[p0:p1] = True
         elif seg.kind == ONE_MANY:
-            pivot_id = pivot.ids[p0]
-            best_j, best_count = s0, -1
-            for j in range(s0, s1):
-                count = stats.counts.get((pivot_id, source.ids[j]), 0)
-                if count > best_count:
-                    best_count, best_j = count, j
-            chosen[p0] = src_dist.rows[best_j]
-        else:  # many_one
-            for p in range(p0, p1):
-                pivot_id = pivot.ids[p]
-                weights = np.array(
-                    [float(stats.counts.get((pivot_id, source.ids[j]), 0))
-                     for j in range(s0, s1)]
-                )
-                if weights.sum() == 0.0:
-                    weights = np.ones(s1 - s0)
-                chosen[p] = (weights[:, None] * src_dist.rows[s0:s1]).sum(axis=0) / weights.sum()
+            row_of[p0] = max(range(s0, s1),
+                             key=lambda j: stats.counts.get((pivot.ids[p0], source.ids[j]), 0))
+        else:
+            row_of[p0:p1] = s0
+            if seg.kind == MANY_ONE:
+                weight[p0:p1] = [stats.counts.get((p, source.ids[s0]), 0) or 1
+                                 for p in pivot.ids[p0:p1]]
+    chosen = src_dist.rows[row_of] * weight[:, None] / weight[:, None]
 
-    transfer = _transfer_matrix(stats, vocab_map)
-    mapped = (transfer @ chosen.T).T
+    mapped = (_transfer_matrix(stats, vocab_map) @ chosen.T).T
     original_mass = chosen.sum(axis=1)
     mapped_mass = mapped.sum(axis=1)
-    out = np.empty((n_pivot, stats.pivot_vocab_size))
-    for p in range(n_pivot):
-        if fallback_mask[p] or mapped_mass[p] < MIN_MAPPED_MASS * original_mass[p]:
-            out[p] = pivot_fallback.rows[p]
-        elif mapped_mass[p] == original_mass[p]:
-            # no mass lost: skip renormalization so an identity mapping
-            # reproduces the input row exactly
-            out[p] = mapped[p]
-        else:
-            out[p] = mapped[p] / mapped_mass[p]
+    fallback |= mapped_mass < MIN_MAPPED_MASS * original_mass
+    # a row that lost no mass is kept, so an identity map copies bits
+    renormalize = ~fallback & (mapped_mass != original_mass)
+    out = mapped.copy()  # row-major: mapped is a transposed view
+    np.divide(out, mapped_mass[:, None], out=out, where=renormalize[:, None])
+    out[fallback] = pivot_fallback.rows[fallback]
     return DistributionMatrix(out)
 
 
@@ -569,11 +544,13 @@ def save_stats(stats: AlignStats, path) -> None:
 
 def load_stats(path, pivot_vocab_size: int = None,
                source_vocab_size: int = None) -> AlignStats:
-    """JSONL of {"p", "s", "c"} JSON integers; repeated pairs add up."""
+    """JSONL of {"p", "s", "c"} JSON integers, each c >= 1; repeated pairs add up."""
     counts = {}
     for lineno, obj in iter_jsonl(path):
         try:  # not located(): a stats file has one line per counted pair
             p, s, c = want_int(obj, "p"), want_int(obj, "s"), want_int(obj, "c")
+            if c < 1:
+                raise MalformedInput(f"c must be at least 1, got {c}")
         except MalformedInput as exc:
             raise MalformedInput(f"{path}:{lineno}: bad stats line: {exc}") from exc
         counts[(p, s)] = counts.get((p, s), 0) + c

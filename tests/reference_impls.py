@@ -2,8 +2,10 @@
 
 These are direct, unoptimized transcriptions of the documented merge
 semantics, written before the vectorized package code and kept free of
-any imports from it.  Every arithmetic step is an explicit float32
-operation so the main implementation can be held to bitwise equality.
+any imports from it.  Every arithmetic step of a merge oracle is an
+explicit float32 operation, and the projection oracle works one pivot
+position at a time, so the main implementation can be held to bitwise
+equality.
 """
 
 import math
@@ -262,6 +264,97 @@ def ref_align_moves(p_surfaces, s_surfaces):
             j -= 1
     moves.reverse()
     return moves, cost[n][m]
+
+
+# --- projection oracle -------------------------------------------------------
+
+def ref_transfer_matrix(counts: dict, pivot_vocab: int, source_vocab: int, vocab_map: str):
+    """Sparse [pivot x source] map, built from the (p, s) -> count dict.
+
+    proportional splits column s over pivot tokens in proportion to the
+    counts; argmax sends it whole to the highest-count pivot token, the
+    lowest id on a tie.  Columns with no counts are zero.
+    """
+    from scipy import sparse
+
+    if not counts:
+        return sparse.csr_matrix((pivot_vocab, source_vocab))
+    if vocab_map == "argmax":
+        best = {}
+        for (p, s), c in counts.items():
+            incumbent = best.get(s)
+            if incumbent is None or c > incumbent[0] or (c == incumbent[0] and p < incumbent[1]):
+                best[s] = (c, p)
+        rows = [p for _, p in best.values()]
+        return sparse.csr_matrix((np.ones(len(best)), (rows, list(best.keys()))),
+                                 shape=(pivot_vocab, source_vocab))
+    rows, cols, vals = [], [], []
+    for (p, s), c in counts.items():
+        rows.append(p)
+        cols.append(s)
+        vals.append(float(c))
+    matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(pivot_vocab, source_vocab))
+    column_sums = np.asarray(matrix.sum(axis=0)).ravel()
+    inverse = np.zeros_like(column_sums)
+    nonzero = column_sums > 0
+    inverse[nonzero] = 1.0 / column_sums[nonzero]
+    return matrix @ sparse.diags(inverse)
+
+
+def ref_project_distribution(src_rows, segments, counts: dict, pivot_ids, source_ids,
+                             pivot_vocab: int, source_vocab: int, fallback_rows,
+                             vocab_map: str = "proportional") -> np.ndarray:
+    """Projected [pivot position x pivot vocab] rows, one position at a time.
+
+    ``segments`` are (p0, p1, s0, s1) half-open spans that tile both
+    sequences.  one_one copies its source row; one_many takes the
+    leftmost source row with the highest count against the pivot token;
+    many_one takes the count-weighted average of its source rows (equal
+    weights when every count is 0); many_many falls back.  A mapped row
+    falls back when it keeps less than 1e-6 of its mass, is copied when
+    it keeps all of it, and is renormalized otherwise.
+    """
+    src_rows = np.asarray(src_rows, dtype=np.float64)
+    fallback_rows = np.asarray(fallback_rows, dtype=np.float64)
+    n_pivot = len(pivot_ids)
+    chosen = np.zeros((n_pivot, source_vocab))
+    fallback_mask = np.zeros(n_pivot, dtype=bool)
+    for p0, p1, s0, s1 in segments:
+        if p1 - p0 > 1 and s1 - s0 > 1:  # many_many
+            fallback_mask[p0:p1] = True
+        elif p1 - p0 == 1 and s1 - s0 == 1:  # one_one
+            chosen[p0] = src_rows[s0]
+        elif p1 - p0 == 1:  # one_many
+            pivot_id = pivot_ids[p0]
+            best_j, best_count = s0, -1
+            for j in range(s0, s1):
+                count = counts.get((pivot_id, source_ids[j]), 0)
+                if count > best_count:
+                    best_count, best_j = count, j
+            chosen[p0] = src_rows[best_j]
+        else:  # many_one
+            for p in range(p0, p1):
+                pivot_id = pivot_ids[p]
+                weights = np.array(
+                    [float(counts.get((pivot_id, source_ids[j]), 0)) for j in range(s0, s1)]
+                )
+                if weights.sum() == 0.0:
+                    weights = np.ones(s1 - s0)
+                chosen[p] = (weights[:, None] * src_rows[s0:s1]).sum(axis=0) / weights.sum()
+
+    transfer = ref_transfer_matrix(counts, pivot_vocab, source_vocab, vocab_map)
+    mapped = (transfer @ chosen.T).T
+    original_mass = chosen.sum(axis=1)
+    mapped_mass = mapped.sum(axis=1)
+    out = np.empty((n_pivot, pivot_vocab))
+    for p in range(n_pivot):
+        if fallback_mask[p] or mapped_mass[p] < 1e-6 * original_mass[p]:
+            out[p] = fallback_rows[p]
+        elif mapped_mass[p] == original_mass[p]:
+            out[p] = mapped[p]
+        else:
+            out[p] = mapped[p] / mapped_mass[p]
+    return out
 
 
 # --- fusion oracles ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from umm.errors import (
     ShapeMismatch,
 )
 
-from umm.tensor_store import load_checkpoint
+from umm.tensor_store import Checkpoint, Tensor, load_checkpoint, save_checkpoint
 
 from conftest import fusion_example_obj, write_fusion_corpus
 from reference_impls import ref_sequence_ce, ref_sft_train
@@ -428,8 +429,6 @@ def test_distribution_container_gold_mismatch(rng, tmp_path):
 
 
 def test_load_distribution_requires_fields(rng, tmp_path):
-    from umm.tensor_store import Checkpoint, Tensor, save_checkpoint
-
     path = tmp_path / "no_dist.st"
     save_checkpoint(Checkpoint(tensors={"other": Tensor(np.ones((1, 2)))}), path)
     with pytest.raises(IoFailure):
@@ -439,6 +438,16 @@ def test_load_distribution_requires_fields(rng, tmp_path):
     save_checkpoint(Checkpoint(tensors={"dist": Tensor(rows)}), path2)
     with pytest.raises(IoFailure):
         load_distribution(path2)
+
+
+@pytest.mark.parametrize("gold", ["[1.5]", "[true]", '["1"]', "5", '{"a": 1}', "not json"],
+                         ids=["float", "bool", "string", "int", "object", "not-json"])
+def test_load_distribution_rejects_malformed_gold(tmp_path, gold):
+    path = tmp_path / "bad_gold.st"
+    rows = np.full((1, 2), 0.5, dtype=np.float32)
+    save_checkpoint(Checkpoint(tensors={"dist": Tensor(rows)}, metadata={"gold": gold}), path)
+    with pytest.raises(MalformedInput, match=re.escape(str(path))):
+        load_distribution(path)
 
 
 def test_toy_model_round_trip(tmp_path):

@@ -16,6 +16,11 @@ from umm.errors import (
 )
 from umm.jsonl import iter_jsonl, want_ints
 from umm.token_align import (
+    KINDS,
+    MANY_MANY,
+    MANY_ONE,
+    ONE_MANY,
+    ONE_ONE,
     AlignmentSegment,
     AlignStats,
     SurfaceNormalizer,
@@ -34,7 +39,12 @@ from umm.token_align import (
     _segment_moves,
 )
 
-from reference_impls import ref_align_moves, ref_min_alignment_cost, ref_surface_distance
+from reference_impls import (
+    ref_align_moves,
+    ref_min_alignment_cost,
+    ref_project_distribution,
+    ref_surface_distance,
+)
 
 # every surface pair costs a multiple of 1/2, so alignment costs are
 # exact binary fractions and optimality can be compared with tolerance 0
@@ -484,6 +494,94 @@ def test_projection_rows_are_distributions(rng):
         np.testing.assert_allclose(projected.rows.sum(axis=1), 1.0, atol=1e-6)
 
 
+def random_projection_case(rng):
+    """A hand-built partition over all four segment kinds, with counts and
+    rows drawn to reach count ties, unseen and near-unseen source columns,
+    empty counts and non-dyadic many_one weights above 1."""
+    pivot_vocab, source_vocab = (int(v) for v in rng.integers(1, 7, size=2))
+    spans, p_len, s_len = [], 0, 0
+    for _ in range(int(rng.integers(1, 6))):
+        kind = KINDS[int(rng.integers(0, 4))]
+        dp = 1 if kind in (ONE_ONE, ONE_MANY) else int(rng.integers(2, 4))
+        ds = 1 if kind in (ONE_ONE, MANY_ONE) else int(rng.integers(2, 4))
+        spans.append((p_len, p_len + dp, s_len, s_len + ds))
+        p_len, s_len = p_len + dp, s_len + ds
+    pivot_ids = [int(v) for v in rng.integers(0, pivot_vocab, size=p_len)]
+    source_ids = [int(v) for v in rng.integers(0, source_vocab, size=s_len)]
+    counts = {}
+    if rng.random() > 0.1:
+        top = int(rng.choice([2, 3, 1000]))  # small tops tie often
+        for _ in range(int(rng.integers(1, pivot_vocab * source_vocab + 1))):
+            pair = (int(rng.integers(0, pivot_vocab)), int(rng.integers(0, source_vocab)))
+            counts[pair] = int(rng.integers(1, top + 1))
+        for p, s in zip(pivot_ids, source_ids):  # aligned pairs, as update_stats counts them
+            if rng.random() < 0.5:
+                counts[(p, s)] = int(rng.integers(1, top + 1))
+    seen = sorted({s for _, s in counts})
+    unseen = sorted(set(range(source_vocab)) - set(seen))
+    src = rng.dirichlet(np.ones(source_vocab), size=s_len)
+    for row in src:
+        if unseen and rng.random() < 0.3:  # all mass, or all but a sliver, unseen
+            row[:] = 0.0
+            row[unseen[int(rng.integers(0, len(unseen)))]] = 1.0 - 1e-9
+            row[seen[0] if seen and rng.random() < 0.5 else unseen[0]] += 1e-9
+        elif rng.random() < 0.2:
+            row[rng.random(source_vocab) < 0.5] = 0.0
+            row[int(rng.integers(0, source_vocab))] += max(0.0, 1.0 - row.sum())
+    fallback = rng.dirichlet(np.ones(pivot_vocab), size=p_len)
+    vocab_map = "argmax" if rng.random() < 0.5 else "proportional"
+    return spans, counts, pivot_ids, source_ids, pivot_vocab, source_vocab, src, fallback, vocab_map
+
+
+def projection_features(segments, counts, pivot_ids, source_ids, fallback, want, vocab_map):
+    """The cases a projection case reaches, by name."""
+    reached = {seg.kind for seg in segments}
+    if not counts:
+        reached.add("empty counts")
+    for seg in segments:
+        p0, p1 = seg.pivot_span
+        s0, s1 = seg.source_span
+        if seg.kind == ONE_MANY:
+            tied = [counts.get((pivot_ids[p0], source_ids[j]), 0) for j in range(s0, s1)]
+            if tied.count(max(tied)) > 1:
+                reached.add("one_many count tie")
+        if seg.kind == MANY_ONE and any(counts.get((pivot_ids[p], source_ids[s0]), 0) > 1
+                                        for p in range(p0, p1)):
+            reached.add("many_one weight above 1")
+        if seg.kind != MANY_MANY and any(want[p].tobytes() == fallback[p].tobytes()
+                                         for p in range(p0, p1)):
+            reached.add("mass floor fallback")
+    column_max = {}
+    for (p, s), c in counts.items():
+        column_max.setdefault(s, []).append(c)
+    if vocab_map == "argmax" and any(cs.count(max(cs)) > 1 for cs in column_max.values()):
+        reached.add("argmax count tie")
+    return reached
+
+
+def test_projection_matches_scalar_reference_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    reached = set()
+    for _ in range(2000):
+        case = random_projection_case(rng)
+        spans, counts, pivot_ids, source_ids, pv, sv, src, fallback, vocab_map = case
+        pivot = TokenSeq(ids=pivot_ids, surfaces=["p"] * len(pivot_ids), vocab_size=pv)
+        source = TokenSeq(ids=source_ids, surfaces=["s"] * len(source_ids), vocab_size=sv)
+        segments = [AlignmentSegment((p0, p1), (s0, s1)) for p0, p1, s0, s1 in spans]
+        projected = project_distribution(
+            DistributionMatrix(src), segments, AlignStats(pv, sv, dict(counts)), pivot, source,
+            DistributionMatrix(fallback), vocab_map=vocab_map)
+        want = ref_project_distribution(src, spans, counts, pivot_ids, source_ids, pv, sv,
+                                        fallback, vocab_map)
+        assert projected.rows.tobytes() == want.tobytes(), case
+        assert projected.rows.strides == want.strides
+        reached |= projection_features(segments, counts, pivot_ids, source_ids, fallback, want,
+                                       vocab_map)
+    assert reached == set(KINDS) | {
+        "empty counts", "one_many count tie", "argmax count tie", "many_one weight above 1",
+        "mass floor fallback"}
+
+
 def test_projection_shape_mismatches():
     src, segments, stats, tokens, fallback = identity_setup(vocab=4, n=3)
     short_fallback = DistributionMatrix(np.full((2, 4), 0.25))
@@ -593,8 +691,10 @@ def test_stats_jsonl_malformed(tmp_path):
     {"p": {}, "s": 1, "c": 1},
     [0, 1, 1],
     5,
+    {"p": 0, "s": 0, "c": 0},
+    {"p": 0, "s": 0, "c": -1},
 ], ids=["float", "integral-float", "bool", "string", "null", "list", "object", "line-list",
-        "line-int"])
+        "line-int", "zero-count", "negative-count"])
 def test_stats_jsonl_rejects_non_integers(tmp_path, line):
     path = tmp_path / "stats.jsonl"
     path.write_text('{"p": 0, "s": 0, "c": 1}\n' + json.dumps(line) + "\n")
