@@ -33,7 +33,7 @@ from umm.merge_core import (
     load_recipe,
     merge,
 )
-from umm.tensor_store import CheckpointReader, load_checkpoint, save_checkpoint, tensor_summary
+from umm.tensor_store import CheckpointReader, CheckpointWriter, load_checkpoint, tensor_summary
 from umm.token_align import (
     DEFAULT_MARKERS,
     AlignStats,
@@ -92,12 +92,16 @@ def cmd_merge(args) -> dict:
             log.info("opening model %s from %s", model.source_id, path)
             finetuned = stack.enter_context(CheckpointReader(path))
             vectors.append(compute_task_vector(base, finetuned, model.source_id))
-        merged = merge(base, vectors, recipe)
-    save_checkpoint(merged, args.out)
+        # Entered last, so it is closed first: the merged file replaces
+        # --out while the inputs are still open, and --out may name one.
+        # An error removes the partial file and leaves --out as it was.
+        layout = {name: (shape, "f32") for name, shape in base.shapes().items()}
+        out = stack.enter_context(CheckpointWriter(args.out, layout, base.metadata))
+        merge(base, vectors, recipe, out)
     log.info("wrote merged checkpoint to %s", args.out)
     schedule = expand_schedule(recipe, base)
     return {
-        "tensors": len(merged),
+        "tensors": len(layout),
         "method": recipe.method,
         "lambda": recipe.lambda_scale,
         "groups": schedule.group_table(),

@@ -8,8 +8,10 @@ their layout once, all from names and shapes.  Then it walks the base
 tensors in name order as spans: consecutive tensors laid end to end, up
 to ``_BLOCK`` entries (which fit in L2) in all, or one larger tensor
 alone.  A span decodes its base tensors when it is built, so a base
-reader decodes each tensor once and a merge holds the output plus one
-span's base, deltas and working arrays.  Each span's
+reader decodes each tensor once.  With a CheckpointWriter as ``out``,
+each span's output is written as soon as the span is finished, so a
+merge holds one span's base, deltas, working arrays and output, not the
+merged model.  Each span's
 contribution comes from the rule of ``recipe.method``, with every
 tensor's per-model (weight, density) pairs:
 
@@ -644,28 +646,32 @@ _PARTS = {
 }
 
 
-def merge(base, vectors: list, recipe: MergeRecipe) -> Checkpoint:
+def merge(base, vectors: list, recipe: MergeRecipe, out=None) -> Checkpoint | None:
     """Merge task vectors onto ``base`` by ``recipe.method``, one span at a time.
 
     ``base`` is a Checkpoint or an open CheckpointReader; a reader's
     tensors are decoded once each, as their span is merged.  ``vectors``
     holds one TaskVector per recipe model, in any order.  The output has
-    the base's tensor names and metadata, every tensor f32.
+    the base's tensor names and metadata, every tensor f32.  It is
+    returned as a Checkpoint, or, with ``out`` (a CheckpointWriter of
+    that layout), each span's tensors are written to ``out`` as soon as
+    the span is finished and none are kept, and this returns None.
     """
     schedule = expand_schedule(recipe, base)
     ordered = _ordered_vectors(recipe, vectors)
     _require_vector_compat(base, ordered)
     part = _PARTS[recipe.method]
-    tensors = {}
+    merged = Checkpoint(metadata=dict(base.metadata)) if out is None else None
+    write = merged.tensors.__setitem__ if out is None else out.write
     # An overflow leaves Inf or NaN in the output, which saving reports
     # as NonFiniteValue, so numpy's own warning would only repeat it.
     # linear divides by a zero weight sum only in tensors that keep the base.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for span in _spans(base, schedule):
             coeffs = [schedule.coeffs(name) for name in span.names]
-            merged = span.finish(*part(span, ordered, coeffs, recipe.lambda_scale))
-            for name, arr in zip(span.names, merged):
-                tensors[name] = Tensor(arr, dtype="f32")
-            # drop the span's base before the next span is decoded
-            del span
-    return Checkpoint(tensors=tensors, metadata=dict(base.metadata))
+            outputs = span.finish(*part(span, ordered, coeffs, recipe.lambda_scale))
+            for name, arr in zip(span.names, outputs):
+                write(name, Tensor(arr, dtype="f32"))
+            # drop the span's base and output before the next span is decoded
+            del span, outputs, arr
+    return merged

@@ -8,13 +8,17 @@ the offsets (relative to the end of the header).  Writing is canonical:
 keys in lexicographic order, no insignificant whitespace, the header
 space-padded so the data region starts on an 8-byte boundary.  The same
 in-memory checkpoint therefore always serializes to identical bytes.
-The writer computes the header from shapes and dtype sizes, then
-encodes one payload at a time; the reader (``CheckpointReader``)
-validates the header and offsets when it opens a file and decodes one
-tensor per request.  An open reader offers the read-only surface of a
-``Checkpoint`` (``names``, ``shapes``, ``items``, ``array``, ``tensors``,
-``metadata``, ``len``), decoding a tensor each time one is asked for, so
-a merge can walk its base without holding it.
+There is one write path, ``CheckpointWriter``: it computes the header
+from names, shapes and dtype sizes alone, writes it first and then takes
+one tensor at a time, so a merge can write each tensor as soon as it is
+finished, and it publishes the file by a rename only when every tensor
+is in.  ``save_checkpoint`` feeds it a whole in-memory checkpoint, and
+``checkpoint_digest`` hashes the same header and payloads.  The reader
+(``CheckpointReader``) validates the header and offsets when it opens a
+file and decodes one tensor per request.  An open reader offers the
+read-only surface of a ``Checkpoint`` (``names``, ``shapes``, ``items``,
+``array``, ``tensors``, ``metadata``, ``len``), decoding a tensor each
+time one is asked for, so a merge can walk its base without holding it.
 
 Stored dtypes are f32, f16, and bf16.  Tensors are decoded to float32
 for all in-memory arithmetic; the original dtype tag is kept so a
@@ -24,13 +28,14 @@ exactly representable in f32, so the upcast/downcast pair is lossless).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
 import stat
+import uuid
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -120,57 +125,144 @@ def _encode_payload(tensor: Tensor) -> np.ndarray:
     return rounded.astype("<u2").reshape(-1).view(np.uint8)
 
 
-def _canonical_chunks(ckpt: Checkpoint) -> Iterator:
-    """Check ``ckpt`` and return its canonical serialization as byte chunks.
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue(f"tensor {name!r} contains NaN or Inf")
 
-    Every name, finiteness and metadata check runs before this returns.
-    The header is computed from the shapes and dtype sizes, so the
-    iterator yields it first and then encodes one payload at a time, in
-    name order.
+
+def _header(layout: dict, metadata: dict) -> bytes:
+    """The length prefix and canonical header of a container.
+
+    ``layout`` maps each tensor name to its (shape, dtype tag); the data
+    offsets follow from the shapes and dtype sizes, in name order.
     """
     header = {}
     offset = 0
-    for name, tensor in ckpt.items():
+    for name, (shape, tag) in sorted(layout.items()):
         if not isinstance(name, str) or not name or name == "__metadata__":
             raise ValueError(f"invalid tensor name {name!r}")
-        if not np.all(np.isfinite(tensor.data)):
-            raise NonFiniteValue(f"tensor {name!r} contains NaN or Inf")
-        nbytes = tensor.data.size * _DTYPES[tensor.dtype][1]
+        nbytes = math.prod(shape) * _DTYPES[tag][1]
         header[name] = {
-            "dtype": _DTYPES[tensor.dtype][0],
-            "shape": [int(d) for d in tensor.shape],
+            "dtype": _DTYPES[tag][0],
+            "shape": [int(d) for d in shape],
             "data_offsets": [offset, offset + nbytes],
         }
         offset += nbytes
-    if ckpt.metadata:
-        meta = {}
-        for key, value in ckpt.metadata.items():
-            if not isinstance(key, str) or not isinstance(value, str):
-                raise ValueError("metadata must map strings to strings")
-            meta[key] = value
-        header["__metadata__"] = meta
+    if metadata:
+        if any(not isinstance(k, str) or not isinstance(v, str) for k, v in metadata.items()):
+            raise ValueError("metadata must map strings to strings")
+        header["__metadata__"] = dict(metadata)
     body = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body += b" " * (-(8 + len(body)) % 8)
-    payloads = (_encode_payload(tensor) for _, tensor in ckpt.items())
-    return itertools.chain([len(body).to_bytes(8, "little") + body], payloads)
+    return len(body).to_bytes(8, "little") + body
+
+
+def _layout(ckpt: Checkpoint) -> dict:
+    return {name: (tensor.shape, tensor.dtype) for name, tensor in ckpt.items()}
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write ``ckpt`` to ``path`` in canonical container form."""
-    chunks = _canonical_chunks(ckpt)
+    """Write ``ckpt`` to ``path`` in canonical container form, through a
+    CheckpointWriter, so a failed save leaves ``path`` as it was."""
+    with CheckpointWriter(path, _layout(ckpt), ckpt.metadata) as out:
+        for name, tensor in ckpt.items():
+            out.write(name, tensor)
+
+
+def _replaceable(path) -> str:
+    """The file that a new container at ``path`` replaces: a symlink is
+    followed to its target, which must be a regular file if it exists."""
     try:
-        with open(path, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+        mode = os.lstat(path).st_mode
+        if stat.S_ISLNK(mode):
+            path = os.path.realpath(path)
+            mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return os.fspath(path)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+    if not stat.S_ISREG(mode):
+        raise IoFailure(f"cannot write {path}: not a regular file")
+    return os.fspath(path)
+
+
+class CheckpointWriter:
+    """A container written one tensor at a time, published when its
+    ``with`` block ends cleanly.
+
+    The canonical header of ``layout`` (tensor name -> (shape, dtype
+    tag)) and ``metadata`` goes into a temp file next to ``path`` (next
+    to a symlink's target) when the writer is made.  ``write`` then
+    takes the tensors in name order, each checked against the layout and
+    for finiteness, and appends its payload.  Leaving the block renames
+    the temp file over ``path`` once every declared tensor is written.
+    Any error, a missing tensor included, removes the temp file instead,
+    so ``path`` is either the whole new container or whatever it was
+    before.
+    """
+
+    def __init__(self, path, layout: dict, metadata: dict):
+        self.path = _replaceable(path)
+        header = _header(layout, metadata)
+        self._pending = iter(sorted((name, tuple(shape), tag) for name, (shape, tag) in layout.items()))
+        self._tmp = f"{self.path}.{uuid.uuid4().hex}.tmp"
+        try:
+            self._fh = open(self._tmp, "xb")
+        except OSError as exc:
+            raise IoFailure(f"cannot write {self.path}: {exc}") from exc
+        try:
+            self._fh.write(header)
+        except BaseException as exc:
+            self._discard(exc)
+            raise
+
+    def write(self, name: str, tensor: Tensor) -> None:
+        """Append tensor ``name``, the next one of the layout in name order."""
+        try:
+            want = next(self._pending, None)
+            if (name, tensor.shape, tensor.dtype) != want:
+                expected = "no more tensors" if want is None else f"{want[0]!r} {want[2]} {list(want[1])}"
+                raise ValueError(f"{self.path}: got tensor {name!r} {tensor.dtype} "
+                                 f"{list(tensor.shape)}, expected {expected}")
+            _require_finite(name, tensor.data)
+            self._fh.write(_encode_payload(tensor))
+        except BaseException as exc:
+            self._discard(exc)
+            raise
+
+    def _discard(self, exc: BaseException | None = None) -> None:
+        """Close and remove the temp file, leaving ``path`` as it was; an
+        OSError ``exc`` is raised as IoFailure."""
+        self._fh.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self._tmp)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {self.path}: {exc}") from exc
+
+    def __enter__(self) -> "CheckpointWriter":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is not None:
+            self._discard()
+            return
+        try:
+            missing = next(self._pending, None)
+            if missing is not None:
+                raise ValueError(f"{self.path}: tensor {missing[0]!r} was never written")
+            self._fh.close()
+            os.replace(self._tmp, self.path)
+        except BaseException as exc:
+            self._discard(exc)
+            raise
 
 
 def checkpoint_digest(ckpt: Checkpoint) -> str:
     """sha256 of the canonical serialization (stable content identity)."""
-    digest = hashlib.sha256()
-    for chunk in _canonical_chunks(ckpt):
-        digest.update(chunk)
+    digest = hashlib.sha256(_header(_layout(ckpt), ckpt.metadata))
+    for name, tensor in ckpt.items():
+        _require_finite(name, tensor.data)
+        digest.update(_encode_payload(tensor))
     return digest.hexdigest()
 
 

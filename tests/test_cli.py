@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from umm import errors
+from umm import errors, merge_core
 from umm.cli import main
 from umm.distro_fusion import (
     DistributionMatrix,
@@ -326,13 +326,15 @@ def test_merge_overflowing_output_exits_1_before_writing(tmp_path, capsys):
     assert not (tmp_path / "merged.st").exists()
 
 
-def test_merge_holds_one_tensors_deltas_at_a_time(tmp_path, capsys):
+def _tall_merge_inputs(tmp_path, num_layers, num_models=3, width=256):
+    """Layers of width x width bf16 tensors, a twice-as-large last tensor
+    and a TIES recipe in three layer groups; returns the merge argv, the
+    f32 base arrays and the recipe models."""
     rng = np.random.default_rng(15)
-    num_layers, width, num_models = 12, 256, 3
     meta = {"layer_pattern": "layers.{i}.", "num_layers": str(num_layers)}
     arrays = {f"layers.{i}.w": rng.standard_normal((width, width), dtype=np.float32)
               for i in range(num_layers)}
-    # the largest tensor comes last, when the output is nearly whole
+    # the largest tensor comes last, after every other tensor is merged
     arrays["out.w"] = rng.standard_normal((2 * width, width), dtype=np.float32)
     base = Checkpoint({n: Tensor(a, "bf16") for n, a in arrays.items()}, metadata=meta)
     save_checkpoint(base, tmp_path / "base.st")
@@ -342,21 +344,33 @@ def test_merge_holds_one_tensors_deltas_at_a_time(tmp_path, capsys):
                             for n, a in arrays.items()}, metadata=meta)
         save_checkpoint(tuned, tmp_path / f"m{m}.st")
         models.append((f"m{m}", str(tmp_path / f"m{m}.st"), (0.3 + 0.2 * m, 0.2 + 0.3 * m)))
-    write_json(tmp_path / "recipe.json", recipe_obj("ties", 4, 4, models))
+    write_json(tmp_path / "recipe.json", recipe_obj("ties", num_layers // 3, 4, models))
     argv = ["--log-level", "warning", "merge", "--base", str(tmp_path / "base.st"),
             "--recipe", str(tmp_path / "recipe.json"), "--out", str(tmp_path / "merged.st")]
+    return argv, arrays, models
 
+
+def _traced_peak(argv, capsys) -> int:
+    """The tracemalloc peak of one successful CLI run."""
     tracemalloc.start()
     try:
-        code, out, _ = run_cli(argv, capsys)
+        code, _, _ = run_cli(argv, capsys)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 0 and out["tensors"] == num_layers + 1
-    model_bytes = sum(a.nbytes for a in arrays.values())
+    assert code == 0
+    return peak
+
+
+def test_merge_holds_one_tensors_deltas_at_a_time(tmp_path, capsys):
+    num_models = 3
+    argv, arrays, models = _tall_merge_inputs(tmp_path, 12, num_models)
+    peak = _traced_peak(argv, capsys)
+    # one span's base, M raw-then-trimmed deltas, the TIES blocks and the
+    # span's output: no term for the merged model, which goes to disk
     largest = max(a.nbytes for a in arrays.values())
-    bound = model_bytes + (2 * num_models + 4) * largest
-    assert peak < bound, (peak, bound)
+    bound = (2 * num_models + 4) * largest
+    assert peak < bound, (peak / largest, bound / largest)
 
     # the same bytes as a merge of eagerly loaded task vectors
     loaded = load_checkpoint(tmp_path / "base.st")
@@ -365,12 +379,29 @@ def test_merge_holds_one_tensors_deltas_at_a_time(tmp_path, capsys):
     assert sha256_file(tmp_path / "merged.st") == checkpoint_digest(eager)
 
 
-def _merge_inputs(tmp_path, method="ties"):
-    """A base with one tensor larger than a span block, two fine-tuned
-    models and a recipe; returns the merge argv without ``--out``."""
+def test_merge_peak_does_not_grow_with_model_size(tmp_path, capsys):
+    peaks = []
+    for num_layers in (12, 24):
+        work = tmp_path / str(num_layers)
+        work.mkdir()
+        argv, arrays, _ = _tall_merge_inputs(work, num_layers)
+        peaks.append(_traced_peak(argv, capsys))
+    largest = max(a.nbytes for a in arrays.values())
+    # twice the layers, the same largest tensor: the peak stays put
+    assert peaks[1] - peaks[0] < largest / 2, [p / largest for p in peaks]
+
+
+def _merge_inputs(tmp_path, method="ties", dtype=None):
+    """A base with three small tensors packed into one span and then one
+    tensor larger than a span block, two fine-tuned models and a recipe;
+    returns the base's tensor names and the merge argv without ``--out``.
+    The small tensors are f32 and the large one bf16, or every tensor is
+    stored as ``dtype`` if one is given."""
     rng = np.random.default_rng(16)
     base = layered_ckpt(rng, num_layers=3)
     base.tensors["layers.2.w"] = Tensor(rng.standard_normal((200, 200)).astype(np.float32), "bf16")
+    if dtype is not None:
+        base.tensors = {name: Tensor(t.data, dtype) for name, t in base.items()}
     save_checkpoint(base, tmp_path / "base.st")
     models = []
     for m, sid in enumerate("ab"):
@@ -381,6 +412,62 @@ def _merge_inputs(tmp_path, method="ties"):
     write_json(tmp_path / "recipe.json", recipe_obj(method, 1, 4, models, lambda_scale=0.9))
     return base.names(), ["merge", "--base", str(tmp_path / "base.st"),
                           "--recipe", str(tmp_path / "recipe.json")]
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f16", "bf16"])
+@pytest.mark.parametrize("method", ["ties", "task_arithmetic", "linear"])
+def test_streamed_merge_writes_the_bytes_of_a_saved_eager_merge(method, dtype, tmp_path, capsys):
+    names, argv = _merge_inputs(tmp_path, method, dtype)
+    assert merge_core._BLOCK < 200 * 200
+    code, out, _ = run_cli(argv + ["--out", str(tmp_path / "merged.st")], capsys)
+    assert code == 0 and out["tensors"] == len(names)
+
+    loaded = load_checkpoint(tmp_path / "base.st")
+    vectors = [compute_task_vector(loaded, load_checkpoint(tmp_path / f"{sid}.st"), sid)
+               for sid in "ab"]
+    save_checkpoint(merge(loaded, vectors, load_recipe(tmp_path / "recipe.json")),
+                    tmp_path / "eager.st")
+    assert (tmp_path / "merged.st").read_bytes() == (tmp_path / "eager.st").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["a.st", "b.st", "base.st", "eager.st", "merged.st", "recipe.json"]
+
+
+def _nan_in_last_input_tensor(tmp_path):
+    # the last tensor in name order ends the data region
+    raw = bytearray((tmp_path / "b.st").read_bytes())
+    raw[-4:] = np.array([np.nan], "<f4").tobytes()
+    (tmp_path / "b.st").write_bytes(bytes(raw))
+    return f"NonFiniteValue: {tmp_path / 'b.st'}: tensor 'layers.2.w' contains NaN or Inf"
+
+
+def _overflow_in_last_output_tensor(tmp_path):
+    # lambda 100 keeps every delta of about 0.01 finite, but not one of 1e37
+    for sid in "ab":
+        ckpt = load_checkpoint(tmp_path / f"{sid}.st")
+        ckpt.tensors["layers.2.w"].data[-1, -1] = np.float32(1e37)
+        save_checkpoint(ckpt, tmp_path / f"{sid}.st")
+    recipe = json.loads((tmp_path / "recipe.json").read_text())
+    write_json(tmp_path / "recipe.json", dict(recipe, lambda_scale=100.0))
+    return "NonFiniteValue: tensor 'layers.2.w' contains NaN or Inf"
+
+
+@pytest.mark.parametrize("previous", [None, b"an earlier merge"], ids=["no-out", "earlier-out"])
+@pytest.mark.parametrize("spoil", [_nan_in_last_input_tensor, _overflow_in_last_output_tensor],
+                         ids=["nan-input", "overflow-output"])
+def test_merge_failing_on_the_last_tensor_leaves_out_as_it_was(spoil, previous, tmp_path, capsys):
+    # every other tensor has been merged and written when the last one fails
+    names, argv = _merge_inputs(tmp_path, "task_arithmetic", "f32")
+    assert names[-1] == "layers.2.w"
+    message = spoil(tmp_path)
+    if previous is not None:
+        (tmp_path / "merged.st").write_bytes(previous)
+    code, _, err = run_cli(argv + ["--out", str(tmp_path / "merged.st")], capsys)
+    assert_one_located_error(code, err, message)
+    if previous is None:
+        assert not (tmp_path / "merged.st").exists()
+    else:
+        assert (tmp_path / "merged.st").read_bytes() == previous
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 @pytest.mark.parametrize("method", ["ties", "task_arithmetic", "linear"])

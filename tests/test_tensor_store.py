@@ -16,6 +16,7 @@ from umm.errors import (
 from umm.tensor_store import (
     Checkpoint,
     CheckpointReader,
+    CheckpointWriter,
     Tensor,
     checkpoint_digest,
     load_checkpoint,
@@ -351,6 +352,81 @@ def test_save_to_unwritable_dir(tmp_path):
     ckpt = make_ckpt(x=[1.0])
     with pytest.raises(IoFailure):
         save_checkpoint(ckpt, tmp_path / "no" / "such" / "dir" / "x.st")
+
+
+# --- streamed writing -----------------------------------------------------------
+
+_A = Tensor(np.ones((2, 3), np.float32))
+_B = Tensor(np.array([1.0, 2.0], np.float32))
+# case -> (writes, error, message) for a layout of a (2x3 f32) and b (2 f32)
+_WRONG_WRITES = {
+    "out-of-order": ([("b", _B)], ValueError, r"got tensor 'b' f32 \[2\], expected 'a' f32 \[2, 3\]"),
+    "unknown": ([("a", _A), ("zz", _B)], ValueError, "got tensor 'zz' .*, expected 'b'"),
+    "wrong-shape": ([("a", Tensor(np.ones((3, 2), np.float32)))], ValueError,
+                    r"got tensor 'a' f32 \[3, 2\], expected 'a' f32 \[2, 3\]"),
+    "non-finite": ([("a", Tensor(np.full((2, 3), np.inf, np.float32)))], NonFiniteValue,
+                   "tensor 'a' contains NaN or Inf"),
+    "missing": ([("a", _A)], ValueError, "tensor 'b' was never written"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_WRITES))
+def test_writer_rejects_a_wrong_tensor_and_leaves_path_as_it_was(case, tmp_path):
+    path = tmp_path / "out.st"
+    path.write_bytes(b"an earlier file")
+    writes, error, message = _WRONG_WRITES[case]
+    writer = CheckpointWriter(path, {"a": ((2, 3), "f32"), "b": ((2,), "f32")}, {})
+    with pytest.raises(error, match=message):
+        with writer:
+            for name, tensor in writes:
+                writer.write(name, tensor)
+    # dropping the writer would warn of a file left open; the temp file
+    # is gone and the path is as it was
+    del writer
+    assert os.listdir(tmp_path) == ["out.st"]
+    assert path.read_bytes() == b"an earlier file"
+
+
+def test_writer_discards_on_an_error_in_its_block(tmp_path):
+    ckpt = make_ckpt(a=[1.0])
+    with pytest.raises(KeyError):
+        with CheckpointWriter(tmp_path / "out.st", {"a": ((1,), "f32")}, {}) as writer:
+            writer.write("a", ckpt.tensors["a"])
+            raise KeyError("a caller's error")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_save_leaves_an_earlier_file(tmp_path):
+    ckpt = make_ckpt(a=[1.0], b=[2.0])
+    ckpt.tensors["b"].data[0] = np.nan
+    (tmp_path / "x.st").write_bytes(b"an earlier file")
+    with pytest.raises(NonFiniteValue):
+        save_checkpoint(ckpt, tmp_path / "x.st")
+    assert os.listdir(tmp_path) == ["x.st"]
+    assert (tmp_path / "x.st").read_bytes() == b"an earlier file"
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["link", "dangling-link"])
+def test_save_through_a_symlink_writes_its_target(existing, tmp_path):
+    ckpt = make_ckpt(x=[1.0, 2.0])
+    (tmp_path / "d").mkdir()
+    if existing:
+        (tmp_path / "d" / "target.st").write_bytes(b"an earlier file")
+    os.symlink(os.path.join("d", "target.st"), tmp_path / "link.st")
+    save_checkpoint(ckpt, tmp_path / "link.st")
+    assert os.readlink(tmp_path / "link.st") == os.path.join("d", "target.st")
+    assert checkpoints_bitwise_equal(load_checkpoint(tmp_path / "d" / "target.st"), ckpt)
+    assert os.listdir(tmp_path / "d") == ["target.st"]
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory", "link-to-fifo"])
+def test_save_refuses_a_target_that_is_not_a_regular_file(kind, tmp_path):
+    os.mkfifo(tmp_path / "fifo")
+    (tmp_path / "directory").mkdir()
+    os.symlink("fifo", tmp_path / "link-to-fifo")
+    with pytest.raises(IoFailure, match="not a regular file"):
+        save_checkpoint(make_ckpt(x=[1.0]), tmp_path / kind)
+    assert sorted(os.listdir(tmp_path)) == ["directory", "fifo", "link-to-fifo"]
 
 
 # --- compatibility ------------------------------------------------------------
