@@ -26,14 +26,14 @@ from umm.distro_fusion import (
 )
 from umm.errors import IoFailure, LengthMismatch, UmmError, located
 from umm.evo_search import config_from_json_obj, run_search
-from umm.jsonl import iter_jsonl, want_ints, want_list, want_object
+from umm.jsonl import iter_jsonl, read_json, want_ints, want_list, want_object
 from umm.merge_core import (
     compute_task_vector,
     expand_schedule,
     load_recipe,
     merge,
 )
-from umm.tensor_store import CheckpointReader, CheckpointWriter, load_checkpoint, tensor_summary
+from umm.tensor_store import CheckpointReader, CheckpointWriter, load_checkpoint, publish, tensor_summary
 from umm.token_align import (
     DEFAULT_MARKERS,
     AlignStats,
@@ -67,7 +67,7 @@ def _parse_markers(value):
 
 
 def _write_csv(path, fieldnames: list, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with publish(path, text=True) as fh:
         writer = csv.DictWriter(fh, fieldnames)
         writer.writeheader()
         writer.writerows(rows)
@@ -110,11 +110,11 @@ def cmd_merge(args) -> dict:
 
 
 def cmd_search(args) -> dict:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = config_from_json_obj(json.load(fh), seed=args.seed, threads=args.threads)
+    config = config_from_json_obj(read_json(args.config), seed=args.seed, threads=args.threads)
     out = Path(args.out)
     result = run_search(config, out, resume=args.resume)
-    (out / "best_recipe.json").write_text(result.best_recipe.dumps() + "\n")
+    with publish(out / "best_recipe.json", text=True) as fh:
+        fh.write(result.best_recipe.dumps() + "\n")
     _write_csv(out / "history.csv", ["generation", "best", "best_so_far"], result.history)
     log.info(
         "search finished: %d generations, best fitness %r",

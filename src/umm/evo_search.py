@@ -28,7 +28,6 @@ import shlex
 import signal
 import subprocess
 import threading
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +49,7 @@ from umm.errors import (
     MalformedInput,
 )
 from umm.jsonl import (
+    read_json,
     want_int,
     want_number,
     want_numbers,
@@ -71,6 +71,7 @@ from umm.tensor_store import (
     Checkpoint,
     checkpoint_digest,
     load_checkpoint,
+    publish,
     require_compat,
     save_checkpoint,
 )
@@ -338,7 +339,9 @@ class FitnessCache:
         if self.directory:
             path = self.directory / f"{key}.json"
             if path.exists():
-                value = want_number(json.loads(path.read_text()), "fitness", where=f"{path}: ")
+                value = want_number(read_json(path), "fitness", where=f"{path}: ")
+                if not math.isfinite(value):
+                    raise MalformedInput(f"{path}: fitness must be finite, got {value!r}")
                 with self._lock:
                     self._memory[key] = value
                 return value
@@ -348,11 +351,8 @@ class FitnessCache:
         with self._lock:
             self._memory[key] = fitness
         if self.directory:
-            path = self.directory / f"{key}.json"
-            # one temp file per writer: writers of the same key must not share it
-            tmp = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp")
-            tmp.write_text(json.dumps({"fitness": fitness}))
-            os.replace(tmp, path)
+            with publish(self.directory / f"{key}.json", text=True) as fh:
+                fh.write(json.dumps({"fitness": fitness}))
 
 
 def evaluate_candidate(recipe: MergeRecipe, evaluator, workdir, sources: SourceSet,
@@ -492,12 +492,6 @@ def _search_fingerprint(config: SearchConfig, sources_digest: str, dim: int, pop
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _persist(state_path: Path, payload: dict) -> None:
-    tmp = state_path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload))
-    os.replace(tmp, state_path)
-
-
 def run_search(config: SearchConfig, workdir, resume: bool = False,
                sources: SourceSet = None) -> SearchResult:
     """Iterated ask/evaluate/tell maximization of candidate fitness.
@@ -535,18 +529,19 @@ def run_search(config: SearchConfig, workdir, resume: bool = False,
         )
 
     def save_state() -> None:
-        _persist(state_path, {
-            "fingerprint": fingerprint,
-            "cmaes": state_to_json_obj(state),
-            "best_genome": best_genome.tolist(),
-            "best_fitness": best_fitness,
-            "history": history,
-            "evaluations": evaluations,
-            "invocations": invocations,
-        })
+        with publish(state_path, text=True) as fh:
+            fh.write(json.dumps({
+                "fingerprint": fingerprint,
+                "cmaes": state_to_json_obj(state),
+                "best_genome": best_genome.tolist(),
+                "best_fitness": best_fitness,
+                "history": history,
+                "evaluations": evaluations,
+                "invocations": invocations,
+            }))
 
     if resume and state_path.exists():
-        saved = json.loads(state_path.read_text())
+        saved = read_json(state_path)
         where = f"{state_path}: "
         if want_str(saved, "fingerprint", where=where) != fingerprint:
             raise ValueError("search_state.json does not match this configuration")

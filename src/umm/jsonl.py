@@ -1,9 +1,8 @@
-"""Readers for JSON inputs: the JSON-lines loop every loader of a .jsonl
-input goes through, and the typed field readers, the only code that
-decides whether a field of outside JSON has the right type.  Types are
-compared exactly as ``json`` decodes them: a bool is not a number and a
-float is not an integer.
-"""
+"""Readers for JSON inputs: the whole-file reader of every .json input,
+the JSON-lines loop every loader of a .jsonl input goes through, and the
+typed field readers, the only code that decides whether a field of
+outside JSON has the right type.  Types are compared exactly as ``json``
+decodes them: a bool is not a number and a float is not an integer."""
 
 from __future__ import annotations
 
@@ -15,6 +14,16 @@ from umm.errors import IoFailure, MalformedInput
 
 _REQUIRED = object()
 _NUMBER = (int, float)
+
+
+def read_json(path):
+    """The JSON value of a whole file; IoFailure naming ``path`` if it
+    cannot be read or is not UTF-8 JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # decode errors are ValueErrors
+        raise IoFailure(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def iter_jsonl(path) -> Iterator:

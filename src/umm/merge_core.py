@@ -63,7 +63,7 @@ from umm.errors import (
     RecipeMethodMismatch,
     RecipeModelMismatch,
 )
-from umm.jsonl import want_int, want_number, want_objects, want_str
+from umm.jsonl import read_json, want_int, want_number, want_objects, want_str
 from umm.tensor_store import Checkpoint, CheckpointReader, Tensor, require_compat
 
 METHODS = ("linear", "task_arithmetic", "ties")
@@ -196,8 +196,7 @@ def recipe_from_json_obj(obj: dict) -> MergeRecipe:
 
 
 def load_recipe(path) -> MergeRecipe:
-    with open(path, "r", encoding="utf-8") as fh:
-        return recipe_from_json_obj(json.load(fh))
+    return recipe_from_json_obj(read_json(path))
 
 
 # --- layer-group schedule ----------------------------------------------------

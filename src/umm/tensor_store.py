@@ -8,17 +8,18 @@ the offsets (relative to the end of the header).  Writing is canonical:
 keys in lexicographic order, no insignificant whitespace, the header
 space-padded so the data region starts on an 8-byte boundary.  The same
 in-memory checkpoint therefore always serializes to identical bytes.
-There is one write path, ``CheckpointWriter``: it computes the header
-from names, shapes and dtype sizes alone, writes it first and then takes
-one tensor at a time, so a merge can write each tensor as soon as it is
-finished, and it publishes the file by a rename only when every tensor
-is in.  ``save_checkpoint`` feeds it a whole in-memory checkpoint, and
-``checkpoint_digest`` hashes the same header and payloads.  The reader
-(``CheckpointReader``) validates the header and offsets when it opens a
-file and decodes one tensor per request.  An open reader offers the
-read-only surface of a ``Checkpoint`` (``names``, ``shapes``, ``items``,
-``array``, ``tensors``, ``metadata``, ``len``), decoding a tensor each
-time one is asked for, so a merge can walk its base without holding it.
+Every output file goes through ``publish``, which publishes it by a
+rename only when its block ends cleanly.  ``CheckpointWriter`` builds
+on it: it computes the header from names, shapes and dtype sizes alone,
+writes it first and then takes one tensor at a time, so a merge can
+write each tensor as soon as it is finished.  ``save_checkpoint`` feeds
+it a whole in-memory checkpoint, and ``checkpoint_digest`` hashes the
+same header and payloads.  The reader (``CheckpointReader``) validates
+the header and offsets when it opens a file and decodes one tensor per
+request.  An open reader offers the read-only surface of a
+``Checkpoint`` (``names``, ``shapes``, ``items``, ``array``,
+``tensors``, ``metadata``, ``len``), decoding a tensor each time one is
+asked for, so a merge can walk its base without holding it.
 
 Stored dtypes are f32, f16, and bf16.  Tensors are decoded to float32
 for all in-memory arithmetic; the original dtype tag is kept so a
@@ -170,7 +171,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def _replaceable(path) -> str:
-    """The file that a new container at ``path`` replaces: a symlink is
+    """The file that a new output at ``path`` replaces: a symlink is
     followed to its target, which must be a regular file if it exists."""
     try:
         mode = os.lstat(path).st_mode
@@ -186,75 +187,69 @@ def _replaceable(path) -> str:
     return os.fspath(path)
 
 
-class CheckpointWriter:
-    """A container written one tensor at a time, published when its
-    ``with`` block ends cleanly.
+@contextlib.contextmanager
+def publish(path, text: bool = False):
+    """The one way an output file is written: the block writes the file
+    this yields (binary, or UTF-8 text with no newline translation when
+    ``text``), a temp file next to ``path`` (next to a symlink's target),
+    which a clean end renames over ``path``.  Any error removes it instead,
+    an OSError raised as IoFailure naming ``path``, so ``path`` is either
+    the whole new file or whatever it was before."""
+    path = _replaceable(path)
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            with io.TextIOWrapper(fh, encoding="utf-8", newline="") if text else fh as out:
+                yield out
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise
 
-    The canonical header of ``layout`` (tensor name -> (shape, dtype
-    tag)) and ``metadata`` goes into a temp file next to ``path`` (next
-    to a symlink's target) when the writer is made.  ``write`` then
-    takes the tensors in name order, each checked against the layout and
-    for finiteness, and appends its payload.  Leaving the block renames
-    the temp file over ``path`` once every declared tensor is written.
-    Any error, a missing tensor included, removes the temp file instead,
-    so ``path`` is either the whole new container or whatever it was
-    before.
-    """
+
+class CheckpointWriter:
+    """A container published by ``publish`` and written one tensor at a
+    time: the canonical header of ``layout`` (tensor name -> (shape, dtype
+    tag)) and ``metadata`` when the writer is made, then each ``write`` in
+    name order, checked against the layout and for finiteness.  A block
+    that ends before every declared tensor is written fails, and leaves
+    ``path`` as it was."""
 
     def __init__(self, path, layout: dict, metadata: dict):
-        self.path = _replaceable(path)
+        self.path = path
         header = _header(layout, metadata)
         self._pending = iter(sorted((name, tuple(shape), tag) for name, (shape, tag) in layout.items()))
-        self._tmp = f"{self.path}.{uuid.uuid4().hex}.tmp"
-        try:
-            self._fh = open(self._tmp, "xb")
-        except OSError as exc:
-            raise IoFailure(f"cannot write {self.path}: {exc}") from exc
+        self._publish = publish(path)
+        self._fh = self._publish.__enter__()
         try:
             self._fh.write(header)
         except BaseException as exc:
-            self._discard(exc)
+            self.__exit__(type(exc), exc, exc.__traceback__)
             raise
 
     def write(self, name: str, tensor: Tensor) -> None:
         """Append tensor ``name``, the next one of the layout in name order."""
-        try:
-            want = next(self._pending, None)
-            if (name, tensor.shape, tensor.dtype) != want:
-                expected = "no more tensors" if want is None else f"{want[0]!r} {want[2]} {list(want[1])}"
-                raise ValueError(f"{self.path}: got tensor {name!r} {tensor.dtype} "
-                                 f"{list(tensor.shape)}, expected {expected}")
-            _require_finite(name, tensor.data)
-            self._fh.write(_encode_payload(tensor))
-        except BaseException as exc:
-            self._discard(exc)
-            raise
-
-    def _discard(self, exc: BaseException | None = None) -> None:
-        """Close and remove the temp file, leaving ``path`` as it was; an
-        OSError ``exc`` is raised as IoFailure."""
-        self._fh.close()
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(self._tmp)
-        if isinstance(exc, OSError):
-            raise IoFailure(f"cannot write {self.path}: {exc}") from exc
+        want = next(self._pending, None)
+        if (name, tensor.shape, tensor.dtype) != want:
+            expected = "no more tensors" if want is None else f"{want[0]!r} {want[2]} {list(want[1])}"
+            raise ValueError(f"{self.path}: got tensor {name!r} {tensor.dtype} "
+                             f"{list(tensor.shape)}, expected {expected}")
+        _require_finite(name, tensor.data)
+        self._fh.write(_encode_payload(tensor))
 
     def __enter__(self) -> "CheckpointWriter":
         return self
 
-    def __exit__(self, exc_type, *exc) -> None:
-        if exc_type is not None:
-            self._discard()
-            return
-        try:
-            missing = next(self._pending, None)
-            if missing is not None:
-                raise ValueError(f"{self.path}: tensor {missing[0]!r} was never written")
-            self._fh.close()
-            os.replace(self._tmp, self.path)
-        except BaseException as exc:
-            self._discard(exc)
-            raise
+    def __exit__(self, exc_type, exc, tb):
+        missing = next(self._pending, None)
+        if exc_type is None and missing is not None:
+            exc = ValueError(f"{self.path}: tensor {missing[0]!r} was never written")
+            self._publish.__exit__(ValueError, exc, None)
+            raise exc
+        return self._publish.__exit__(exc_type, exc, tb)
 
 
 def checkpoint_digest(ckpt: Checkpoint) -> str:

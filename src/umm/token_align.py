@@ -44,6 +44,7 @@ from umm.errors import (
     located,
 )
 from umm.jsonl import iter_jsonl, want_int, want_ints, want_strs
+from umm.tensor_store import publish
 
 ONE_ONE = "one_one"
 ONE_MANY = "one_many"
@@ -537,7 +538,7 @@ def load_token_seqs(path, vocab_size: int = None) -> list:
 
 def save_stats(stats: AlignStats, path) -> None:
     """JSONL, one {"p", "s", "c"} object per counted pair, sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with publish(path, text=True) as fh:
         for (p, s) in sorted(stats.counts):
             fh.write(json.dumps({"p": p, "s": s, "c": stats.counts[(p, s)]}) + "\n")
 

@@ -1,9 +1,13 @@
+import errno
+import io
 import json
+import os
 import sys
 
 import numpy as np
 import pytest
 
+from umm import tensor_store
 from umm.tensor_store import Checkpoint, Tensor
 
 
@@ -79,6 +83,32 @@ def write_fusion_corpus(corpus, path):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """``full_disk(name, room=8)`` makes the temp file of each later output
+    named ``name`` take its first ``room`` bytes and then fail a write with
+    ENOSPC, as a full disk would, partway through the write."""
+
+    def fail(name, room=8):
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                left = max(room - self.tell(), 0)
+                if len(data) > left:
+                    super().write(memoryview(data).cast("B")[:left])
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(data)
+
+        def fake_open(path, mode="r", *args, **kwargs):
+            base = os.path.basename(path)
+            if "x" in mode and base.startswith(f"{name}.") and base.endswith(".tmp"):
+                return io.BufferedWriter(FullDisk(path, "x"), buffer_size=4)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(tensor_store, "open", fake_open, raising=False)
+
+    return fail
 
 
 def random_ties_instance(rng, n_models=None, integer_mode=None):

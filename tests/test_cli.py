@@ -8,6 +8,7 @@ command leaves behind.
 import collections
 import hashlib
 import json
+import os
 import sys
 import tracemalloc
 import warnings
@@ -1352,3 +1353,108 @@ def test_search_resume_bad_state_field_exits_1(tmp_path, monkeypatch, capsys, pa
     code, _, err = run_cli(argv, capsys)
     assert_one_located_error(code, err, "search_state.json")
     assert "MalformedInput" in err and field in err, err
+
+
+# --- whole-file JSON inputs and published outputs ---------------------------------
+
+
+def written_input(tmp_path, name, **changes):
+    """argv of a clean run of INPUTS[name], its input file written with
+    ``changes`` to its top-level fields."""
+    filename, doc, argv = INPUTS[name](tmp_path)
+    if filename.endswith(".jsonl"):
+        write_jsonl(tmp_path / filename, doc)
+    else:
+        write_json(tmp_path / filename, dict(doc, **changes))
+    return argv
+
+
+@pytest.mark.parametrize("name", ["recipe", "search-builtin", "search-state"],
+                         ids=["recipe", "config", "search-state"])
+def test_a_json_input_that_is_not_json_names_its_file(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    filename, _, argv = INPUTS[name](tmp_path)
+    (tmp_path / filename).write_text('{"method": ')
+    capsys.readouterr()
+    code, _, err = run_cli(argv, capsys)
+    assert_one_located_error(code, err, f"IoFailure: cannot read JSON from {filename}: ")
+
+
+def test_a_cache_entry_that_is_not_json_names_its_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("UMM_CACHE_DIR", raising=False)
+    argv = written_input(tmp_path, "search-builtin", cache_dir="cache")
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    [entry] = (tmp_path / "cache").iterdir()
+    entry.write_text('{"fitness": ')
+    code, _, err = run_cli(argv, capsys)
+    assert_one_located_error(code, err, f"IoFailure: cannot read JSON from cache/{entry.name}: ")
+
+
+# each input's command and the files a clean run of it writes
+CLEAN_OUTPUTS = {
+    "recipe": ["merged.st"],
+    "search-builtin": ["run/best_recipe.json", "run/history.csv", "run/search_state.json",
+                       "run/initial.st", "run/gen0001-cand000.st"],
+    "tokens": ["stats.jsonl"],
+    "example": ["fused/example_0000.st"],
+    "corpus": ["run/history.csv", "run/model.st"],
+}
+
+
+@pytest.mark.parametrize("name", list(CLEAN_OUTPUTS))
+def test_a_clean_run_leaves_its_outputs_and_no_temp_file(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("UMM_CACHE_DIR", raising=False)
+    changes = {"cache_dir": "cache", "iterations": 1} if name.startswith("search") else {}
+    code, _, _ = run_cli(written_input(tmp_path, name, **changes), capsys)
+    assert code == 0
+    for output in CLEAN_OUTPUTS[name]:
+        assert (tmp_path / output).is_file(), output
+    if changes:
+        assert any((tmp_path / "cache").glob("*.json"))
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+# (input, output file) of each output that is not a container
+WRITTEN = [("tokens", "stats.jsonl"), ("search-builtin", "run/search_state.json"),
+           ("search-builtin", "run/best_recipe.json"), ("search-builtin", "run/history.csv"),
+           ("corpus", "run/history.csv")]
+WRITTEN_IDS = ["stats", "search-state", "best-recipe", "search-history", "toy-train-history"]
+
+
+@pytest.mark.parametrize("name,output", WRITTEN, ids=WRITTEN_IDS)
+def test_a_write_failing_partway_leaves_an_earlier_output_and_no_temp_file(
+        tmp_path, monkeypatch, capsys, full_disk, name, output):
+    monkeypatch.chdir(tmp_path)
+    argv = written_input(tmp_path, name)
+    target = tmp_path / output
+    target.parent.mkdir(exist_ok=True)
+    target.write_bytes(b"an earlier file\r\n")
+    full_disk(target.name)
+    code, _, err = run_cli(argv, capsys)
+    assert_one_located_error(code, err, f"IoFailure: cannot write {output}: ")
+    assert "No space left on device" in err
+    assert target.read_bytes() == b"an earlier file\r\n"
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("name,output", WRITTEN, ids=WRITTEN_IDS)
+def test_an_output_that_is_not_a_regular_file_is_refused(tmp_path, monkeypatch, capsys,
+                                                         name, output):
+    monkeypatch.chdir(tmp_path)
+    argv = written_input(tmp_path, name)
+    (tmp_path / output).mkdir(parents=True)
+    code, _, err = run_cli(argv, capsys)
+    assert_one_located_error(code, err, f"IoFailure: cannot write {output}: not a regular file")
+    assert (tmp_path / output).is_dir()
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_align_stats_refuses_dev_null_as_its_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = written_input(tmp_path, "tokens")
+    argv[argv.index("stats.jsonl")] = os.devnull
+    code, _, err = run_cli(argv, capsys)
+    assert_one_located_error(code, err, f"cannot write {os.devnull}: not a regular file")

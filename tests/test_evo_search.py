@@ -11,6 +11,7 @@ import pytest
 from umm.errors import (
     EvaluatorFailed,
     EvaluatorProtocol,
+    IoFailure,
     LengthMismatch,
     MalformedInput,
     MissingLayerMetadata,
@@ -355,12 +356,23 @@ def test_cache_persists_on_disk(tmp_path):
     assert not invoked2 and f1 == f2 and ev.calls == 1
 
 
-@pytest.mark.parametrize("text", ['{"score": 1.0}', '{"fitness": "1.0"}', "[1.0]"],
-                         ids=["missing", "string", "list"])
+@pytest.mark.parametrize("text", ['{"score": 1.0}', '{"fitness": "1.0"}', "[1.0]",
+                                  '{"fitness": NaN}', '{"fitness": -Infinity}'],
+                         ids=["missing", "string", "list", "nan", "minus-infinity"])
 def test_cache_file_of_the_wrong_shape_is_malformed_input(tmp_path, text):
     (tmp_path / "key.json").write_text(text)
     with pytest.raises(MalformedInput, match="key.json: "):
         FitnessCache(tmp_path).get("key")
+
+
+def test_cache_put_failing_partway_leaves_the_earlier_entry(tmp_path, full_disk):
+    FitnessCache(tmp_path).put("k", 1.0)
+    earlier = (tmp_path / "k.json").read_bytes()
+    full_disk("k.json")
+    with pytest.raises(IoFailure, match="k.json: .*No space left on device"):
+        FitnessCache(tmp_path).put("k", 2.0)
+    assert os.listdir(tmp_path) == ["k.json"]
+    assert (tmp_path / "k.json").read_bytes() == earlier
 
 
 def test_cache_put_survives_a_concurrent_put_of_the_same_key(tmp_path, monkeypatch):

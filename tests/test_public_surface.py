@@ -1,4 +1,5 @@
-"""Every public name in src/umm must be reached by something that runs.
+"""Every public name in src/umm must be reached by something that runs,
+and only ``tensor_store.publish`` writes a file.
 
 A public module-level function or class, or a public method, counts as
 reached when its name appears as a Name, an Attribute or an import alias
@@ -59,3 +60,43 @@ def test_every_public_name_is_reached():
     assert definitions, "no public definitions found under src/umm"
     unreached = [qualified for qualified, name in definitions if name not in used]
     assert not unreached, f"public names nothing reaches: {unreached}"
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether ``call`` renames, creates or writes a file: ``os.replace``,
+    ``os.rename``, ``os.open``, ``Path.write_text``/``write_bytes``, or an
+    ``open`` whose mode is not a constant without w, x, a or +."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    owner = getattr(func, "value", None)
+    if name in ("replace", "rename", "open") and isinstance(owner, ast.Name) and owner.id == "os":
+        return True
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    # open(file, mode) and io.open(file, mode), but path.open(mode)
+    plain = not isinstance(func, ast.Attribute) or (isinstance(owner, ast.Name) and owner.id == "io")
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    modes += call.args[1:2] if plain else call.args[:1]
+    mode = modes[0] if modes else ast.Constant("r")
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wxa+"))
+
+
+def test_only_the_publish_path_writes_files():
+    outside, inside = [], []
+    for path in LIBRARY:
+        tree = _parse(path)
+        allowed = set()
+        if path.stem == "tensor_store":
+            publish = next(node for node in tree.body
+                           if isinstance(node, ast.FunctionDef) and node.name == "publish")
+            allowed = {id(node) for node in ast.walk(publish)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _writes(node):
+                where = f"{path.name}:{node.lineno}"
+                (inside if id(node) in allowed else outside).append(where)
+    # the publish path itself is seen: it creates its temp file and renames it
+    assert len(inside) == 2, inside
+    assert not outside, f"files written outside tensor_store.publish: {outside}"

@@ -20,6 +20,7 @@ from umm.tensor_store import (
     Tensor,
     checkpoint_digest,
     load_checkpoint,
+    publish,
     require_compat,
     save_checkpoint,
     tensor_summary,
@@ -427,6 +428,27 @@ def test_save_refuses_a_target_that_is_not_a_regular_file(kind, tmp_path):
     with pytest.raises(IoFailure, match="not a regular file"):
         save_checkpoint(make_ckpt(x=[1.0]), tmp_path / kind)
     assert sorted(os.listdir(tmp_path)) == ["directory", "fifo", "link-to-fifo"]
+
+
+@pytest.mark.parametrize("in_header", [True, False], ids=["in-header", "in-tensor"])
+def test_a_save_failing_partway_leaves_an_earlier_file(in_header, tmp_path, full_disk):
+    (tmp_path / "x.st").write_bytes(b"an earlier file")
+    save_checkpoint(make_ckpt(a=[1.0, 2.0, 3.0]), tmp_path / "y.st")
+    header = 8 + int.from_bytes((tmp_path / "y.st").read_bytes()[:8], "little")
+    full_disk("x.st", room=8 if in_header else header + 4)
+    with pytest.raises(IoFailure, match="x.st: .*No space left on device"):
+        save_checkpoint(make_ckpt(a=[1.0, 2.0, 3.0]), tmp_path / "x.st")
+    assert sorted(os.listdir(tmp_path)) == ["x.st", "y.st"]
+    assert (tmp_path / "x.st").read_bytes() == b"an earlier file"
+
+
+# --- publishing any output file -------------------------------------------------
+
+def test_publish_writes_utf8_text_without_newline_translation(tmp_path):
+    with publish(tmp_path / "out.csv", text=True) as fh:
+        fh.write("a,é\r\nb\n")
+    assert (tmp_path / "out.csv").read_bytes() == "a,é\r\nb\n".encode("utf-8")
+    assert os.listdir(tmp_path) == ["out.csv"]
 
 
 # --- compatibility ------------------------------------------------------------
