@@ -26,6 +26,7 @@ tie-breaks are the same bits as that loop's.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 
@@ -417,7 +418,9 @@ def kind_histogram(segments: list) -> dict:
 def _transfer_matrix(stats: AlignStats, vocab_map: str):
     """Sparse [pivot vocab x source vocab] map applied to source rows.
 
-    Both come from one canonical CSR of the counts.  proportional: column
+    Built on each call.  Both maps come from one canonical CSR of the
+    counts, read from ``stats.counts`` in two array passes: one over its
+    keys, one over its values, both in dict order.  proportional: column
     v splits the source token's mass across pivot tokens t in proportion
     to counts[(t, v)].  argmax: all of the mass goes to the highest-count
     pivot token (ties: lowest id).  Columns with no counts are zero, so
@@ -425,13 +428,11 @@ def _transfer_matrix(stats: AlignStats, vocab_map: str):
     """
     if vocab_map not in ("proportional", "argmax"):
         raise ValueError(f"unknown vocab_map {vocab_map!r}")
-    rows, cols, vals = [], [], []
-    for (p, s), c in stats.counts.items():
-        rows.append(p)
-        cols.append(s)
-        vals.append(float(c))
+    n = len(stats.counts)
+    keys = np.fromiter(itertools.chain.from_iterable(stats.counts), np.intp, 2 * n)
+    vals = np.fromiter(stats.counts.values(), np.float64, n)
     shape = (stats.pivot_vocab_size, stats.source_vocab_size)
-    counts = sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+    counts = sparse.csr_matrix((vals, (keys[0::2], keys[1::2])), shape=shape)
     if vocab_map == "argmax":  # no sparse argmax: scipy's loops over columns in Python
         coo = counts.tocoo()  # entries in (pivot id, source id) order
         top = np.flatnonzero(coo.data == counts.max(axis=0).toarray().ravel()[coo.col])
@@ -545,7 +546,13 @@ def save_stats(stats: AlignStats, path) -> None:
 
 def load_stats(path, pivot_vocab_size: int = None,
                source_vocab_size: int = None) -> AlignStats:
-    """JSONL of {"p", "s", "c"} JSON integers, each c >= 1; repeated pairs add up."""
+    """JSONL of {"p", "s", "c"} JSON integers, each c >= 1; repeated pairs add up.
+
+    Each id must be >= 0 and below its vocab size when that is given.
+    Errors in a line name ``path:lineno``.
+    """
+    p_end = sys.maxsize if pivot_vocab_size is None else pivot_vocab_size
+    s_end = sys.maxsize if source_vocab_size is None else source_vocab_size
     counts = {}
     for lineno, obj in iter_jsonl(path):
         try:  # not located(): a stats file has one line per counted pair
@@ -554,6 +561,10 @@ def load_stats(path, pivot_vocab_size: int = None,
                 raise MalformedInput(f"c must be at least 1, got {c}")
         except MalformedInput as exc:
             raise MalformedInput(f"{path}:{lineno}: bad stats line: {exc}") from exc
+        if not 0 <= p < p_end:
+            raise OutOfVocab(f"{path}:{lineno}: pivot id {p} outside [0, {p_end})")
+        if not 0 <= s < s_end:
+            raise OutOfVocab(f"{path}:{lineno}: source id {s} outside [0, {s_end})")
         counts[(p, s)] = counts.get((p, s), 0) + c
     if pivot_vocab_size is None:
         pivot_vocab_size = max((p for p, _ in counts), default=0) + 1

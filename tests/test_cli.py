@@ -1016,6 +1016,24 @@ def test_fuse_targets_writes_the_examples_before_a_malformed_line(tmp_path, caps
     }
 
 
+@pytest.mark.parametrize("spoiled", ["stats.jsonl", "raw.jsonl", "pivot.jsonl"],
+                         ids=["stats", "examples", "tokens"])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, capsys, spoiled):
+    fuse_fixture(tmp_path, capsys, source_rows_for=lambda ids: [[0.25] * 4 for _ in ids])
+    path = tmp_path / spoiled
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(lines[0] + b"\xff" + b"".join(lines[1:]))
+    if spoiled == "pivot.jsonl":
+        argv = ["align-stats", "--pivot", str(path), "--source", str(tmp_path / "source.jsonl"),
+                "--out", str(tmp_path / "stats.jsonl")]
+    else:
+        argv = fuse_args(tmp_path)
+    code, _, err = run_cli(argv, capsys)
+    assert_one_located_error(code, err, f"IoFailure: {path}:2: not UTF-8: byte 0xff")
+    if spoiled == "raw.jsonl":  # the example before it was fused
+        assert [p.name for p in (tmp_path / "fused").iterdir()] == ["example_0000.st"]
+
+
 def test_fuse_targets_empty_examples_file_exits_1(tmp_path, capsys):
     fuse_fixture(tmp_path, capsys, source_rows_for=lambda ids: [[0.25] * 4 for _ in ids])
     (tmp_path / "raw.jsonl").write_text("\n")

@@ -37,6 +37,7 @@ from umm.token_align import (
     substitution_costs,
     update_stats,
     _segment_moves,
+    _transfer_matrix,
 )
 
 from reference_impls import (
@@ -44,6 +45,7 @@ from reference_impls import (
     ref_min_alignment_cost,
     ref_project_distribution,
     ref_surface_distance,
+    ref_transfer_matrix,
 )
 
 # every surface pair costs a multiple of 1/2, so alignment costs are
@@ -582,6 +584,57 @@ def test_projection_matches_scalar_reference_bit_for_bit():
         "mass floor fallback"}
 
 
+def transfer_stats_in_alignment_order(tmp_path):
+    rng = np.random.default_rng(7)
+    stats = AlignStats(len(ALPHABET), len(ALPHABET))
+    for _ in range(10):
+        pivot, source = random_seq(rng, 8), random_seq(rng, 8)
+        update_stats(stats, align_sequences(pivot, source), pivot, source)
+    assert list(stats.counts) != sorted(stats.counts)
+    return stats
+
+
+def transfer_stats_from_a_file(tmp_path):
+    """fuse-many's sizes: 20000 distinct pairs over 512 x 640, in shuffled lines."""
+    rng = np.random.default_rng(8)
+    cells = rng.choice(512 * 640, size=20000, replace=False)
+    counts = rng.integers(1, 51, size=cells.size)
+    path = tmp_path / "stats.jsonl"
+    path.write_text("".join(json.dumps({"p": int(cell) // 640, "s": int(cell) % 640, "c": int(c)})
+                            + "\n" for cell, c in zip(cells, counts)))
+    stats = load_stats(path, 512, 640)
+    assert len(stats.counts) == 20000
+    return stats
+
+
+def transfer_stats_with_argmax_ties(tmp_path):
+    counts = {(3, 0): 5, (1, 0): 5, (2, 0): 1, (2, 2): 2, (0, 2): 2, (1, 1): 4}
+    return AlignStats(4, 3, counts)
+
+
+TRANSFER_CASES = {
+    "alignment-order": transfer_stats_in_alignment_order,
+    "stats-file-20000": transfer_stats_from_a_file,
+    "empty": lambda tmp_path: AlignStats(3, 4),
+    "single-pair": lambda tmp_path: AlignStats(3, 4, {(2, 1): 7}),
+    "argmax-ties": transfer_stats_with_argmax_ties,
+}
+
+
+@pytest.mark.parametrize("vocab_map", ["proportional", "argmax"])
+@pytest.mark.parametrize("case", list(TRANSFER_CASES))
+def test_transfer_matrix_matches_reference_byte_for_byte(tmp_path, case, vocab_map):
+    stats = TRANSFER_CASES[case](tmp_path)
+    got = _transfer_matrix(stats, vocab_map)
+    want = ref_transfer_matrix(stats.counts, stats.pivot_vocab_size, stats.source_vocab_size,
+                               vocab_map)
+    assert got.format == want.format == "csr"
+    assert got.shape == want.shape == (stats.pivot_vocab_size, stats.source_vocab_size)
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes()), name
+
+
 def test_projection_shape_mismatches():
     src, segments, stats, tokens, fallback = identity_setup(vocab=4, n=3)
     short_fallback = DistributionMatrix(np.full((2, 4), 0.25))
@@ -702,6 +755,19 @@ def test_stats_jsonl_rejects_non_integers(tmp_path, line):
         load_stats(path)
 
 
+@pytest.mark.parametrize("line, sizes, message", [
+    ({"p": 9, "s": 1, "c": 1}, (2, 2), "pivot id 9 outside [0, 2)"),
+    ({"p": 1, "s": 2, "c": 1}, (2, 2), "source id 2 outside [0, 2)"),
+    ({"p": -1, "s": 0, "c": 1}, (None, None), "pivot id -1 outside [0, "),
+    ({"p": 0, "s": -3, "c": 1}, (None, 2), "source id -3 outside [0, "),
+], ids=["pivot-too-large", "source-too-large", "pivot-negative", "source-negative"])
+def test_stats_jsonl_out_of_vocab_id_names_the_line(tmp_path, line, sizes, message):
+    path = tmp_path / "stats.jsonl"
+    path.write_text('{"p": 0, "s": 0, "c": 1}\n' + json.dumps(line) + "\n")
+    with pytest.raises(OutOfVocab, match=re.escape(f"{path}:2: {message}")):
+        load_stats(path, *sizes)
+
+
 def test_jsonl_reader_counts_blank_lines_and_names_the_bad_one(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"a": 1}\n\n  \n[2]\n')
@@ -709,3 +775,18 @@ def test_jsonl_reader_counts_blank_lines_and_names_the_bad_one(tmp_path):
     path.write_text('{"p": 0, "s": 0, "c": 1}\n\nnot json\n')
     with pytest.raises(IoFailure, match=f"{re.escape(str(path))}:3: not JSON"):
         load_stats(path)
+
+
+def test_jsonl_reader_yields_the_lines_before_a_byte_that_is_not_utf8(tmp_path):
+    """The bad byte lies blocks past the start of the file, after CRLF lines,
+    so lines are read both before and after the decode error."""
+    good = [json.dumps({"i": i, "s": "\u00e9" * (i % 7)}, ensure_ascii=False)
+            for i in range(2000)]
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes("\r\n".join(good[:10]).encode() + b"\r\n"
+                     + "\n".join(good[10:]).encode() + b'\n{"s": "\xff"}\n[1]\n')
+    seen = []
+    with pytest.raises(IoFailure, match=f"{re.escape(str(path))}:2001: not UTF-8: byte 0xff"):
+        for item in iter_jsonl(path):
+            seen.append(item)
+    assert seen == [(i + 1, json.loads(line)) for i, line in enumerate(good)]
