@@ -195,7 +195,7 @@ def cmd_fuse_targets(args) -> dict:
 def cmd_toy_train(args) -> dict:
     corpus = load_fusion_corpus(args.corpus)
     vocab = corpus[0].pivot_dist.vocab_size
-    model = init_toy_model(vocab, seed=args.init_seed)
+    model = init_toy_model(vocab, seed=args.seed)
     trained, history = toy_train(
         model, corpus, lambda_mix=args.lambda_mix, lr=args.lr, steps=args.steps
     )
@@ -232,9 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Checkpoint merging and distribution-fusion toolkit.",
     )
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the seed a subcommand would use")
+                        help="seed for search (overrides its config) and for toy-train's "
+                             "initial logits (zero without it)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker thread bound for parallel evaluation")
+                        help="worker thread bound for search's parallel evaluation")
     parser.add_argument("--log-level", default="info",
                         choices=["debug", "info", "warning", "error"])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -279,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambda_mix", type=float, required=True)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--init-seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_toy_train)
 

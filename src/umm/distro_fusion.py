@@ -322,12 +322,20 @@ def save_toy_model(model: ToyModel, path) -> None:
 
 
 def example_from_json_obj(obj: dict) -> FusionExample:
-    return FusionExample(
+    """A training example; each gold id and the last instruction id (the
+    first context) must lie within the row width."""
+    example = FusionExample(
         instruction=want_ints(obj, "instruction"),
         gold=want_ints(obj, "gold"),
         pivot_dist=DistributionMatrix(want_list(obj, "pivot_rows")),
         source_dist_aligned=DistributionMatrix(want_list(obj, "source_aligned_rows")),
     )
+    vocab = example.pivot_dist.vocab_size
+    for what, ids in (("gold", example.gold), ("instruction", example.instruction[-1:])):
+        bad = next((t for t in ids if not 0 <= t < vocab), None)
+        if bad is not None:
+            raise OutOfVocab(f"{what} id {bad} outside [0, {vocab})")
+    return example
 
 
 def load_fusion_corpus(path) -> list:

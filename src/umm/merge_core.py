@@ -8,7 +8,7 @@ their layout once, all from names and shapes.  Then it walks the base
 tensors in name order as spans: consecutive tensors laid end to end, up
 to ``_BLOCK`` entries (which fit in L2) in all, or one larger tensor
 alone.  A span decodes its base tensors when it is built, so a base
-reader decodes each tensor once.  With a CheckpointWriter as ``out``,
+reader decodes each tensor once.  With an open CheckpointWriter as ``out``,
 each span's output is written as soon as the span is finished, so a
 merge holds one span's base, deltas, working arrays and output, not the
 merged model.  Each span's
@@ -652,7 +652,7 @@ def merge(base, vectors: list, recipe: MergeRecipe, out=None) -> Checkpoint | No
     tensors are decoded once each, as their span is merged.  ``vectors``
     holds one TaskVector per recipe model, in any order.  The output has
     the base's tensor names and metadata, every tensor f32.  It is
-    returned as a Checkpoint, or, with ``out`` (a CheckpointWriter of
+    returned as a Checkpoint, or, with ``out`` (an open CheckpointWriter of
     that layout), each span's tensors are written to ``out`` as soon as
     the span is finished and none are kept, and this returns None.
     """

@@ -8,18 +8,19 @@ the offsets (relative to the end of the header).  Writing is canonical:
 keys in lexicographic order, no insignificant whitespace, the header
 space-padded so the data region starts on an 8-byte boundary.  The same
 in-memory checkpoint therefore always serializes to identical bytes.
-Every output file goes through ``publish``, which publishes it by a
-rename only when its block ends cleanly.  ``CheckpointWriter`` builds
-on it: it computes the header from names, shapes and dtype sizes alone,
-writes it first and then takes one tensor at a time, so a merge can
-write each tensor as soon as it is finished.  ``save_checkpoint`` feeds
-it a whole in-memory checkpoint, and ``checkpoint_digest`` hashes the
-same header and payloads.  The reader (``CheckpointReader``) validates
-the header and offsets when it opens a file and decodes one tensor per
-request.  An open reader offers the read-only surface of a
-``Checkpoint`` (``names``, ``shapes``, ``items``, ``array``,
-``tensors``, ``metadata``, ``len``), decoding a tensor each time one is
-asked for, so a merge can walk its base without holding it.
+One serializer produces those bytes, into a sink that is a file or a
+hash: it computes the header from names, shapes and dtype sizes alone,
+feeds it first and then takes one checked tensor at a time, so a merge
+can write each tensor as soon as it is finished.  Every output file goes
+through ``publish``, which publishes it by a rename only when its block
+ends cleanly.  ``CheckpointWriter`` is the serializer into a file from
+``publish``, ``save_checkpoint`` feeds that a whole in-memory checkpoint,
+and ``checkpoint_digest`` feeds the serializer to a sha256.  The reader
+(``CheckpointReader``) validates the header and offsets when it opens a
+file and decodes one tensor per request.  An open reader offers the
+read-only surface of a ``Checkpoint`` (``names``, ``shapes``, ``items``,
+``array``, ``tensors``, ``metadata``, ``len``), decoding a tensor each
+time one is asked for, so a merge can walk its base without holding it.
 
 Stored dtypes are f32, f16, and bf16.  Tensors are decoded to float32
 for all in-memory arithmetic; the original dtype tag is kept so a
@@ -162,12 +163,33 @@ def _layout(ckpt: Checkpoint) -> dict:
     return {name: (tensor.shape, tensor.dtype) for name, tensor in ckpt.items()}
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write ``ckpt`` to ``path`` in canonical container form, through a
-    CheckpointWriter, so a failed save leaves ``path`` as it was."""
-    with CheckpointWriter(path, _layout(ckpt), ckpt.metadata) as out:
-        for name, tensor in ckpt.items():
-            out.write(name, tensor)
+class _Serializer:
+    """The canonical bytes of a container, fed to ``sink`` (a file's
+    ``write`` or a hash's ``update``): the header of ``layout`` (tensor name
+    -> (shape, dtype tag)) and ``metadata`` when it is made, then each
+    ``write`` in name order, checked against the layout and for finiteness.
+    ``close`` fails for a declared tensor that was never written.  Errors
+    name the output as ``where``."""
+
+    def __init__(self, sink, layout: dict, metadata: dict, where):
+        self._sink, self._where = sink, where
+        self._pending = iter(sorted((name, tuple(shape), tag) for name, (shape, tag) in layout.items()))
+        sink(_header(layout, metadata))
+
+    def write(self, name: str, tensor: Tensor) -> None:
+        """Append tensor ``name``, the next one of the layout in name order."""
+        want = next(self._pending, None)
+        if (name, tensor.shape, tensor.dtype) != want:
+            expected = "no more tensors" if want is None else f"{want[0]!r} {want[2]} {list(want[1])}"
+            raise ValueError(f"{self._where}: got tensor {name!r} {tensor.dtype} "
+                             f"{list(tensor.shape)}, expected {expected}")
+        _require_finite(name, tensor.data)
+        self._sink(_encode_payload(tensor))
+
+    def close(self) -> None:
+        missing = next(self._pending, None)
+        if missing is not None:
+            raise ValueError(f"{self._where}: tensor {missing[0]!r} was never written")
 
 
 def _replaceable(path) -> str:
@@ -210,54 +232,31 @@ def publish(path, text: bool = False):
         raise
 
 
-class CheckpointWriter:
-    """A container published by ``publish`` and written one tensor at a
-    time: the canonical header of ``layout`` (tensor name -> (shape, dtype
-    tag)) and ``metadata`` when the writer is made, then each ``write`` in
-    name order, checked against the layout and for finiteness.  A block
-    that ends before every declared tensor is written fails, and leaves
-    ``path`` as it was."""
+@contextlib.contextmanager
+def CheckpointWriter(path, layout: dict, metadata: dict):
+    """A container written one tensor at a time: the block gets a
+    serializer into a file that ``publish`` renames over ``path`` when the
+    block ends with every declared tensor written, and removes otherwise."""
+    with publish(path) as fh:
+        out = _Serializer(fh.write, layout, metadata, path)
+        yield out
+        out.close()
 
-    def __init__(self, path, layout: dict, metadata: dict):
-        self.path = path
-        header = _header(layout, metadata)
-        self._pending = iter(sorted((name, tuple(shape), tag) for name, (shape, tag) in layout.items()))
-        self._publish = publish(path)
-        self._fh = self._publish.__enter__()
-        try:
-            self._fh.write(header)
-        except BaseException as exc:
-            self.__exit__(type(exc), exc, exc.__traceback__)
-            raise
 
-    def write(self, name: str, tensor: Tensor) -> None:
-        """Append tensor ``name``, the next one of the layout in name order."""
-        want = next(self._pending, None)
-        if (name, tensor.shape, tensor.dtype) != want:
-            expected = "no more tensors" if want is None else f"{want[0]!r} {want[2]} {list(want[1])}"
-            raise ValueError(f"{self.path}: got tensor {name!r} {tensor.dtype} "
-                             f"{list(tensor.shape)}, expected {expected}")
-        _require_finite(name, tensor.data)
-        self._fh.write(_encode_payload(tensor))
-
-    def __enter__(self) -> "CheckpointWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        missing = next(self._pending, None)
-        if exc_type is None and missing is not None:
-            exc = ValueError(f"{self.path}: tensor {missing[0]!r} was never written")
-            self._publish.__exit__(ValueError, exc, None)
-            raise exc
-        return self._publish.__exit__(exc_type, exc, tb)
+def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ``ckpt`` to ``path`` in canonical container form, through a
+    CheckpointWriter, so a failed save leaves ``path`` as it was."""
+    with CheckpointWriter(path, _layout(ckpt), ckpt.metadata) as out:
+        for name, tensor in ckpt.items():
+            out.write(name, tensor)
 
 
 def checkpoint_digest(ckpt: Checkpoint) -> str:
     """sha256 of the canonical serialization (stable content identity)."""
-    digest = hashlib.sha256(_header(_layout(ckpt), ckpt.metadata))
+    digest = hashlib.sha256()
+    out = _Serializer(digest.update, _layout(ckpt), ckpt.metadata, "digest")
     for name, tensor in ckpt.items():
-        _require_finite(name, tensor.data)
-        digest.update(_encode_payload(tensor))
+        out.write(name, tensor)
     return digest.hexdigest()
 
 

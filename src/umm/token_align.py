@@ -57,6 +57,7 @@ GAP_COST = 1.0
 # a projected row keeping less than this fraction of its mass falls back
 MIN_MAPPED_MASS = 1e-6
 DEFAULT_MARKERS = ("▁", "Ġ")  # SentencePiece and byte-BPE word starts
+_MAX_COUNT = 2**53  # largest pair count; float64 (the vocab map) holds every int up to it
 
 
 @dataclass
@@ -371,6 +372,8 @@ class AlignStats:
                 raise OutOfVocab(f"source id {s} outside [0, {self.source_vocab_size})")
             if c < 1:
                 raise ValueError(f"count for ({p}, {s}) must be >= 1, got {c}")
+            if c > _MAX_COUNT:
+                raise ValueError(f"count for ({p}, {s}) must be at most 2**53, got {c}")
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -546,7 +549,8 @@ def save_stats(stats: AlignStats, path) -> None:
 
 def load_stats(path, pivot_vocab_size: int = None,
                source_vocab_size: int = None) -> AlignStats:
-    """JSONL of {"p", "s", "c"} JSON integers, each c >= 1; repeated pairs add up.
+    """JSONL of {"p", "s", "c"} JSON integers, each c >= 1; repeated pairs add
+    up, to at most 2**53.
 
     Each id must be >= 0 and below its vocab size when that is given.
     Errors in a line name ``path:lineno``.
@@ -565,7 +569,10 @@ def load_stats(path, pivot_vocab_size: int = None,
             raise OutOfVocab(f"{path}:{lineno}: pivot id {p} outside [0, {p_end})")
         if not 0 <= s < s_end:
             raise OutOfVocab(f"{path}:{lineno}: source id {s} outside [0, {s_end})")
-        counts[(p, s)] = counts.get((p, s), 0) + c
+        total = counts[(p, s)] = counts.get((p, s), 0) + c
+        if total > _MAX_COUNT:
+            raise MalformedInput(f"{path}:{lineno}: bad stats line: count for ({p}, {s}) "
+                                 f"reaches {total}, above 2**53")
     if pivot_vocab_size is None:
         pivot_vocab_size = max((p for p, _ in counts), default=0) + 1
     if source_vocab_size is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from umm.errors import IncompatibleCheckpoints
 from umm.tensor_store import Checkpoint, Tensor
 
 DEFAULT_WIDTHS = (1, 16, 16, 16, 16, 16, 1)
@@ -33,9 +34,12 @@ def init_mlp(seed: int, widths=DEFAULT_WIDTHS) -> Checkpoint:
 
 
 def _unpack(ckpt: Checkpoint):
-    n_layers = int(ckpt.metadata["num_layers"])
-    weights = [ckpt.array(f"layers.{i}.weight").astype(np.float64) for i in range(n_layers)]
-    biases = [ckpt.array(f"layers.{i}.bias").astype(np.float64) for i in range(n_layers)]
+    try:
+        n_layers = int(ckpt.metadata["num_layers"])
+        weights = [ckpt.array(f"layers.{i}.weight").astype(np.float64) for i in range(n_layers)]
+        biases = [ckpt.array(f"layers.{i}.bias").astype(np.float64) for i in range(n_layers)]
+    except KeyError as exc:
+        raise IncompatibleCheckpoints(f"not a toy MLP checkpoint: missing {exc}") from exc
     return weights, biases
 
 

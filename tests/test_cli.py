@@ -1136,6 +1136,20 @@ def test_toy_train_zero_steps_keeps_the_initial_model(tmp_path, capsys):
     assert sha256_file(tmp_path / "run" / "model.st") == sha256_file(tmp_path / "zero.st")
 
 
+def test_toy_train_seeds_its_initial_logits_from_the_global_seed(tmp_path, capsys):
+    # without --seed the logits are zero: the zero-steps test above
+    write_fusion_corpus(small_corpus(), tmp_path / "corpus.jsonl")
+    code, _, _ = run_cli(
+        ["--seed", "3", "--log-level", "warning", "toy-train",
+         "--corpus", str(tmp_path / "corpus.jsonl"),
+         "--lambda", "0.5", "--steps", "0", "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert code == 0
+    save_toy_model(init_toy_model(4, seed=3), tmp_path / "seeded.st")
+    assert sha256_file(tmp_path / "run" / "model.st") == sha256_file(tmp_path / "seeded.st")
+
+
 def test_toy_train_invalid_lambda_exits_1(tmp_path, capsys):
     write_fusion_corpus(small_corpus(), tmp_path / "corpus.jsonl")
     code, _, err = run_cli(
@@ -1348,6 +1362,53 @@ def test_every_input_field_of_a_wrong_type_exits_0_or_1(tmp_path, monkeypatch, c
                 pytest.fail(f"{name}: {path} = {value!r} raised {type(exc).__name__}: {exc}")
             capsys.readouterr()
             assert code in (0, 1), (name, path, value, code)
+
+
+def non_mlp_search_input(tmp_path):
+    filename, config, argv = search_input(tmp_path, {"builtin": "toy-regression"})
+    rng = np.random.default_rng(19)
+    for name in ("base", "a", "b"):  # layers.{i}.w, not layers.{i}.weight
+        save_checkpoint(layered_ckpt(rng, num_layers=2), tmp_path / f"{name}.st")
+    return filename, config, argv
+
+
+def huge_count_input(tmp_path):
+    filename, lines, argv = stats_input(tmp_path)
+    lines[1]["c"] = 10**400  # a JSON integer too large for a float
+    return filename, lines, argv
+
+
+def huge_instruction_id_input(tmp_path):
+    filename, corpus, argv = corpus_input(tmp_path)
+    corpus[0]["instruction"] = [10**30]  # a JSON integer too large for int64
+    return filename, corpus, argv
+
+
+# input -> the error line it ends in; each passed its type checks and
+# then crashed with a traceback deeper in the command
+PAST_A_LIMIT = {
+    "toy-regression-on-a-non-mlp": (
+        non_mlp_search_input, "IncompatibleCheckpoints: not a toy MLP checkpoint: "
+                              "missing 'layers.0.weight'"),
+    "stats-count-above-2**53": (
+        huge_count_input, "MalformedInput: stats.jsonl:2: bad stats line: count for (1, 1) "
+                          f"reaches {10**400}, above 2**53"),
+    "corpus-id-above-int64": (
+        huge_instruction_id_input, f"OutOfVocab: corpus.jsonl:1: instruction id {10**30} "
+                                   "outside [0, 2)"),
+}
+
+
+@pytest.mark.parametrize("name", list(PAST_A_LIMIT))
+def test_a_value_past_a_numeric_limit_exits_1_without_a_traceback(tmp_path, monkeypatch,
+                                                                   capsys, name):
+    monkeypatch.chdir(tmp_path)
+    make, message = PAST_A_LIMIT[name]
+    filename, doc, argv = make(tmp_path)
+    (write_jsonl if filename.endswith(".jsonl") else write_json)(tmp_path / filename, doc)
+    code, _, err = run_cli(argv, capsys)
+    assert_one_located_error(code, err, message)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("path,value,field", [

@@ -1,5 +1,6 @@
 """Every public name in src/umm must be reached by something that runs,
-and only ``tensor_store.publish`` writes a file.
+only ``tensor_store.publish`` writes a file, and no context manager is
+entered by hand.
 
 A public module-level function or class, or a public method, counts as
 reached when its name appears as a Name, an Attribute or an import alias
@@ -100,3 +101,17 @@ def test_only_the_publish_path_writes_files():
     # the publish path itself is seen: it creates its temp file and renames it
     assert len(inside) == 2, inside
     assert not outside, f"files written outside tensor_store.publish: {outside}"
+
+
+def test_context_managers_are_entered_only_by_with():
+    """No ``.__enter__()`` or ``.__exit__()`` call by hand: a ``with`` block
+    or an ``ExitStack`` enters and leaves every context manager, so an
+    error between the two cannot skip the exit."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in LIBRARY
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("__enter__", "__exit__")
+    ]
+    assert not calls, f"context managers entered or left by hand: {calls}"

@@ -86,7 +86,7 @@ def test_save_load_save_fixed_point(tmp_path, rng):
 def test_digest_matches_file_content(tmp_path, rng):
     import hashlib
 
-    # the writer and the digest share one chunk generator; hold every dtype,
+    # the writer and the digest share one serializer; hold every dtype,
     # a rank-0 tensor and metadata to the bytes the writer leaves on disk
     every_kind = Checkpoint(
         tensors={
@@ -376,14 +376,26 @@ def test_writer_rejects_a_wrong_tensor_and_leaves_path_as_it_was(case, tmp_path)
     path = tmp_path / "out.st"
     path.write_bytes(b"an earlier file")
     writes, error, message = _WRONG_WRITES[case]
-    writer = CheckpointWriter(path, {"a": ((2, 3), "f32"), "b": ((2,), "f32")}, {})
     with pytest.raises(error, match=message):
-        with writer:
+        with CheckpointWriter(path, {"a": ((2, 3), "f32"), "b": ((2,), "f32")}, {}) as writer:
             for name, tensor in writes:
                 writer.write(name, tensor)
-    # dropping the writer would warn of a file left open; the temp file
-    # is gone and the path is as it was
-    del writer
+    # the temp file is gone and the path is as it was
+    assert os.listdir(tmp_path) == ["out.st"]
+    assert path.read_bytes() == b"an earlier file"
+
+
+@pytest.mark.parametrize("layout, metadata", [
+    ({"__metadata__": ((1,), "f32")}, {}),
+    ({"": ((1,), "f32")}, {}),
+    ({"a": ((1,), "f32")}, {"k": 3}),
+], ids=["reserved-name", "empty-name", "metadata-not-string"])
+def test_writer_rejects_an_invalid_layout_and_leaves_path_as_it_was(layout, metadata, tmp_path):
+    path = tmp_path / "out.st"
+    path.write_bytes(b"an earlier file")
+    with pytest.raises(ValueError):
+        with CheckpointWriter(path, layout, metadata):
+            pass
     assert os.listdir(tmp_path) == ["out.st"]
     assert path.read_bytes() == b"an earlier file"
 
