@@ -309,7 +309,7 @@ def load_distribution(path) -> tuple:
         raise IoFailure(f"{path} metadata lacks 'gold'")
     try:
         gold = want_ints({"gold": json.loads(ckpt.metadata["gold"])}, "gold", where=f"{path}: ")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedInput(f"{path}: gold metadata is not JSON: {exc}") from exc
     dist = DistributionMatrix(ckpt.array("dist"))
     if len(gold) != dist.length:

@@ -191,7 +191,7 @@ class ExternalEvaluator:
             raise EvaluatorProtocol("evaluator printed nothing to stdout")
         try:
             fitness = want_number(json.loads(lines[-1]), "fitness")
-        except (json.JSONDecodeError, MalformedInput) as exc:
+        except (json.JSONDecodeError, RecursionError, MalformedInput) as exc:
             raise EvaluatorProtocol(f"last stdout line {lines[-1]!r}: {exc}") from exc
         if not math.isfinite(fitness):
             raise EvaluatorProtocol(f"fitness must be finite, got {fitness!r}")
@@ -290,24 +290,19 @@ class SourceSet:
     digest: str
 
 
-def build_sources(base: Checkpoint, finetuned: dict) -> SourceSet:
-    """finetuned maps source_id -> Checkpoint, or -> a path loaded when its
-    turn comes, so that set-up holds one loaded checkpoint at a time."""
+def load_sources(base_path, models: list) -> SourceSet:
+    """The base and one task vector per model ({source_id, path} dicts),
+    in source_id order.  Each fine-tuned checkpoint is loaded when its
+    turn comes, so set-up peaks at one checkpoint above what it returns."""
+    base = load_checkpoint(base_path)
     digests = [checkpoint_digest(base)]
     vectors = []
-    for sid in sorted(finetuned):
-        ckpt = finetuned[sid]
-        if not isinstance(ckpt, Checkpoint):
-            ckpt = load_checkpoint(ckpt)
-        vectors.append(compute_task_vector(base, ckpt, sid))
-        digests.append(f"{sid}:{checkpoint_digest(ckpt)}")
+    for model in sorted(models, key=lambda m: m["source_id"]):
+        sid = model["source_id"]
+        finetuned = load_checkpoint(model["path"])
+        vectors.append(compute_task_vector(base, finetuned, sid))
+        digests.append(f"{sid}:{checkpoint_digest(finetuned)}")
     return SourceSet(base, vectors, hashlib.sha256("|".join(digests).encode()).hexdigest())
-
-
-def load_sources(base_path, models: list) -> SourceSet:
-    """models: list of {source_id, path} dicts."""
-    base = load_checkpoint(base_path)
-    return build_sources(base, {m["source_id"]: m["path"] for m in models})
 
 
 class FitnessCache:
@@ -372,16 +367,13 @@ def evaluate_candidate(recipe: MergeRecipe, evaluator, workdir, sources: SourceS
     workdir.mkdir(parents=True, exist_ok=True)
     path = workdir / f"{tag}.st"
     save_checkpoint(merged, path)
-    last_error = None
-    for _ in range(max(1, retries + 1)):
+    for attempt in range(max(0, retries) + 1):
         try:
             fitness = evaluator.evaluate(path)
-            last_error = None
             break
-        except (EvaluatorFailed, EvaluatorProtocol) as exc:
-            last_error = exc
-    if last_error is not None:
-        raise last_error
+        except (EvaluatorFailed, EvaluatorProtocol):
+            if attempt == max(0, retries):
+                raise
     if cache is not None:
         cache.put(key, fitness)
     return fitness, True
@@ -414,6 +406,10 @@ class SearchConfig:
             raise ValueError("iterations must be >= 0")
         if not self.models:
             raise ValueError("config lists no models")
+        ids = [m["source_id"] for m in self.models]
+        repeated = sorted({sid for sid in ids if ids.count(sid) > 1})
+        if repeated:
+            raise ValueError(f"models repeat source_id {repeated}: each must be distinct")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.retries < 0:
@@ -492,8 +488,7 @@ def _search_fingerprint(config: SearchConfig, sources_digest: str, dim: int, pop
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def run_search(config: SearchConfig, workdir, resume: bool = False,
-               sources: SourceSet = None) -> SearchResult:
+def run_search(config: SearchConfig, workdir, resume: bool = False) -> SearchResult:
     """Iterated ask/evaluate/tell maximization of candidate fitness.
 
     State is persisted to <workdir>/search_state.json after every
@@ -502,8 +497,7 @@ def run_search(config: SearchConfig, workdir, resume: bool = False,
     config.validate()
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    if sources is None:
-        sources = load_sources(config.base_path, config.models)
+    sources = load_sources(config.base_path, config.models)
 
     _, num_groups = group_count(sources.base.metadata, config.group_size)
     template = RecipeTemplate(

@@ -25,7 +25,7 @@ def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # decode errors are ValueErrors
+    except (OSError, ValueError, RecursionError) as exc:  # decode errors are ValueErrors
         raise IoFailure(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -53,7 +53,7 @@ def _objects(path, numbered) -> Iterator:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise IoFailure(f"{path}:{lineno}: not JSON: {exc}") from exc
         yield lineno, obj
 

@@ -361,7 +361,7 @@ class CheckpointReader:
         self._read_into(8, raw)
         try:
             header = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise MalformedHeader(f"{path}: header is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(header, dict):
             raise MalformedHeader(f"{path}: header must be a JSON object")

@@ -33,7 +33,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from umm.distro_fusion import DistributionMatrix
 from umm.errors import (
@@ -431,6 +430,8 @@ def _transfer_matrix(stats: AlignStats, vocab_map: str):
     """
     if vocab_map not in ("proportional", "argmax"):
         raise ValueError(f"unknown vocab_map {vocab_map!r}")
+    from scipy import sparse  # here, so that only fuse-targets pays for importing scipy
+
     n = len(stats.counts)
     keys = np.fromiter(itertools.chain.from_iterable(stats.counts), np.intp, 2 * n)
     vals = np.fromiter(stats.counts.values(), np.float64, n)

@@ -643,6 +643,20 @@ def test_search_seed_and_threads_flags_on_a_non_object_config_exit_1(tmp_path, c
     assert_one_located_error(code, err, "search config: expected a JSON object")
 
 
+def test_search_config_repeating_a_source_id_exits_1_before_opening_the_base(tmp_path, capsys):
+    # tmp_path holds no base.st, so an error about it means the repeat went unseen
+    write_json(tmp_path / "config.json", search_config_obj(tmp_path, models=("sin", "cos", "sin")))
+    code, _, err = run_cli(
+        ["search", "--config", str(tmp_path / "config.json"),
+         "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert code == 1
+    lines = [line for line in err.splitlines() if line.startswith("ERROR umm: ")]
+    assert len(lines) == 1 and "source_id ['sin']" in lines[0], err
+    assert "base.st" not in err
+
+
 COMMAND_SPEC = {"command": "evaluate {checkpoint}"}
 TOY_SPEC = {"builtin": "toy-regression"}
 
@@ -1469,6 +1483,78 @@ def test_a_cache_entry_that_is_not_json_names_its_file(tmp_path, monkeypatch, ca
     entry.write_text('{"fitness": ')
     code, _, err = run_cli(argv, capsys)
     assert_one_located_error(code, err, f"IoFailure: cannot read JSON from cache/{entry.name}: ")
+
+
+DEEP = "[" * 100_000  # past any recursion limit of the JSON decoder
+
+
+def deep_whole_file(name):
+    """INPUTS[name] with its input file nested too deeply."""
+    def make(tmp_path):
+        filename, _, argv = INPUTS[name](tmp_path)
+        (tmp_path / filename).write_text(DEEP + "\n")
+        return argv, f"IoFailure: cannot read JSON from {filename}: maximum recursion depth"
+    return make
+
+
+def deep_line(name):
+    """INPUTS[name] with a line of its JSON-lines input nested too deeply."""
+    def make(tmp_path):
+        filename, lines, argv = INPUTS[name](tmp_path)
+        write_jsonl(tmp_path / filename, lines)
+        with open(tmp_path / filename, "a") as fh:
+            fh.write(DEEP + "\n")
+        return argv, f"IoFailure: {filename}:{len(lines) + 1}: not JSON: maximum recursion depth"
+    return make
+
+
+def deep_cache_entry(tmp_path):
+    argv = written_input(tmp_path, "search-builtin", cache_dir="cache")
+    assert main(["--log-level", "error"] + argv) == 0
+    [entry] = (tmp_path / "cache").iterdir()
+    entry.write_text(DEEP)
+    return argv, f"IoFailure: cannot read JSON from cache/{entry.name}: maximum recursion depth"
+
+
+def deep_container_header(tmp_path):
+    header = DEEP.encode()
+    (tmp_path / "c.st").write_bytes(len(header).to_bytes(8, "little") + header)
+    return ["inspect", "--ckpt", "c.st"], ("MalformedHeader: c.st: header is not valid UTF-8 "
+                                           "JSON: maximum recursion depth")
+
+
+def deep_evaluator_output(tmp_path):
+    command = f"{sys.executable} -c \"print('[' * {len(DEEP)})\" {{checkpoint}}"
+    filename, config, argv = search_input(tmp_path, {"command": command, "timeout": 60})
+    write_json(tmp_path / filename, config)
+    return argv, "EvaluatorProtocol: last stdout line '[[["
+
+
+# input -> its argv and the start of the one error line it ends in, once
+# something in it is nested deeper than the decoder's recursion limit
+NESTED_TOO_DEEPLY = {
+    "recipe": deep_whole_file("recipe"),
+    "search-config": deep_whole_file("search-builtin"),
+    "search-state": deep_whole_file("search-state"),
+    "cache-entry": deep_cache_entry,
+    "token-line": deep_line("tokens"),
+    "stats-line": deep_line("stats"),
+    "example-line": deep_line("example"),
+    "corpus-line": deep_line("corpus"),
+    "container-header": deep_container_header,
+    "evaluator-output": deep_evaluator_output,
+}
+
+
+@pytest.mark.parametrize("name", list(NESTED_TOO_DEEPLY))
+def test_json_nested_too_deeply_exits_1_without_a_traceback(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("UMM_CACHE_DIR", raising=False)
+    argv, message = NESTED_TOO_DEEPLY[name](tmp_path)
+    capsys.readouterr()
+    code, _, err = run_cli(argv, capsys)
+    assert_one_located_error(code, err, message)
+    assert "Traceback" not in err
 
 
 # each input's command and the files a clean run of it writes

@@ -440,8 +440,10 @@ def test_load_distribution_requires_fields(rng, tmp_path):
         load_distribution(path2)
 
 
-@pytest.mark.parametrize("gold", ["[1.5]", "[true]", '["1"]', "5", '{"a": 1}', "not json"],
-                         ids=["float", "bool", "string", "int", "object", "not-json"])
+@pytest.mark.parametrize("gold", ["[1.5]", "[true]", '["1"]', "5", '{"a": 1}', "not json",
+                                  "[" * 100_000],
+                         ids=["float", "bool", "string", "int", "object", "not-json",
+                              "nested-too-deeply"])
 def test_load_distribution_rejects_malformed_gold(tmp_path, gold):
     path = tmp_path / "bad_gold.st"
     rows = np.full((1, 2), 0.5, dtype=np.float32)

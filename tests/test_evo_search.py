@@ -1,3 +1,4 @@
+import hashlib
 import os
 import signal
 import stat
@@ -23,7 +24,6 @@ from umm.evo_search import (
     WEIGHT_LO,
     FitnessCache,
     RecipeTemplate,
-    build_sources,
     config_from_json_obj,
     decode_genome,
     evaluate_candidate,
@@ -32,7 +32,14 @@ from umm.evo_search import (
     make_evaluator,
     run_search,
 )
-from umm.tensor_store import Checkpoint, Tensor, load_checkpoint, save_checkpoint
+from umm.merge_core import compute_task_vector
+from umm.tensor_store import (
+    Checkpoint,
+    Tensor,
+    checkpoint_digest,
+    load_checkpoint,
+    save_checkpoint,
+)
 from umm.toy_mlp import init_mlp, mlp_forward, mse, train_mlp
 
 
@@ -290,12 +297,24 @@ class CountingEvaluator:
         return 1.25
 
 
-def two_expert_sources(seed=0, steps=300):
+def save_two_experts(tmp_path, seed=0, steps=300, metadata=None):
+    """A base and its sin and cos experts as m0 and m1, saved under
+    ``tmp_path`` at the paths ``search_config(tmp_path)`` names; returns
+    the two experts as trained."""
     xs = np.linspace(-2, 2, 64)
     base = init_mlp(seed)
-    ea = train_mlp(base, xs, np.sin(2.5 * xs), lr=0.01, steps=steps)
-    eb = train_mlp(base, xs, np.cos(1.5 * xs), lr=0.01, steps=steps)
-    return build_sources(base, {"m0": ea, "m1": eb})
+    experts = [train_mlp(base, xs, np.sin(2.5 * xs), lr=0.01, steps=steps),
+               train_mlp(base, xs, np.cos(1.5 * xs), lr=0.01, steps=steps)]
+    for name, ckpt in zip(("base", "m0", "m1"), [base] + experts):
+        ckpt.metadata.update(metadata or {})
+        save_checkpoint(ckpt, tmp_path / f"{name}.st")
+    return experts
+
+
+def two_expert_sources(tmp_path, **kwargs):
+    save_two_experts(tmp_path, **kwargs)
+    config = search_config(tmp_path)
+    return load_sources(config.base_path, config.models)
 
 
 def test_load_sources_holds_one_finetuned_checkpoint_at_a_time(tmp_path):
@@ -323,16 +342,19 @@ def test_load_sources_holds_one_finetuned_checkpoint_at_a_time(tmp_path):
     assert held >= 4 * model_bytes
     assert peak < held + 2 * model_bytes, (peak - held) / model_bytes
 
-    eager = build_sources(load_checkpoint(tmp_path / "base.st"),
-                          {m["source_id"]: load_checkpoint(m["path"]) for m in models})
+    base = load_checkpoint(tmp_path / "base.st")
+    digests = [checkpoint_digest(base)]
     assert [v.source_id for v in sources.vectors] == ["m0", "m1", "m2"]
-    assert sources.digest == eager.digest
-    for vec, want in zip(sources.vectors, eager.vectors):
+    for vec in sources.vectors:
+        tuned = load_checkpoint(tmp_path / f"{vec.source_id}.st")
+        digests.append(f"{vec.source_id}:{checkpoint_digest(tuned)}")
+        want = compute_task_vector(base, tuned, vec.source_id)
         assert all(vec.deltas[n].tobytes() == want.deltas[n].tobytes() for n in arrays)
+    assert sources.digest == hashlib.sha256("|".join(digests).encode()).hexdigest()
 
 
 def test_cache_second_call_skips_evaluator(tmp_path):
-    sources = two_expert_sources()
+    sources = two_expert_sources(tmp_path)
     template = ties_template()
     recipe = decode_genome(initial_mean(template), template)
     ev = CountingEvaluator()
@@ -344,7 +366,7 @@ def test_cache_second_call_skips_evaluator(tmp_path):
 
 
 def test_cache_persists_on_disk(tmp_path):
-    sources = two_expert_sources()
+    sources = two_expert_sources(tmp_path)
     template = ties_template()
     recipe = decode_genome(initial_mean(template), template)
     ev = CountingEvaluator()
@@ -393,8 +415,8 @@ def test_cache_put_survives_a_concurrent_put_of_the_same_key(tmp_path, monkeypat
     assert [p.name for p in (tmp_path / "cache").iterdir()] == ["k.json"]
 
 
-def test_cache_key_distinguishes_evaluators():
-    sources = two_expert_sources()
+def test_cache_key_distinguishes_evaluators(tmp_path):
+    sources = two_expert_sources(tmp_path)
     template = ties_template()
     recipe = decode_genome(initial_mean(template), template)
     k1 = FitnessCache.key(recipe, sources.digest, "eval-a")
@@ -417,7 +439,7 @@ def test_evaluate_candidate_retries(tmp_path):
                 raise EvaluatorFailed("transient")
             return 2.0
 
-    sources = two_expert_sources()
+    sources = two_expert_sources(tmp_path)
     template = ties_template()
     recipe = decode_genome(initial_mean(template), template)
     ev = FlakyEvaluator()
@@ -446,9 +468,9 @@ def search_config(tmp_path, iterations=2, seed=0, threads=1, **over):
 
 
 def test_run_search_zero_iterations(tmp_path):
-    sources = two_expert_sources()
+    save_two_experts(tmp_path)
     config = search_config(tmp_path, iterations=0)
-    result = run_search(config, tmp_path / "w", sources=sources)
+    result = run_search(config, tmp_path / "w")
     assert result.evaluations == 1
     assert result.generations == 0
     template = ties_template()
@@ -459,18 +481,17 @@ def test_run_search_zero_iterations(tmp_path):
 
 
 def test_run_search_checks_layer_metadata_like_merge(tmp_path):
-    sources = two_expert_sources(steps=1)
-    sources.base.metadata["num_layers"] = "two"
+    save_two_experts(tmp_path, steps=1, metadata={"num_layers": "two"})
     with pytest.raises(MissingLayerMetadata):
-        run_search(search_config(tmp_path, iterations=0), tmp_path / "w", sources=sources)
+        run_search(search_config(tmp_path, iterations=0), tmp_path / "w")
 
 
 def test_run_search_deterministic_across_runs_and_threads(tmp_path):
-    sources = two_expert_sources()
+    save_two_experts(tmp_path)
     results = []
     for i, threads in enumerate((1, 4, 1)):
         config = search_config(tmp_path, iterations=3, seed=7, threads=threads)
-        results.append(run_search(config, tmp_path / f"w{i}", sources=sources))
+        results.append(run_search(config, tmp_path / f"w{i}"))
     a, b, c = results
     assert a.best_fitness == b.best_fitness == c.best_fitness
     np.testing.assert_array_equal(a.best_genome, b.best_genome)
@@ -480,9 +501,9 @@ def test_run_search_deterministic_across_runs_and_threads(tmp_path):
 
 
 def test_run_search_eval_budget_and_history(tmp_path):
-    sources = two_expert_sources()
+    save_two_experts(tmp_path)
     config = search_config(tmp_path, iterations=3, seed=1)
-    result = run_search(config, tmp_path / "w", sources=sources)
+    result = run_search(config, tmp_path / "w")
     assert result.evaluations == 1 + 3 * result.pop_size
     assert result.evaluator_invocations <= result.evaluations
     assert len(result.history) == 4
@@ -492,16 +513,11 @@ def test_run_search_eval_budget_and_history(tmp_path):
 
 
 def test_run_search_resume_matches_uninterrupted(tmp_path):
-    sources = two_expert_sources()
-    full = run_search(
-        search_config(tmp_path, iterations=6, seed=3), tmp_path / "full", sources=sources
-    )
+    save_two_experts(tmp_path)
+    full = run_search(search_config(tmp_path, iterations=6, seed=3), tmp_path / "full")
     prefix_dir = tmp_path / "prefix"
-    run_search(search_config(tmp_path, iterations=2, seed=3), prefix_dir, sources=sources)
-    resumed = run_search(
-        search_config(tmp_path, iterations=6, seed=3), prefix_dir,
-        resume=True, sources=sources,
-    )
+    run_search(search_config(tmp_path, iterations=2, seed=3), prefix_dir)
+    resumed = run_search(search_config(tmp_path, iterations=6, seed=3), prefix_dir, resume=True)
     assert resumed.best_fitness == full.best_fitness
     np.testing.assert_array_equal(resumed.best_genome, full.best_genome)
     assert resumed.history == full.history
@@ -509,25 +525,19 @@ def test_run_search_resume_matches_uninterrupted(tmp_path):
 
 
 def test_run_search_resume_rejects_wrong_config(tmp_path):
-    sources = two_expert_sources()
-    run_search(search_config(tmp_path, iterations=1, seed=3), tmp_path / "w", sources=sources)
+    save_two_experts(tmp_path)
+    run_search(search_config(tmp_path, iterations=1, seed=3), tmp_path / "w")
     with pytest.raises(ValueError):
-        run_search(
-            search_config(tmp_path, iterations=1, seed=4), tmp_path / "w",
-            resume=True, sources=sources,
-        )
+        run_search(search_config(tmp_path, iterations=1, seed=4), tmp_path / "w", resume=True)
 
 
 def test_run_search_beats_parents_one_seed(tmp_path):
     xs = np.linspace(-2, 2, 64)
     ya, yb = np.sin(2.5 * xs), np.cos(1.5 * xs)
-    base = init_mlp(0)
-    ea = train_mlp(base, xs, ya, lr=0.01, steps=1500)
-    eb = train_mlp(base, xs, yb, lr=0.01, steps=1500)
-    sources = build_sources(base, {"m0": ea, "m1": eb})
+    ea, eb = save_two_experts(tmp_path, steps=1500)
     parent = min(mse(ea, xs, ya) + mse(ea, xs, yb), mse(eb, xs, ya) + mse(eb, xs, yb))
     config = search_config(tmp_path, iterations=30, seed=0)
-    result = run_search(config, tmp_path / "w", sources=sources)
+    result = run_search(config, tmp_path / "w")
     assert -result.best_fitness <= 0.9 * parent
 
 

@@ -1,6 +1,7 @@
 """Every public name in src/umm must be reached by something that runs,
-only ``tensor_store.publish`` writes a file, and no context manager is
-entered by hand.
+only ``tensor_store.publish`` writes a file, no context manager is
+entered by hand, every JSON decode catches too deep a nesting, and
+importing the command line leaves scipy unloaded.
 
 A public module-level function or class, or a public method, counts as
 reached when its name appears as a Name, an Attribute or an import alias
@@ -10,6 +11,9 @@ name only they use is code kept alive for its own tests.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -115,3 +119,40 @@ def test_context_managers_are_entered_only_by_with():
         and node.func.attr in ("__enter__", "__exit__")
     ]
     assert not calls, f"context managers entered or left by hand: {calls}"
+
+
+def _names(node) -> set:
+    """The bare names an ``except`` clause's type expression lists."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} if node else set()
+
+
+def test_every_json_decode_catches_recursion_error():
+    """Each ``json.load``/``json.loads`` call sits in the body of a ``try``
+    with a handler naming RecursionError, which the decoder raises on
+    deep nesting, so too deep an input ends in one error line."""
+    uncaught, seen = [], 0
+    for path in LIBRARY:
+        tree = _parse(path)
+        guarded = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Try) and any(
+                    "RecursionError" in _names(h.type) for h in node.handlers):
+                guarded |= {id(n) for stmt in node.body for n in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                    and func.attr in ("load", "loads")
+                    and isinstance(func.value, ast.Name) and func.value.id == "json"):
+                seen += 1
+                if id(node) not in guarded:
+                    uncaught.append(f"{path.name}:{node.lineno}")
+    assert seen, "no json.load or json.loads call found under src/umm"
+    assert not uncaught, f"JSON decodes that let RecursionError through: {uncaught}"
+
+
+def test_importing_the_command_line_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, umm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
