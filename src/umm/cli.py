@@ -77,9 +77,9 @@ def _write_csv(path, fieldnames: list, rows) -> None:
 
 def cmd_merge(args) -> dict:
     with contextlib.ExitStack() as stack:
+        recipe = load_recipe(args.recipe)
         # the base is opened, not loaded: merge decodes each tensor once
         base = stack.enter_context(CheckpointReader(args.base))
-        recipe = load_recipe(args.recipe)
         overrides = dict(args.model or [])
         unknown = set(overrides) - {m.source_id for m in recipe.per_model}
         if unknown:

@@ -142,8 +142,6 @@ def cmaes_ask(state: CmaesState) -> list:
     Each call consumes generator state, so repeated asks yield fresh
     draws unless the caller restores the rng.
     """
-    if state.eig_vectors is None:
-        _decompose(state)
     z = state.rng.standard_normal((state.pop_size, state.dim))
     steps = (z * state.eig_sqrt) @ state.eig_vectors.T
     return [state.mean + state.sigma * step for step in steps]
@@ -174,8 +172,6 @@ def cmaes_tell(state: CmaesState, genomes: list, fitnesses, maximize: bool = Fal
     mean_new = p.weights @ selected
     y_w = (mean_new - mean_old) / state.sigma
 
-    if state.eig_vectors is None:
-        _decompose(state)
     inv_sqrt = state.eig_vectors @ np.diag(1.0 / state.eig_sqrt) @ state.eig_vectors.T
 
     c_s, d_s = p.c_sigma, p.d_sigma

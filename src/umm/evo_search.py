@@ -24,17 +24,20 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import shlex
 import signal
 import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from umm.cmaes import (
+    SIGMA_MAX,
+    SIGMA_MIN,
     cmaes_ask,
     cmaes_init,
     cmaes_tell,
@@ -50,6 +53,7 @@ from umm.errors import (
 )
 from umm.jsonl import (
     read_json,
+    reject_unknown,
     want_int,
     want_number,
     want_numbers,
@@ -82,6 +86,10 @@ DENSITY_LO, DENSITY_HI = 0.05, 1.0
 DEFAULT_SIGMA0 = 0.15
 DEFAULT_ITERATIONS = 30
 DEFAULT_TIMEOUT = 3600.0
+
+# an evaluator output line quoted in an error keeps about this many characters
+_EXCERPT = reprlib.Repr()
+_EXCERPT.maxstring = 200
 
 
 # --- genome codec ---------------------------------------------------------
@@ -183,16 +191,15 @@ class ExternalEvaluator:
                         os.killpg(proc.pid, signal.SIGKILL)
         if proc.returncode != 0:
             tail = stderr.strip().splitlines()[-1:] or stdout.strip().splitlines()[-1:]
-            raise EvaluatorFailed(
-                f"evaluator exited {proc.returncode}: {tail[0] if tail else '(no output)'}"
-            )
+            raise EvaluatorFailed(f"evaluator exited {proc.returncode}: "
+                                  f"{_EXCERPT.repr(tail[0]) if tail else '(no output)'}")
         lines = [line for line in stdout.splitlines() if line.strip()]
         if not lines:
             raise EvaluatorProtocol("evaluator printed nothing to stdout")
         try:
             fitness = want_number(json.loads(lines[-1]), "fitness")
         except (json.JSONDecodeError, RecursionError, MalformedInput) as exc:
-            raise EvaluatorProtocol(f"last stdout line {lines[-1]!r}: {exc}") from exc
+            raise EvaluatorProtocol(f"last stdout line {_EXCERPT.repr(lines[-1])}: {exc}") from exc
         if not math.isfinite(fitness):
             raise EvaluatorProtocol(f"fitness must be finite, got {fitness!r}")
         return fitness
@@ -263,6 +270,8 @@ class ToyRegressionEvaluator:
 def make_evaluator(spec: dict):
     """Build an evaluator from its JSON spec (see SearchConfig)."""
     where = "search config: evaluator."
+    reject_unknown(spec, ("command", "timeout", "builtin", "target_path", "targets", "lo", "hi",
+                          "points"), where)
     command = want_str(spec, "command", None, where)
     if command is not None:
         return ExternalEvaluator(command, want_number(spec, "timeout", DEFAULT_TIMEOUT, where))
@@ -276,7 +285,8 @@ def make_evaluator(spec: dict):
             hi=want_number(spec, "hi", 2.0, where),
             points=want_int(spec, "points", 64, where),
         )
-    raise ValueError(f"unknown evaluator spec {spec!r}")
+    raise ValueError(f"{where}builtin must be toy-regression or l2-to-target when there is "
+                     f"no command, got {reprlib.repr(builtin)}")
 
 
 # --- sources and caching -----------------------------------------------------
@@ -350,32 +360,28 @@ class FitnessCache:
                 fh.write(json.dumps({"fitness": fitness}))
 
 
-def evaluate_candidate(recipe: MergeRecipe, evaluator, workdir, sources: SourceSet,
-                       cache: FitnessCache = None, retries: int = 1,
+def evaluate_candidate(recipe: MergeRecipe, evaluator, workdir: Path, sources: SourceSet,
+                       cache: FitnessCache, retries: int = 1,
                        tag: str = "candidate") -> tuple:
-    """Merge per recipe, score the written checkpoint, memoize.
+    """Merge per recipe, score the checkpoint written to ``workdir``, memoize.
 
     Returns (fitness, invoked) where invoked is False on a cache hit.
     """
     key = FitnessCache.key(recipe, sources.digest, evaluator.evaluator_id)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit, False
+    hit = cache.get(key)
+    if hit is not None:
+        return hit, False
     merged = merge(sources.base, sources.vectors, recipe)
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     path = workdir / f"{tag}.st"
     save_checkpoint(merged, path)
-    for attempt in range(max(0, retries) + 1):
+    for attempt in range(retries + 1):
         try:
             fitness = evaluator.evaluate(path)
             break
         except (EvaluatorFailed, EvaluatorProtocol):
-            if attempt == max(0, retries):
+            if attempt == retries:
                 raise
-    if cache is not None:
-        cache.put(key, fitness)
+    cache.put(key, fitness)
     return fitness, True
 
 
@@ -416,21 +422,29 @@ class SearchConfig:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.pop_size is not None and self.pop_size < 2:
             raise ValueError(f"pop_size must be null or >= 2, got {self.pop_size}")
+        if not (math.isfinite(self.lambda_scale) and self.lambda_scale >= 0.0):
+            raise ValueError(f"lambda_scale must be finite and >= 0, got {self.lambda_scale!r}")
+        if not SIGMA_MIN < self.sigma0 < SIGMA_MAX:
+            raise ValueError(f"sigma0 must be in ({SIGMA_MIN}, {SIGMA_MAX}), got {self.sigma0!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def config_from_json_obj(obj: dict, seed: int = None, threads: int = None) -> SearchConfig:
     """A validated SearchConfig; ``seed`` and ``threads``, when given,
     replace the values ``obj`` holds."""
     where = "search config: "
+    models = []
+    for i, m in enumerate(want_objects(obj, "models", where=where)):
+        at = f"{where}models[{i}]."
+        reject_unknown(m, ("source_id", "path"), at)
+        models.append({key: want_str(m, key, where=at) for key in ("source_id", "path")})
+    reject_unknown(obj, [f.name for f in fields(SearchConfig)], where)
     config = SearchConfig(
         method=want_str(obj, "method", where=where),
         group_size=want_int(obj, "group_size", where=where),
         base_path=want_str(obj, "base_path", where=where),
-        models=[
-            {"source_id": want_str(m, "source_id", where=f"{where}models[{i}]."),
-             "path": want_str(m, "path", where=f"{where}models[{i}].")}
-            for i, m in enumerate(want_objects(obj, "models", where=where))
-        ],
+        models=models,
         evaluator=want_object(obj, "evaluator", where=where),
         lambda_scale=want_number(obj, "lambda_scale", 1.0, where),
         iterations=want_int(obj, "iterations", DEFAULT_ITERATIONS, where),
@@ -497,6 +511,8 @@ def run_search(config: SearchConfig, workdir, resume: bool = False) -> SearchRes
     config.validate()
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
+    # a bad evaluator spec ends the search before a source checkpoint is read
+    evaluator = make_evaluator(config.evaluator)
     sources = load_sources(config.base_path, config.models)
 
     _, num_groups = group_count(sources.base.metadata, config.group_size)
@@ -511,8 +527,7 @@ def run_search(config: SearchConfig, workdir, resume: bool = False) -> SearchRes
     dim = template.genome_length
     pop = config.pop_size or default_pop_size(dim)
 
-    evaluator = make_evaluator(config.evaluator)
-    cache = FitnessCache(os.environ.get("UMM_CACHE_DIR") or config.cache_dir)
+    cache = FitnessCache(config.cache_dir)
     fingerprint = _search_fingerprint(config, sources.digest, dim, pop)
     state_path = workdir / "search_state.json"
 

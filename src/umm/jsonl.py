@@ -110,6 +110,17 @@ _PAIRS = "a list of [string, number] pairs"
 _want_pairs = _reader(_PAIRS, (list,), (list,))
 
 
+def reject_unknown(obj: dict, known, where: str = "") -> None:
+    """MalformedInput naming ``where`` and the first key of the JSON object
+    ``obj``, in sorted order, that is not in ``known``.  The keys a reader
+    reads are the only ones its input may hold, so a misspelt key is an
+    error, not a default silently taken."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise MalformedInput(f"{where.rstrip(': .')}: unknown field {reprlib.repr(unknown[0])}; "
+                             f"expected one of {', '.join(sorted(known))}")
+
+
 def _float(value, what: str) -> float:
     try:
         return float(value)

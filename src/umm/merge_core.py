@@ -63,7 +63,7 @@ from umm.errors import (
     RecipeMethodMismatch,
     RecipeModelMismatch,
 )
-from umm.jsonl import read_json, want_int, want_number, want_objects, want_str
+from umm.jsonl import read_json, reject_unknown, want_int, want_number, want_objects, want_str
 from umm.tensor_store import Checkpoint, CheckpointReader, Tensor, require_compat
 
 METHODS = ("linear", "task_arithmetic", "ties")
@@ -177,14 +177,17 @@ def recipe_from_json_obj(obj: dict) -> MergeRecipe:
     models = []
     for i, m in enumerate(want_objects(obj, "models", where="recipe: ")):
         where = f"recipe: models[{i}]."
-        groups = [
-            GroupCoeffs(weight=want_number(g, "weight", where=f"{where}groups[{j}]."),
-                        density=want_number(g, "density", 1.0, where=f"{where}groups[{j}]."))
-            for j, g in enumerate(want_objects(m, "groups", where=where))
-        ]
+        reject_unknown(m, ("source_id", "path", "groups"), where)
+        groups = []
+        for j, g in enumerate(want_objects(m, "groups", where=where)):
+            at = f"{where}groups[{j}]."
+            reject_unknown(g, ("weight", "density"), at)
+            groups.append(GroupCoeffs(weight=want_number(g, "weight", where=at),
+                                      density=want_number(g, "density", 1.0, where=at)))
         models.append(ModelCoeffs(source_id=want_str(m, "source_id", where=where),
                                   path=want_str(m, "path", "", where=where),
                                   groups=groups))
+    reject_unknown(obj, ("method", "group_size", "lambda_scale", "models"), "recipe: ")
     recipe = MergeRecipe(
         method=want_str(obj, "method", where="recipe: "),
         group_size=want_int(obj, "group_size", where="recipe: "),
@@ -315,15 +318,6 @@ def compute_task_vector(base: Checkpoint, finetuned,
     return TaskVector(deltas=deltas, source_id=source_id)
 
 
-def _require_vector_compat(base: Checkpoint, vectors: list) -> None:
-    base_shapes = base.shapes()
-    for vec in vectors:
-        if vec.shapes() != base_shapes:
-            raise IncompatibleCheckpoints(
-                f"task vector {vec.source_id!r} does not match the base tensor layout"
-            )
-
-
 def _ordered_vectors(recipe: MergeRecipe, vectors: list) -> list:
     """Vectors reordered to recipe model order, matched by source_id."""
     by_id = {}
@@ -347,29 +341,22 @@ def _trim_count(density: float, n: int) -> int:
     return max(1, math.ceil(density * n - 1e-9))
 
 
-# float width in bytes -> the native unsigned integer type of that width
-_UINT_OF_WIDTH = {2: np.uint16, 4: np.uint32, 8: np.uint64}
+def _require_float32(values: np.ndarray) -> None:
+    if values.dtype != np.float32:
+        raise TypeError(f"TIES steps take native float32 arrays, not {values.dtype}")
 
 
-def _uint_type(values: np.ndarray) -> type:
-    """The unsigned integer type as wide as ``values``' float type."""
-    dtype = values.dtype
-    if dtype.kind != "f" or dtype.itemsize not in _UINT_OF_WIDTH:
-        raise TypeError(f"TIES steps take float16, float32 or float64 arrays, not {dtype}")
-    return _UINT_OF_WIDTH[dtype.itemsize]
+def _select(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Float32 ``values`` where ``mask`` is true and +0.0 elsewhere, bit for bit.
 
-
-def _select(mask: np.ndarray, values: np.ndarray, bits: type) -> np.ndarray:
-    """``values`` where ``mask`` is true and +0.0 elsewhere, bit for bit.
-
-    An all-ones or all-zeros word per entry ANDed with the raw bits (in
-    any byte order): no branch on the mask, and kept entries, -0.0 and
-    NaN included, keep their exact bits.
+    An all-ones or all-zeros word per entry ANDed with the raw bits: no
+    branch on the mask, and kept entries, -0.0 and NaN included, keep
+    their exact bits.
     """
     # negating an unsigned 1 wraps to all ones
-    out = np.negative(mask, dtype=bits)
-    out &= values.view(bits)
-    return out.view(values.dtype)
+    out = np.negative(mask, dtype=np.uint32)
+    out &= values.view(np.uint32)
+    return out.view(np.float32)
 
 
 # ties in spans this short are listed; longer spans are halved by counting first
@@ -401,23 +388,23 @@ def ties_trim(delta: np.ndarray, density: float) -> np.ndarray:
 
     Magnitude ties keep the lower flat index.  Linear time: a partition
     finds the k-th largest magnitude, every larger one is kept, and the
-    first entries tied at it fill the remaining places.  The ranking runs
-    on the bits of ``abs(delta)`` viewed as unsigned integers of the same
-    width: non-negative floats order as their bit patterns do, -0.0 ties
-    with +0.0, and NaN ranks above +inf.  Kept entries keep their bits,
-    dropped ones become +0.0, and the output has ``delta``'s float dtype.
+    first entries tied at it fill the remaining places.  ``delta`` is a
+    native float32 array, as every task vector is; any other dtype raises
+    TypeError.  The ranking runs on the bits of ``abs(delta)`` viewed as
+    uint32: non-negative floats order as their bit patterns do, -0.0 ties
+    with +0.0, and NaN ranks above +inf.  Kept entries keep their bits
+    and dropped ones become +0.0.
     """
     if not (isinstance(density, (int, float)) and math.isfinite(density) and 0.0 < density <= 1.0):
         raise InvalidDensity(f"density {density!r} not in (0, 1]")
-    bits = _uint_type(delta)
+    _require_float32(delta)
     flat = delta.ravel()
     n = flat.size
     k = _trim_count(float(density), n)
     if k >= n:
         return delta.copy()
-    # abs returns native byte order, so the native view ranks correctly
     mag = np.abs(flat)
-    ranks = mag.view(bits)
+    ranks = mag.view(np.uint32)
     ranks.partition(n - k)
     kth = ranks[n - k]
     # the partition reordered the magnitudes in place: put them back in
@@ -427,7 +414,7 @@ def ties_trim(delta: np.ndarray, density: float) -> np.ndarray:
     tied = ranks == kth
     del mag, ranks
     _keep_first(keep, tied, k - np.count_nonzero(keep))
-    return _select(keep, flat, bits).reshape(delta.shape)
+    return _select(keep, flat).reshape(delta.shape)
 
 
 def ties_elect(trimmed: list) -> np.ndarray:
@@ -451,14 +438,16 @@ def ties_disjoint_merge(trimmed: list, gamma: np.ndarray, weights: list) -> np.n
     ``weights`` holds one weight per model, in the order of ``trimmed``:
     a float, or a float32 array with one weight per entry, as for a span
     of tensors from several layer groups.  ``gamma`` is
-    ``ties_elect(trimmed)``.  Coordinates whose elected sign is zero or
-    NaN, or where no model agrees, or where agreeing weights sum to zero,
-    come out +0.0: the quotient is taken on every lane and those lanes
-    are then cleared by a bitwise AND, so their 0/0 or x/0 raises no
-    warning.  Infinite entries give the inf or NaN lanes the
-    scalar reference gives, also without a warning.
+    ``ties_elect(trimmed)``.  The deltas and ``gamma`` are native float32,
+    as every task vector is; a ``gamma`` of any other dtype raises TypeError.
+    Coordinates whose elected sign is zero or NaN, or where no model
+    agrees, or where agreeing weights sum to zero, come out +0.0: the
+    quotient is taken on every lane and those lanes are then cleared by a
+    bitwise AND, so their 0/0 or x/0 raises no warning.  Infinite entries
+    give the inf or NaN lanes the scalar reference gives, also without a
+    warning.
     """
-    bits = _uint_type(gamma)
+    _require_float32(gamma)
     num = np.zeros(gamma.shape, gamma.dtype)
     den = np.zeros(gamma.shape, gamma.dtype)
     buf = np.empty(gamma.shape, gamma.dtype)
@@ -480,7 +469,7 @@ def ties_disjoint_merge(trimmed: list, gamma: np.ndarray, weights: list) -> np.n
         valid = (gamma != 0) & (den > 0)
         num /= den
     del den
-    return _select(valid, num, bits)
+    return _select(valid, num)
 
 
 # --- spans: packed tensors, finished one block at a time ------------------------
@@ -658,7 +647,10 @@ def merge(base, vectors: list, recipe: MergeRecipe, out=None) -> Checkpoint | No
     """
     schedule = expand_schedule(recipe, base)
     ordered = _ordered_vectors(recipe, vectors)
-    _require_vector_compat(base, ordered)
+    base_shapes = base.shapes()
+    for vec in ordered:
+        if vec.shapes() != base_shapes:
+            require_compat(base, vec, f"base vs task vector {vec.source_id!r}")
     part = _PARTS[recipe.method]
     merged = Checkpoint(metadata=dict(base.metadata)) if out is None else None
     write = merged.tensors.__setitem__ if out is None else out.write

@@ -657,6 +657,75 @@ def test_search_config_repeating_a_source_id_exits_1_before_opening_the_base(tmp
     assert "base.st" not in err
 
 
+# each bad search value or unknown field -> its config changes and what its
+# one error line names
+BAD_SEARCH_FIELDS = {
+    "lambda-negative": ({"lambda_scale": -1}, "lambda_scale"),
+    "lambda-infinite": ({"lambda_scale": float("inf")}, "lambda_scale"),
+    "sigma0-zero": ({"sigma0": 0}, "sigma0"),
+    "sigma0-too-large": ({"sigma0": 1e300}, "sigma0"),
+    "seed-negative": ({"seed": -1}, "seed"),
+    "builtin-misspelt": ({"evaluator": {"builtin": "toy-regresion"}}, "builtin"),
+    "points-zero": ({"evaluator": {"builtin": "toy-regression", "points": 0}}, "points"),
+    "command-without-placeholder": ({"evaluator": {"command": "evaluate"}}, "command"),
+    "unknown-field": ({"iteration": 1}, "search config: unknown field 'iteration'"),
+    "unknown-model-field": ({"models": [{"source_id": "a", "path": "a.st", "weight": 1}]},
+                            "search config: models[0]: unknown field 'weight'"),
+    "unknown-evaluator-field": ({"evaluator": {"builtin": "toy-regression", "point": 8}},
+                                "search config: evaluator: unknown field 'point'"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_SEARCH_FIELDS))
+def test_a_bad_search_field_exits_1_before_a_checkpoint_is_read(tmp_path, capsys, name):
+    # tmp_path holds no base.st, so an error about it means the field went unseen
+    changes, named = BAD_SEARCH_FIELDS[name]
+    write_json(tmp_path / "config.json", dict(search_config_obj(tmp_path), **changes))
+    code, _, err = run_cli(
+        ["search", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert code == 1
+    lines = [line for line in err.splitlines() if line.startswith("ERROR umm: ")]
+    assert len(lines) == 1 and named in lines[0], err
+    assert "base.st" not in err
+
+
+def test_a_negative_seed_flag_exits_1_before_a_checkpoint_is_read(tmp_path, capsys):
+    write_json(tmp_path / "config.json", search_config_obj(tmp_path))
+    code, _, err = run_cli(
+        ["--seed", "-1", "search", "--config", str(tmp_path / "config.json"),
+         "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert code == 1
+    lines = [line for line in err.splitlines() if line.startswith("ERROR umm: ")]
+    assert len(lines) == 1 and "seed must be >= 0, got -1" in lines[0], err
+    assert "base.st" not in err
+
+
+@pytest.mark.parametrize("path,where", [
+    ((), "recipe: unknown field 'note'"),
+    (("models", 0), "recipe: models[0]: unknown field 'note'"),
+    (("models", 0, "groups", 1), "recipe: models[0].groups[1]: unknown field 'note'"),
+], ids=["top-level", "model", "group"])
+def test_an_unknown_recipe_field_exits_1_before_a_checkpoint_is_read(tmp_path, capsys,
+                                                                      path, where):
+    recipe = recipe_obj("ties", 1, 3, [("a", "a.st", (0.5, 1.0))])
+    node = recipe
+    for key in path:
+        node = node[key]
+    node["note"] = "x"
+    write_json(tmp_path / "recipe.json", recipe)
+    code, _, err = run_cli(
+        ["merge", "--base", str(tmp_path / "base.st"), "--recipe", str(tmp_path / "recipe.json"),
+         "--out", str(tmp_path / "merged.st")],
+        capsys,
+    )
+    assert_one_located_error(code, err, where)
+    assert "base.st" not in err
+
+
 COMMAND_SPEC = {"command": "evaluate {checkpoint}"}
 TOY_SPEC = {"builtin": "toy-regression"}
 
@@ -1475,7 +1544,6 @@ def test_a_json_input_that_is_not_json_names_its_file(tmp_path, monkeypatch, cap
 
 def test_a_cache_entry_that_is_not_json_names_its_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("UMM_CACHE_DIR", raising=False)
     argv = written_input(tmp_path, "search-builtin", cache_dir="cache")
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
@@ -1549,7 +1617,6 @@ NESTED_TOO_DEEPLY = {
 @pytest.mark.parametrize("name", list(NESTED_TOO_DEEPLY))
 def test_json_nested_too_deeply_exits_1_without_a_traceback(tmp_path, monkeypatch, capsys, name):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("UMM_CACHE_DIR", raising=False)
     argv, message = NESTED_TOO_DEEPLY[name](tmp_path)
     capsys.readouterr()
     code, _, err = run_cli(argv, capsys)
@@ -1571,7 +1638,6 @@ CLEAN_OUTPUTS = {
 @pytest.mark.parametrize("name", list(CLEAN_OUTPUTS))
 def test_a_clean_run_leaves_its_outputs_and_no_temp_file(tmp_path, monkeypatch, capsys, name):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("UMM_CACHE_DIR", raising=False)
     changes = {"cache_dir": "cache", "iterations": 1} if name.startswith("search") else {}
     code, _, _ = run_cli(written_input(tmp_path, name, **changes), capsys)
     assert code == 0

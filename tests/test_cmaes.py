@@ -105,12 +105,11 @@ def test_ask_advances_rng():
     assert np.array_equal(first[0], replay[0])
 
 
-def test_ask_rejects_degenerate_cov():
-    state = cmaes_init(2, [0.0, 0.0], 0.5)
-    state.cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-    state.eig_vectors = None
+def test_resumed_state_with_a_singular_cov_is_rejected():
+    saved = state_to_json_obj(cmaes_init(2, [0.0, 0.0], 0.5))
+    saved["cov"] = [1.0, 1.0, 1.0, 1.0]
     with pytest.raises(CovarianceNotPD):
-        cmaes_ask(state)
+        state_from_json_obj(saved)
 
 
 # --- tell -----------------------------------------------------------------------

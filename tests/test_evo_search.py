@@ -176,6 +176,20 @@ def test_external_evaluator_garbage_output(tmp_path):
         ev.evaluate(checkpoint_file(tmp_path))
 
 
+@pytest.mark.parametrize("stream,code,states", [
+    ("stdout", 0, "Expecting value"), ("stderr", 3, "evaluator exited 3: "),
+])
+def test_external_evaluator_errors_quote_a_bounded_excerpt(tmp_path, stream, code, states):
+    script = tmp_path / "eval.py"
+    write_script(script, f"import sys\nprint('x' * 100_000, file=sys.{stream})\nsys.exit({code})\n")
+    ev = make_evaluator({"command": f"{sys.executable} {script} {{checkpoint}}"})
+    with pytest.raises((EvaluatorFailed, EvaluatorProtocol)) as info:
+        ev.evaluate(checkpoint_file(tmp_path))
+    message = str(info.value)
+    assert states in message and "xxx...xxx" in message
+    assert len(message.encode()) < 1024
+
+
 def test_external_evaluator_missing_key(tmp_path):
     script = tmp_path / "eval.py"
     write_script(script, "print('{\"score\": 1.0}')\n")
@@ -443,7 +457,7 @@ def test_evaluate_candidate_retries(tmp_path):
     template = ties_template()
     recipe = decode_genome(initial_mean(template), template)
     ev = FlakyEvaluator()
-    fitness, invoked = evaluate_candidate(recipe, ev, tmp_path, sources, retries=1)
+    fitness, invoked = evaluate_candidate(recipe, ev, tmp_path, sources, FitnessCache(), retries=1)
     assert fitness == 2.0 and invoked and ev.calls == 2
 
 

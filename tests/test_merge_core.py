@@ -283,6 +283,25 @@ def test_ta_vector_list_order_irrelevant(rng):
         assert out1.array(name).tobytes() == out2.array(name).tobytes()
 
 
+def test_merge_names_the_task_vector_that_misses_a_tensor():
+    base = layered_ckpt(2)
+    fine = compute_task_vector(base, base, "m0")
+    short = compute_task_vector(base, base, "m1")
+    del short.deltas["embed.w"]
+    with pytest.raises(IncompatibleCheckpoints,
+                       match="task vector 'm1': missing in second: embed.w"):
+        merge(base, [fine, short], simple_recipe("task_arithmetic", 2, 2, n_models=2))
+
+
+def test_merge_names_the_task_vector_whose_tensor_has_another_shape():
+    base = layered_ckpt(2)
+    vec = compute_task_vector(base, base, "m0")
+    vec.deltas["layers.1.w"] = vec.deltas["layers.1.w"].reshape(2, 2)
+    mismatch = "task vector 'm0': shape mismatch layers.1.w: [4] vs [2, 2]"
+    with pytest.raises(IncompatibleCheckpoints, match=re.escape(mismatch)):
+        merge(base, [vec], simple_recipe("ties", 2, 2))
+
+
 def test_ta_unknown_source_id():
     base = layered_ckpt(2)
     vec = compute_task_vector(base, base, "stranger")
@@ -400,44 +419,14 @@ def test_trim_matches_reference_at_vector_sizes(n, density):
         assert np.sum(mag > kth) < k < np.sum(mag >= kth)
 
 
-def _argsort_trim(values, density):
-    """The sort-based trim, in the input's own dtype."""
-    flat = values.ravel()
-    k = max(1, math.ceil(density * flat.size - 1e-9))
-    top = np.argsort(-np.abs(flat), kind="stable")[:k]
-    out = np.zeros_like(flat)
-    out[top] = flat[top]
-    return out.reshape(values.shape)
-
-
-@pytest.mark.parametrize("dtype", [np.float16, np.float64, np.dtype(">f4")])
-def test_ties_steps_keep_other_float_dtypes(dtype):
-    rng = np.random.default_rng(11)
-    # ties across the cut, and signed zeros
-    values = (rng.integers(-6, 7, size=(33, 31)) * 0.375).astype(dtype)
-    values[values == 0] = -0.0
-    for density in (0.2, 0.5, 0.8):
-        out = ties_trim(values, density)
-        assert out.dtype == values.dtype and out.shape == values.shape
-        assert out.tobytes() == _argsort_trim(values, density).tobytes()
-    # the sum and the sign come out in native byte order
-    # small integers and weights 1/2: every step is exact in each dtype,
-    # so the result equals the float32 one
-    trimmed = [ties_trim(values, p) for p in (0.3, 0.7)]
-    gamma = ties_elect(trimmed)
-    merged = ties_disjoint_merge(trimmed, gamma, [0.5, 0.5])
-    assert merged.dtype == values.dtype.newbyteorder("=") and merged.shape == values.shape
-    trimmed32 = [t.astype(np.float32) for t in trimmed]
-    want = ties_disjoint_merge(trimmed32, ties_elect(trimmed32), [0.5, 0.5])
-    assert merged.astype(np.float32).tobytes() == want.tobytes()
-
-
 def test_ties_steps_reject_non_float_arrays():
-    with pytest.raises(TypeError, match="int32"):
-        ties_trim(np.arange(8, dtype=np.int32), 0.5)
-    gamma = np.ones(4, np.int64)
-    with pytest.raises(TypeError, match="int64"):
-        ties_disjoint_merge([gamma], gamma, [1.0])
+    for dtype in (np.int32, np.int64, np.float16, np.float64, ">f4"):
+        values = np.arange(1, 9).astype(dtype)
+        message = f"native float32 arrays, not {re.escape(str(values.dtype))}$"
+        with pytest.raises(TypeError, match=message):
+            ties_trim(values, 0.5)
+        with pytest.raises(TypeError, match=message):
+            ties_disjoint_merge([values], values, [1.0])
 
 
 def _peak_over_input(fn, *args, input_bytes):

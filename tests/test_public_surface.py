@@ -121,6 +121,21 @@ def test_context_managers_are_entered_only_by_with():
     assert not calls, f"context managers entered or left by hand: {calls}"
 
 
+def test_no_library_code_reads_the_environment():
+    """Every input comes from argv or from a file the user names: nothing
+    under src/umm names ``os.environ``, ``os.environb`` or ``os.getenv``,
+    as an attribute, a bare name or an imported name."""
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in LIBRARY
+        for node in ast.walk(_parse(path))
+        if ({getattr(node, "attr", None), getattr(node, "id", None)}
+            | ({node.name.split(".")[-1]} if isinstance(node, ast.alias) else set()))
+        & {"environ", "environb", "getenv"}
+    ]
+    assert not reads, f"environment reads under src/umm: {reads}"
+
+
 def _names(node) -> set:
     """The bare names an ``except`` clause's type expression lists."""
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} if node else set()
