@@ -160,8 +160,6 @@ class ExternalEvaluator:
     """
 
     def __init__(self, command: str, timeout: float):
-        if "{checkpoint}" not in command:
-            raise ValueError("evaluator command must contain the {checkpoint} placeholder")
         self.command = command
         self.timeout = timeout
 
@@ -237,18 +235,9 @@ class ToyRegressionEvaluator:
     """
 
     def __init__(self, targets, lo: float, hi: float, points: int):
-        if points < 1:
-            raise ValueError(f"points must be >= 1, got {points}")
         self.targets = targets
         self.xs = np.linspace(lo, hi, points)
-        self.ys = []
-        for kind, freq in self.targets:
-            if kind == "sin":
-                self.ys.append(np.sin(freq * self.xs))
-            elif kind == "cos":
-                self.ys.append(np.cos(freq * self.xs))
-            else:
-                raise ValueError(f"unknown target kind {kind!r} (use sin or cos)")
+        self.ys = [{"sin": np.sin, "cos": np.cos}[kind](freq * self.xs) for kind, freq in targets]
         self._spec = json.dumps(
             {"targets": self.targets, "lo": lo, "hi": hi, "points": points},
             sort_keys=True,
@@ -268,23 +257,41 @@ class ToyRegressionEvaluator:
 
 
 def make_evaluator(spec: dict):
-    """Build an evaluator from its JSON spec (see SearchConfig)."""
+    """Build an evaluator from its JSON spec (see SearchConfig).  Every
+    value is checked here, so a bad one is named before any checkpoint
+    is read or any candidate is scored."""
     where = "search config: evaluator."
+
+    def bad(key: str, need: str, value) -> ValueError:
+        return ValueError(f"{where}{key} must be {need}, got {reprlib.repr(value)}")
+
     reject_unknown(spec, ("command", "timeout", "builtin", "target_path", "targets", "lo", "hi",
                           "points"), where)
     command = want_str(spec, "command", None, where)
     if command is not None:
-        return ExternalEvaluator(command, want_number(spec, "timeout", DEFAULT_TIMEOUT, where))
+        timeout = want_number(spec, "timeout", DEFAULT_TIMEOUT, where)
+        if "{checkpoint}" not in command:
+            raise bad("command", "a command line with the {checkpoint} placeholder", command)
+        if not (math.isfinite(timeout) and timeout > 0.0):
+            raise bad("timeout", "finite and > 0", timeout)
+        return ExternalEvaluator(command, timeout)
     builtin = want_str(spec, "builtin", None, where)
     if builtin == "l2-to-target":
         return L2ToTargetEvaluator(load_checkpoint(want_str(spec, "target_path", where=where)))
     if builtin == "toy-regression":
-        return ToyRegressionEvaluator(
-            targets=want_pairs(spec, "targets", DEFAULT_REGRESSION_TARGETS, where),
-            lo=want_number(spec, "lo", -2.0, where),
-            hi=want_number(spec, "hi", 2.0, where),
-            points=want_int(spec, "points", 64, where),
-        )
+        targets = want_pairs(spec, "targets", DEFAULT_REGRESSION_TARGETS, where)
+        for index, (kind, freq) in enumerate(targets):
+            if kind not in ("sin", "cos") or not math.isfinite(freq):
+                raise bad(f"targets[{index}]", "a sin or cos target with a finite frequency",
+                          [kind, freq])
+        lo, hi = want_number(spec, "lo", -2.0, where), want_number(spec, "hi", 2.0, where)
+        for key, value in (("lo", lo), ("hi", hi)):
+            if not math.isfinite(value):
+                raise bad(key, "finite", value)
+        points = want_int(spec, "points", 64, where)
+        if points < 1:
+            raise bad("points", ">= 1", points)
+        return ToyRegressionEvaluator(targets, lo, hi, points)
     raise ValueError(f"{where}builtin must be toy-regression or l2-to-target when there is "
                      f"no command, got {reprlib.repr(builtin)}")
 

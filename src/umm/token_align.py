@@ -21,7 +21,8 @@ anti-diagonal at a time, a few numpy calls per diagonal; each cell
 keeps the same float64 value as a scalar row-by-row loop.  The moves
 are recomputed only along the backtrace path, with that loop's float64
 sums and its two strict comparisons in the same order, so costs and
-tie-breaks are the same bits as that loop's.
+tie-breaks are the same bits as that loop's.  The backtrace cuts the
+segments as it walks and returns them, not a move list.
 """
 
 from __future__ import annotations
@@ -209,12 +210,6 @@ def substitution_costs(pivot_surfaces: list, source_surfaces: list) -> np.ndarra
     return costs
 
 
-# DP moves; the order is the tie-break preference
-_SUB = 0           # consume one pivot and one source token
-_PIVOT_ONLY = 1    # consume a pivot token against a gap in the source
-_SOURCE_ONLY = 2   # consume a source token against a gap in the pivot
-
-
 def _unique_index(surfaces: list, norm: SurfaceNormalizer) -> tuple:
     """(distinct normalized surfaces in first-seen order, index of each
     surface); each distinct raw surface is normalized once."""
@@ -226,7 +221,7 @@ def _unique_index(surfaces: list, norm: SurfaceNormalizer) -> tuple:
 
 
 def _align_moves(pivot: TokenSeq, source: TokenSeq, norm: SurfaceNormalizer) -> tuple:
-    """Minimum-cost monotone alignment; returns (move list, total cost).
+    """Minimum-cost monotone alignment; returns (segments, total cost).
 
     cost[i, j] is the least cost of aligning the first i pivot and the
     first j source tokens: the least of cost[i-1, j-1] + sub,
@@ -244,7 +239,11 @@ def _align_moves(pivot: TokenSeq, source: TokenSeq, norm: SurfaceNormalizer) -> 
     The backtrace recomputes each move on the path from the finished
     table with the scalar loop's float64 sums and its two strict ``<``
     tests in the same order (substitute, pivot-only, source-only), so
-    ties keep the earlier move and the walk is the scalar loop's.
+    ties keep the earlier move and the walk is the scalar loop's.  It
+    returns segments, not a move list: walking back from (n, m), it cuts
+    a segment between every two adjacent substitutions, so each gap run
+    stays glued to the substitutions around it, and the gap run left at
+    row 0 or column 0 joins the first segment.
     """
     if len(pivot) == 0 or len(source) == 0:
         raise EmptySequence("cannot align an empty token sequence")
@@ -258,7 +257,8 @@ def _align_moves(pivot: TokenSeq, source: TokenSeq, norm: SurfaceNormalizer) -> 
     cost[0, :] = np.arange(m + 1) * GAP_COST
     rows = max(1, _SEED_BLOCK_CELLS // m)  # a block of rows at a time: no n x m temporary
     for i0 in range(0, n, rows):
-        cost[i0 + 1:i0 + rows + 1, 1:] = sub[p_index[i0:i0 + rows, None], s_index]
+        block = sub.take(p_index[i0:i0 + rows], axis=0)  # rows x S, then rows x m
+        cost[i0 + 1:i0 + rows + 1, 1:] = block.take(s_index, axis=1)
     flat_cost = cost.reshape(-1)
     for d in range(2, n + m + 1):
         i0, i1 = max(1, d - m), min(n, d - 1)
@@ -269,52 +269,27 @@ def _align_moves(pivot: TokenSeq, source: TokenSeq, norm: SurfaceNormalizer) -> 
         gap += GAP_COST
         here += flat_cost[start - m - 2:stop - m - 2:m]
         np.minimum(here, gap, out=here)
-    moves = []
+    segments = []
     i, j = n, m
+    end_i, end_j = n, m  # where the segment being walked ends
+    substituted = False  # whether the next move on the path substitutes
     p_index, s_index = p_index.tolist(), s_index.tolist()
     while i > 0 and j > 0:
         total = cost.item(i - 1, j - 1) + sub.item(p_index[i - 1], s_index[j - 1])
-        chosen = _SUB
+        di = dj = 1
         up = cost.item(i - 1, j) + GAP_COST
         if up < total:
-            total, chosen = up, _PIVOT_ONLY
+            total, dj = up, 0
         if cost.item(i, j - 1) + GAP_COST < total:
-            chosen = _SOURCE_ONLY
-        moves.append(chosen)
-        if chosen != _PIVOT_ONLY:
-            j -= 1
-        if chosen != _SOURCE_ONLY:
-            i -= 1
-    moves += [_PIVOT_ONLY] * i + [_SOURCE_ONLY] * j
-    moves.reverse()
-    return moves, cost.item(n, m)
-
-
-def _segment_moves(moves: list) -> list:
-    """Cut the move walk into segments.
-
-    A boundary exists only between two adjacent substitutions; every
-    gap run therefore stays glued to the substitutions around it, which
-    keeps segments maximal.
-    """
-    spans = []
-    seg_p = seg_s = 0
-    i = j = 0
-    previous = None
-    for current in moves:
-        if current == _SUB and previous == _SUB:
-            spans.append((seg_p, i, seg_s, j))
-            seg_p, seg_s = i, j
-        if current == _SUB:
-            i += 1
-            j += 1
-        elif current == _PIVOT_ONLY:
-            i += 1
-        else:
-            j += 1
-        previous = current
-    spans.append((seg_p, i, seg_s, j))
-    return [AlignmentSegment((p0, p1), (s0, s1)) for p0, p1, s0, s1 in spans]
+            di, dj = 0, 1
+        if di and dj and substituted:  # a boundary between two substitutions
+            segments.append(AlignmentSegment((i, end_i), (j, end_j)))
+            end_i, end_j = i, j
+        substituted = di and dj
+        i, j = i - di, j - dj
+    segments.append(AlignmentSegment((0, end_i), (0, end_j)))
+    segments.reverse()
+    return segments, cost.item(n, m)
 
 
 def align_sequences(pivot: TokenSeq, source: TokenSeq,
@@ -324,8 +299,8 @@ def align_sequences(pivot: TokenSeq, source: TokenSeq,
     Tie-break preference at equal cost: substitution, then a gap in the
     source, then a gap in the pivot.
     """
-    moves, _ = _align_moves(pivot, source, norm or SurfaceNormalizer())
-    return _segment_moves(moves)
+    segments, _ = _align_moves(pivot, source, norm or SurfaceNormalizer())
+    return segments
 
 
 def alignment_cost(pivot: TokenSeq, source: TokenSeq,

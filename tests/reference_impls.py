@@ -266,6 +266,31 @@ def ref_align_moves(p_surfaces, s_surfaces):
     return moves, cost[n][m]
 
 
+def ref_segment_moves(moves):
+    """Cut a forward walk of ``ref_align_moves`` moves into segments,
+    ((pivot start, pivot end), (source start, source end)) each.
+
+    A boundary falls only between two adjacent substitutions, so every
+    gap run stays glued to the substitutions around it.
+    """
+    spans = []
+    seg_p = seg_s = i = j = 0
+    previous = None
+    for current in moves:
+        if current == 0 and previous == 0:
+            spans.append(((seg_p, i), (seg_s, j)))
+            seg_p, seg_s = i, j
+        if current == 0:
+            i, j = i + 1, j + 1
+        elif current == 1:
+            i += 1
+        else:
+            j += 1
+        previous = current
+    spans.append(((seg_p, i), (seg_s, j)))
+    return spans
+
+
 # --- projection oracle -------------------------------------------------------
 
 def ref_transfer_matrix(counts: dict, pivot_vocab: int, source_vocab: int, vocab_map: str):

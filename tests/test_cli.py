@@ -673,6 +673,25 @@ BAD_SEARCH_FIELDS = {
                             "search config: models[0]: unknown field 'weight'"),
     "unknown-evaluator-field": ({"evaluator": {"builtin": "toy-regression", "point": 8}},
                                 "search config: evaluator: unknown field 'point'"),
+    "target-kind-unknown": ({"evaluator": {"builtin": "toy-regression",
+                                           "targets": [["square", 2.0]]}},
+                            "search config: evaluator.targets[0]"),
+    "target-frequency-nan": ({"evaluator": {"builtin": "toy-regression",
+                                            "targets": [["sin", float("nan")]]}},
+                             "search config: evaluator.targets[0]"),
+    "target-frequency-infinite": ({"evaluator": {"builtin": "toy-regression",
+                                                 "targets": [["sin", 2.5], ["cos", float("inf")]]}},
+                                  "search config: evaluator.targets[1]"),
+    "lo-infinite": ({"evaluator": {"builtin": "toy-regression", "lo": float("inf")}},
+                    "search config: evaluator.lo"),
+    "hi-nan": ({"evaluator": {"builtin": "toy-regression", "hi": float("nan")}},
+               "search config: evaluator.hi"),
+    "timeout-negative": ({"evaluator": {"command": "evaluate {checkpoint}", "timeout": -1}},
+                         "search config: evaluator.timeout"),
+    "timeout-zero": ({"evaluator": {"command": "evaluate {checkpoint}", "timeout": 0}},
+                     "search config: evaluator.timeout"),
+    "timeout-nan": ({"evaluator": {"command": "evaluate {checkpoint}", "timeout": float("nan")}},
+                    "search config: evaluator.timeout"),
 }
 
 

@@ -1,13 +1,13 @@
-"""Every public name in src/umm must be reached by something that runs,
-only ``tensor_store.publish`` writes a file, no context manager is
-entered by hand, every JSON decode catches too deep a nesting, and
-importing the command line leaves scipy unloaded.
+"""Every public name and every private module-level name in src/umm must
+be reached by something that runs, only ``tensor_store.publish`` writes a
+file, no context manager is entered by hand, every JSON decode catches
+too deep a nesting, and importing the command line leaves scipy unloaded.
 
-A public module-level function or class, or a public method, counts as
-reached when its name appears as a Name, an Attribute or an import alias
-in the library itself, the benchmark, the acceptance tests, their
-fixtures or the reference implementations.  Unit tests do not count: a
-name only they use is code kept alive for its own tests.
+A module-level function or class, public or private, or a public method,
+counts as reached when its name appears as a Name, an Attribute or an
+import alias in the library itself, the benchmark, the acceptance tests,
+their fixtures or the reference implementations.  Unit tests do not
+count: a name only they use is code kept alive for its own tests.
 """
 
 import ast
@@ -42,17 +42,18 @@ def _used_names() -> set:
     return used
 
 
-def _public_definitions() -> list:
-    """(qualified name, bare name) of each public def and class."""
+def _definitions(private: bool) -> list:
+    """(qualified name, bare name) of each public def and class with its
+    public methods, or of each private module-level def and class."""
     found = []
     for path in LIBRARY:
         for node in _parse(path).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name.startswith("_"):
+            if node.name.startswith("_") != private:
                 continue
             found.append((f"{path.stem}.{node.name}", node.name))
-            if isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef) and not private:
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         found.append((f"{path.stem}.{node.name}.{item.name}", item.name))
@@ -61,10 +62,20 @@ def _public_definitions() -> list:
 
 def test_every_public_name_is_reached():
     used = _used_names()
-    definitions = _public_definitions()
+    definitions = _definitions(private=False)
     assert definitions, "no public definitions found under src/umm"
     unreached = [qualified for qualified, name in definitions if name not in used]
     assert not unreached, f"public names nothing reaches: {unreached}"
+
+
+def test_every_private_module_level_name_is_reached():
+    """A private helper that only unit tests call is dead code: move it
+    beside the oracles in the reference implementations, or delete it."""
+    used = _used_names()
+    definitions = _definitions(private=True)
+    assert definitions, "no private definitions found under src/umm"
+    unreached = [qualified for qualified, name in definitions if name not in used]
+    assert not unreached, f"private names only unit tests reach: {unreached}"
 
 
 def _writes(call: ast.Call) -> bool:

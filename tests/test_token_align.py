@@ -36,7 +36,7 @@ from umm.token_align import (
     save_stats,
     substitution_costs,
     update_stats,
-    _segment_moves,
+    _SEED_BLOCK_CELLS,
     _transfer_matrix,
 )
 
@@ -44,6 +44,7 @@ from reference_impls import (
     ref_align_moves,
     ref_min_alignment_cost,
     ref_project_distribution,
+    ref_segment_moves,
     ref_surface_distance,
     ref_transfer_matrix,
 )
@@ -210,7 +211,8 @@ def assert_matches_scalar_dp(pivot_surfaces, source_surfaces):
     norm = SurfaceNormalizer()
     moves, cost = ref_align_moves([norm.normalize(s) for s in pivot_surfaces],
                                   [norm.normalize(s) for s in source_surfaces])
-    assert align_sequences(pivot, source) == _segment_moves(moves)
+    got = [(seg.pivot_span, seg.source_span) for seg in align_sequences(pivot, source)]
+    assert got == ref_segment_moves(moves)
     assert repr(alignment_cost(pivot, source)) == repr(cost)
 
 
@@ -232,6 +234,12 @@ def test_long_alignment_matches_scalar_dp_bit_for_bit(rng):
                 for _ in range(count)]
 
     assert_matches_scalar_dp(pieces(600), pieces(610))
+
+
+def test_short_pivot_against_a_very_long_source_matches_scalar_dp_bit_for_bit(rng):
+    # a source longer than a seeding block: the table is seeded one row at a time
+    source = [str(s) for s in rng.choice(TIE_SURFACES, size=_SEED_BLOCK_CELLS + 37)]
+    assert_matches_scalar_dp(["ab", "▁ca", "日"], source)
 
 
 def test_substitution_costs_working_set_is_bounded(rng):
