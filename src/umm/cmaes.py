@@ -147,11 +147,11 @@ def cmaes_ask(state: CmaesState) -> list:
     return [state.mean + state.sigma * step for step in steps]
 
 
-def cmaes_tell(state: CmaesState, genomes: list, fitnesses, maximize: bool = False) -> CmaesState:
+def cmaes_tell(state: CmaesState, genomes: list, fitnesses) -> CmaesState:
     """One generation update from evaluated candidates.
 
-    Candidates are ranked by fitness (negated when maximizing, since the
-    update equations minimize); ranking ties resolve by candidate index.
+    Candidates are ranked lowest fitness first; ranking ties resolve by
+    candidate index.
     """
     p = state.params
     if len(genomes) != p.pop_size or len(fitnesses) != p.pop_size:
@@ -162,8 +162,6 @@ def cmaes_tell(state: CmaesState, genomes: list, fitnesses, maximize: bool = Fal
     values = np.asarray(fitnesses, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise NonFiniteFitness(f"fitness values contain NaN/Inf: {values.tolist()}")
-    if maximize:
-        values = -values
 
     order = np.argsort(values, kind="stable")
     selected = np.stack([np.asarray(genomes[i], dtype=np.float64) for i in order[: p.mu]])
@@ -226,26 +224,36 @@ def state_to_json_obj(state: CmaesState) -> dict:
 
 def state_from_json_obj(obj: dict, where: str = "") -> CmaesState:
     """The state ``state_to_json_obj`` wrote.  A field of the wrong type or
-    length raises MalformedInput naming ``where`` and the field."""
+    length, a number that is not finite, a ``sigma`` outside
+    (SIGMA_MIN, SIGMA_MAX) or a negative ``generation`` raises
+    MalformedInput naming ``where`` and the field."""
     dim = want_int(obj, "dim", where=where)
     pop_size = want_int(obj, "pop_size", where=where)
     if dim < 1 or pop_size < 2:
         raise MalformedInput(f"{where}dim {dim} must be >= 1 and pop_size {pop_size} >= 2")
+    sigma = want_number(obj, "sigma", where=where)
+    if not SIGMA_MIN < sigma < SIGMA_MAX:
+        raise MalformedInput(f"{where}sigma {sigma!r} outside ({SIGMA_MIN}, {SIGMA_MAX})")
+    generation = want_int(obj, "generation", where=where)
+    if generation < 0:
+        raise MalformedInput(f"{where}generation {generation} must be >= 0")
 
     def vector(key: str, size: int) -> np.ndarray:
-        values = want_numbers(obj, key, where=where)
-        if len(values) != size:
-            raise MalformedInput(f"{where}{key} has {len(values)} entries, expected {size}")
-        return np.asarray(values, dtype=np.float64)
+        values = np.asarray(want_numbers(obj, key, where=where), dtype=np.float64)
+        if values.size != size:
+            raise MalformedInput(f"{where}{key} has {values.size} entries, expected {size}")
+        if not np.isfinite(values).all():
+            raise MalformedInput(f"{where}{key} holds a number that is not finite")
+        return values
 
     state = CmaesState(
         params=CmaesParams.make(dim, pop_size),
         mean=vector("mean", dim),
-        sigma=want_number(obj, "sigma", where=where),
+        sigma=sigma,
         cov=vector("cov", dim * dim).reshape(dim, dim),
         path_sigma=vector("path_sigma", dim),
         path_cov=vector("path_cov", dim),
-        generation=want_int(obj, "generation", where=where),
+        generation=generation,
         rng=_rng_from_obj(want_object(obj, "rng_state", where=where), f"{where}rng_state."),
     )
     _decompose(state)

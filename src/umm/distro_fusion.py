@@ -15,6 +15,7 @@ verified against finite differences and against a pure gold-token run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,8 +271,8 @@ def toy_train(model: ToyModel, corpus, lambda_mix: float, lr: float,
     and one entry is appended after every step, so its length is
     steps + 1.  The input model is not modified.
     """
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr!r}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr!r}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps!r}")
     fused = [mince_fuse(ex) for ex in corpus]
@@ -318,7 +319,10 @@ def load_distribution(path) -> tuple:
 
 
 def save_toy_model(model: ToyModel, path) -> None:
-    save_checkpoint(Checkpoint(tensors={"logits": Tensor(model.logits.astype(np.float32))}), path)
+    # logits past float32 cast to Inf, which saving reports as NonFiniteValue
+    with np.errstate(over="ignore"):
+        logits = model.logits.astype(np.float32)
+    save_checkpoint(Checkpoint(tensors={"logits": Tensor(logits)}), path)
 
 
 def example_from_json_obj(obj: dict) -> FusionExample:

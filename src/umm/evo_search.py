@@ -161,6 +161,7 @@ class ExternalEvaluator:
 
     def __init__(self, command: str, timeout: float):
         self.command = command
+        self.words = shlex.split(command)  # ValueError for an unclosed quote
         self.timeout = timeout
 
     @property
@@ -168,13 +169,13 @@ class ExternalEvaluator:
         return f"cmd:{self.command}"
 
     def evaluate(self, checkpoint_path) -> float:
-        tokens = [
-            t.replace("{checkpoint}", str(checkpoint_path)) for t in shlex.split(self.command)
-        ]
+        tokens = [t.replace("{checkpoint}", str(checkpoint_path)) for t in self.words]
         try:
+            # a byte that is not UTF-8 reads as \xNN: an error quotes it,
+            # and a log line holding one does not hide the fitness line
             proc = subprocess.Popen(
-                tokens, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                start_new_session=True,
+                tokens, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                encoding="utf-8", errors="backslashreplace", start_new_session=True,
             )
         except OSError as exc:
             raise EvaluatorFailed(f"cannot run evaluator {tokens[0]!r}: {exc}") from exc
@@ -274,7 +275,11 @@ def make_evaluator(spec: dict):
             raise bad("command", "a command line with the {checkpoint} placeholder", command)
         if not (math.isfinite(timeout) and timeout > 0.0):
             raise bad("timeout", "finite and > 0", timeout)
-        return ExternalEvaluator(command, timeout)
+        try:
+            return ExternalEvaluator(command, timeout)
+        except ValueError as exc:
+            raise bad("command", f"a command line that splits into words ({exc})",
+                      command) from exc
     builtin = want_str(spec, "builtin", None, where)
     if builtin == "l2-to-target":
         return L2ToTargetEvaluator(load_checkpoint(want_str(spec, "target_path", where=where)))
@@ -569,7 +574,11 @@ def run_search(config: SearchConfig, workdir, resume: bool = False) -> SearchRes
         if best_genome.shape != (dim,):
             raise MalformedInput(f"{where}best_genome has {best_genome.size} entries, "
                                  f"expected {dim}")
+        if not np.isfinite(best_genome).all():
+            raise MalformedInput(f"{where}best_genome holds a number that is not finite")
         best_fitness = want_number(saved, "best_fitness", where=where)
+        if not math.isfinite(best_fitness):
+            raise MalformedInput(f"{where}best_fitness must be finite, got {best_fitness!r}")
         history = []
         for i, row in enumerate(want_objects(saved, "history", where=where)):
             at = f"{where}history[{i}]."
@@ -603,7 +612,7 @@ def run_search(config: SearchConfig, workdir, resume: bool = False) -> SearchRes
         if fitnesses[gen_best_idx] > best_fitness:
             best_fitness = fitnesses[gen_best_idx]
             best_genome = np.asarray(genomes[gen_best_idx], dtype=np.float64).copy()
-        cmaes_tell(state, genomes, fitnesses, maximize=True)
+        cmaes_tell(state, genomes, [-f for f in fitnesses])
         history.append({
             "generation": state.generation,
             "best": float(fitnesses[gen_best_idx]),

@@ -6,7 +6,6 @@ decodes them: a bool is not a number and a float is not an integer."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 import reprlib
@@ -32,43 +31,25 @@ def read_json(path):
 def iter_jsonl(path) -> Iterator:
     """Yield (lineno, obj) for each non-blank line of a JSON-lines file.
 
-    Line numbers count from 1 and include blank lines.  A line that is
-    not JSON, or not UTF-8, raises IoFailure naming ``path:lineno`` once
-    the lines before it are yielded.
+    The file is opened once and read in one pass.  Line numbers count
+    from 1 and include blank lines.  A byte that is not UTF-8 decodes to
+    a lone surrogate, so only a line that is not ASCII is searched for
+    one.  A line that is not UTF-8, or not JSON, raises IoFailure naming
+    ``path:lineno`` once the lines before it are yielded.
     """
-    read = itertools.count(1)  # numbers each line as it is read
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield from _objects(path, zip(read, fh))
-    except UnicodeDecodeError:
-        # text mode decodes a block of lines at once, so the good lines
-        # of the failing block were not read: read them again from here
-        yield from _objects(path, _lines_before_bad_utf8(path, first=next(read) - 1))
-
-
-def _objects(path, numbered) -> Iterator:
-    """(lineno, obj) for each non-blank line of the (lineno, line) pairs."""
-    for lineno, line in numbered:
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise IoFailure(f"{path}:{lineno}: not JSON: {exc}") from exc
-        yield lineno, obj
-
-
-def _lines_before_bad_utf8(path, first: int) -> Iterator:
-    """(lineno, line) from line ``first`` on, up to the first line with a
-    byte that is not UTF-8, which raises IoFailure naming it."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
-            bad = _ESCAPED_BYTE.search(line)
+            bad = not line.isascii() and _ESCAPED_BYTE.search(line)
             if bad:
                 byte = ord(bad.group()) - 0xDC00
                 raise IoFailure(f"{path}:{lineno}: not UTF-8: byte 0x{byte:02x}")
-            if lineno >= first:
-                yield lineno, line
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise IoFailure(f"{path}:{lineno}: not JSON: {exc}") from exc
+            yield lineno, obj
 
 
 def _reader(kind: str, types: tuple, items: tuple = None):

@@ -692,6 +692,8 @@ BAD_SEARCH_FIELDS = {
                      "search config: evaluator.timeout"),
     "timeout-nan": ({"evaluator": {"command": "evaluate {checkpoint}", "timeout": float("nan")}},
                     "search config: evaluator.timeout"),
+    "command-unclosed-quote": ({"evaluator": {"command": 'python3 -c "print(1) {checkpoint}'}},
+                               "search config: evaluator.command"),
 }
 
 
@@ -1262,6 +1264,20 @@ def test_toy_train_invalid_lambda_exits_1(tmp_path, capsys):
     assert code == 1 and "InvalidLambda" in err
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_toy_train_lr_that_is_not_finite_exits_1(tmp_path, capsys, lr):
+    write_fusion_corpus(small_corpus(), tmp_path / "corpus.jsonl")
+    code, _, err = run_cli(
+        ["toy-train", "--corpus", str(tmp_path / "corpus.jsonl"),
+         "--lambda", "0.5", "--lr", lr, "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert code == 1
+    lines = [line for line in err.splitlines() if line.startswith("ERROR umm: ")]
+    assert lines == [f"ERROR umm: ValueError: lr must be finite and > 0, got {lr}"], err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("bad_line", [
     [1], {"instruction": [0], "gold": [1]}, None,
     {"instruction": [0], "gold": [True], "pivot_rows": [[1.0]], "source_aligned_rows": [[1.0]]},
@@ -1486,6 +1502,11 @@ def huge_instruction_id_input(tmp_path):
     return filename, corpus, argv
 
 
+def huge_lr_input(tmp_path):
+    filename, corpus, argv = corpus_input(tmp_path)
+    return filename, corpus, argv + ["--lr", "1e308"]  # one step takes the logits past float32
+
+
 # input -> the error line it ends in; each passed its type checks and
 # then crashed with a traceback deeper in the command
 PAST_A_LIMIT = {
@@ -1498,6 +1519,8 @@ PAST_A_LIMIT = {
     "corpus-id-above-int64": (
         huge_instruction_id_input, f"OutOfVocab: corpus.jsonl:1: instruction id {10**30} "
                                    "outside [0, 2)"),
+    "toy-train-lr-past-float32": (
+        huge_lr_input, "NonFiniteValue: tensor 'logits' contains NaN or Inf"),
 }
 
 
@@ -1521,6 +1544,14 @@ def test_a_value_past_a_numeric_limit_exits_1_without_a_traceback(tmp_path, monk
     (("cmaes", "rng_state", "bit_generator"), [], "cmaes.rng_state.bit_generator"),
     (("cmaes", "rng_state", "state"), "-1", "cmaes.rng_state.state"),
     (("cmaes", "rng_state", "uinteger"), -1, "cmaes.rng_state"),
+    (("cmaes", "path_sigma", 0), float("nan"), "cmaes.path_sigma"),
+    (("cmaes", "cov", 0), float("inf"), "cmaes.cov"),
+    (("best_genome", 0), float("nan"), "best_genome"),
+    (("best_fitness",), float("nan"), "best_fitness"),
+    (("cmaes", "sigma"), 0, "cmaes.sigma"),
+    (("cmaes", "sigma"), -1, "cmaes.sigma"),
+    (("cmaes", "sigma"), float("inf"), "cmaes.sigma"),  # written Infinity; 1e400 reads the same
+    (("cmaes", "generation"), -3, "cmaes.generation"),
 ])
 def test_search_resume_bad_state_field_exits_1(tmp_path, monkeypatch, capsys, path, value, field):
     monkeypatch.chdir(tmp_path)

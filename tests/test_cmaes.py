@@ -149,18 +149,6 @@ def test_tell_keeps_cov_symmetric_pd():
         assert eigvals[0] > 1e-14 * eigvals[-1]
 
 
-def test_tell_maximize_mirrors_minimize():
-    a = cmaes_init(3, np.full(3, 1.5), 0.3, seed=9)
-    b = cmaes_init(3, np.full(3, 1.5), 0.3, seed=9)
-    for _ in range(10):
-        ga = cmaes_ask(a)
-        gb = cmaes_ask(b)
-        cmaes_tell(a, ga, [sphere(g) for g in ga])
-        cmaes_tell(b, gb, [-sphere(g) for g in gb], maximize=True)
-    assert np.array_equal(a.mean, b.mean)
-    assert a.sigma == b.sigma
-
-
 # --- persistence ---------------------------------------------------------------------
 
 def test_state_json_round_trip_resumes_identically():

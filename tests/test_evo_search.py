@@ -252,6 +252,33 @@ def test_external_evaluator_requires_placeholder():
         make_evaluator({"command": "echo hi"})
 
 
+def test_external_evaluator_command_must_split_into_words():
+    with pytest.raises(ValueError, match="evaluator.command .*No closing quotation"):
+        make_evaluator({"command": 'python3 -c "print(1) {checkpoint}'})
+
+
+@pytest.mark.parametrize("stream,code,error,states", [
+    ("stdout", 0, EvaluatorProtocol, "last stdout line "),
+    ("stderr", 3, EvaluatorFailed, "evaluator exited 3: "),
+], ids=["stdout", "stderr"])
+def test_external_evaluator_output_that_is_not_utf8_is_quoted(tmp_path, stream, code, error,
+                                                               states):
+    script = tmp_path / "eval.py"
+    write_script(script, f"import sys\nsys.{stream}.buffer.write(b'\\xff\\n')\nsys.exit({code})\n")
+    ev = make_evaluator({"command": f"{sys.executable} {script} {{checkpoint}}"})
+    with pytest.raises(error) as info:
+        ev.evaluate(checkpoint_file(tmp_path))
+    assert states + repr("\\xff") in str(info.value)
+
+
+def test_external_evaluator_reads_past_a_line_that_is_not_utf8(tmp_path):
+    script = tmp_path / "eval.py"
+    write_script(script, "import sys\n"
+                         "sys.stdout.buffer.write(b'log \\xff\\n{\"fitness\": 0.25}\\n')\n")
+    ev = make_evaluator({"command": f"{sys.executable} {script} {{checkpoint}}"})
+    assert ev.evaluate(checkpoint_file(tmp_path)) == 0.25
+
+
 # --- builtin evaluators -----------------------------------------------------------
 
 def test_l2_to_target_zero_at_target(tmp_path):

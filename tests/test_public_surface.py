@@ -1,7 +1,8 @@
 """Every public name and every private module-level name in src/umm must
 be reached by something that runs, only ``tensor_store.publish`` writes a
-file, no context manager is entered by hand, every JSON decode catches
-too deep a nesting, and importing the command line leaves scipy unloaded.
+file, each kind of input file is opened by one call, no context manager is
+entered by hand, every JSON decode catches too deep a nesting, and
+importing the command line leaves scipy unloaded.
 
 A module-level function or class, public or private, or a public method,
 counts as reached when its name appears as a Name, an Attribute or an
@@ -11,6 +12,7 @@ count: a name only they use is code kept alive for its own tests.
 """
 
 import ast
+import collections
 import os
 import subprocess
 import sys
@@ -116,6 +118,46 @@ def test_only_the_publish_path_writes_files():
     # the publish path itself is seen: it creates its temp file and renames it
     assert len(inside) == 2, inside
     assert not outside, f"files written outside tensor_store.publish: {outside}"
+
+
+def _reads(call: ast.Call) -> bool:
+    """Whether ``call`` opens a file for reading: ``Path.read_text`` or
+    ``read_bytes``, or an ``open``, ``io.open`` or ``Path.open`` that
+    does not write."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in ("read_text", "read_bytes") or (name == "open" and not _writes(call))
+
+
+def _scoped_calls(tree, module: str) -> list:
+    """(qualified name of the innermost enclosing def or class, call) for
+    each call in ``tree``; module-level calls carry the module name."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                found.append((scope, child))
+            visit(child, inner)
+
+    visit(tree, module)
+    return found
+
+
+def test_each_input_kind_is_opened_by_one_call():
+    """Every .json input is opened in ``jsonl.read_json``, every JSON-lines
+    input in ``jsonl.iter_jsonl`` and every container in
+    ``CheckpointReader.__init__``, once each, so JSON decoding stays behind
+    ``umm.jsonl`` and container decoding behind ``umm.tensor_store``."""
+    openers = collections.Counter(
+        scope for path in LIBRARY for scope, call in _scoped_calls(_parse(path), path.stem)
+        if _reads(call)
+    )
+    assert openers == {"jsonl.read_json": 1, "jsonl.iter_jsonl": 1,
+                       "tensor_store.CheckpointReader.__init__": 1}, openers
 
 
 def test_context_managers_are_entered_only_by_with():
