@@ -33,7 +33,8 @@ from umm.merge_core import (
     load_recipe,
     merge,
 )
-from umm.tensor_store import CheckpointReader, CheckpointWriter, load_checkpoint, publish, tensor_summary
+from umm.tensor_store import CheckpointReader, CheckpointWriter, publish, tensor_summary
+from umm.tensor_store import load_checkpoint  # noqa: F401  (bench/tracer.py wraps it here)
 from umm.token_align import (
     DEFAULT_MARKERS,
     AlignStats,
@@ -216,12 +217,12 @@ def cmd_toy_train(args) -> dict:
 
 
 def cmd_inspect(args) -> dict:
-    ckpt = load_checkpoint(args.ckpt)
-    return {
-        "tensors": tensor_summary(ckpt),
-        "count": len(ckpt),
-        "metadata": dict(sorted(ckpt.metadata.items())),
-    }
+    with CheckpointReader(args.ckpt) as reader:
+        return {
+            "tensors": tensor_summary(reader),
+            "count": len(reader),
+            "metadata": dict(sorted(reader.metadata.items())),
+        }
 
 
 # --- wiring --------------------------------------------------------------------

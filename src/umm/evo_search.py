@@ -22,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 import os
 import reprlib
 import shlex
@@ -199,8 +198,6 @@ class ExternalEvaluator:
             fitness = want_number(json.loads(lines[-1]), "fitness")
         except (json.JSONDecodeError, RecursionError, MalformedInput) as exc:
             raise EvaluatorProtocol(f"last stdout line {_EXCERPT.repr(lines[-1])}: {exc}") from exc
-        if not math.isfinite(fitness):
-            raise EvaluatorProtocol(f"fitness must be finite, got {fitness!r}")
         return fitness
 
 
@@ -273,8 +270,8 @@ def make_evaluator(spec: dict):
         timeout = want_number(spec, "timeout", DEFAULT_TIMEOUT, where)
         if "{checkpoint}" not in command:
             raise bad("command", "a command line with the {checkpoint} placeholder", command)
-        if not (math.isfinite(timeout) and timeout > 0.0):
-            raise bad("timeout", "finite and > 0", timeout)
+        if timeout <= 0.0:
+            raise bad("timeout", "> 0", timeout)
         try:
             return ExternalEvaluator(command, timeout)
         except ValueError as exc:
@@ -286,13 +283,9 @@ def make_evaluator(spec: dict):
     if builtin == "toy-regression":
         targets = want_pairs(spec, "targets", DEFAULT_REGRESSION_TARGETS, where)
         for index, (kind, freq) in enumerate(targets):
-            if kind not in ("sin", "cos") or not math.isfinite(freq):
-                raise bad(f"targets[{index}]", "a sin or cos target with a finite frequency",
-                          [kind, freq])
+            if kind not in ("sin", "cos"):
+                raise bad(f"targets[{index}]", "a sin or cos target", [kind, freq])
         lo, hi = want_number(spec, "lo", -2.0, where), want_number(spec, "hi", 2.0, where)
-        for key, value in (("lo", lo), ("hi", hi)):
-            if not math.isfinite(value):
-                raise bad(key, "finite", value)
         points = want_int(spec, "points", 64, where)
         if points < 1:
             raise bad("points", ">= 1", points)
@@ -357,8 +350,6 @@ class FitnessCache:
             path = self.directory / f"{key}.json"
             if path.exists():
                 value = want_number(read_json(path), "fitness", where=f"{path}: ")
-                if not math.isfinite(value):
-                    raise MalformedInput(f"{path}: fitness must be finite, got {value!r}")
                 with self._lock:
                     self._memory[key] = value
                 return value
@@ -434,8 +425,8 @@ class SearchConfig:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.pop_size is not None and self.pop_size < 2:
             raise ValueError(f"pop_size must be null or >= 2, got {self.pop_size}")
-        if not (math.isfinite(self.lambda_scale) and self.lambda_scale >= 0.0):
-            raise ValueError(f"lambda_scale must be finite and >= 0, got {self.lambda_scale!r}")
+        if self.lambda_scale < 0.0:
+            raise ValueError(f"lambda_scale must be >= 0, got {self.lambda_scale!r}")
         if not SIGMA_MIN < self.sigma0 < SIGMA_MAX:
             raise ValueError(f"sigma0 must be in ({SIGMA_MIN}, {SIGMA_MAX}), got {self.sigma0!r}")
         if self.seed < 0:
@@ -574,11 +565,7 @@ def run_search(config: SearchConfig, workdir, resume: bool = False) -> SearchRes
         if best_genome.shape != (dim,):
             raise MalformedInput(f"{where}best_genome has {best_genome.size} entries, "
                                  f"expected {dim}")
-        if not np.isfinite(best_genome).all():
-            raise MalformedInput(f"{where}best_genome holds a number that is not finite")
         best_fitness = want_number(saved, "best_fitness", where=where)
-        if not math.isfinite(best_fitness):
-            raise MalformedInput(f"{where}best_fitness must be finite, got {best_fitness!r}")
         history = []
         for i, row in enumerate(want_objects(saved, "history", where=where)):
             at = f"{where}history[{i}]."
@@ -587,6 +574,9 @@ def run_search(config: SearchConfig, workdir, resume: bool = False) -> SearchRes
                             "best_so_far": want_number(row, "best_so_far", where=at)})
         evaluations = want_int(saved, "evaluations", where=where)
         invocations = want_int(saved, "invocations", where=where)
+        for key, count in (("evaluations", evaluations), ("invocations", invocations)):
+            if count < 0:
+                raise MalformedInput(f"{where}{key} {count} must be >= 0")
     else:
         best_genome = initial_mean(template)
         state = cmaes_init(dim, best_genome, config.sigma0, pop_size=pop, seed=config.seed)

@@ -2,11 +2,15 @@
 the JSON-lines loop every loader of a .jsonl input goes through, and the
 typed field readers, the only code that decides whether a field of
 outside JSON has the right type.  Types are compared exactly as ``json``
-decodes them: a bool is not a number and a float is not an integer."""
+decodes them: a bool is not a number and a float is not an integer.  The
+number readers return finite floats: NaN and Infinity, which ``json``
+decodes though JSON has no such numbers, and a number past the float
+range are rejected by field."""
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import reprlib
 from typing import Iterator
@@ -102,29 +106,33 @@ def reject_unknown(obj: dict, known, where: str = "") -> None:
                              f"expected one of {', '.join(sorted(known))}")
 
 
-def _float(value, what: str) -> float:
+def _float(value, where: str, key: str, index: int = None) -> float:
     try:
-        return float(value)
-    except OverflowError as exc:
-        raise MalformedInput(f"{what} is out of range for a float") from exc
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if math.isfinite(number):
+        return number
+    at = "" if index is None else f"[{index}]"
+    raise MalformedInput(f"{where}{key}{at} must be a finite number, got {reprlib.repr(value)}")
 
 
 def want_number(obj, key: str, default=_REQUIRED, where: str = "") -> float:
-    """``obj[key]`` as a float if it is a JSON number."""
+    """``obj[key]`` as a finite float if it is a finite JSON number."""
     value = _want_number(obj, key, default, where)
-    return value if value is None else _float(value, f"{where}{key}")
+    return value if value is None else _float(value, where, key)
 
 
 def want_numbers(obj, key: str, default=_REQUIRED, where: str = "") -> list:
-    """``obj[key]`` as a list of floats if it is a list of JSON numbers."""
+    """``obj[key]`` as finite floats if it is a list of finite JSON numbers."""
     value = _want_numbers(obj, key, default, where)
-    return value if value is None else [_float(v, f"{where}{key}") for v in value]
+    return value if value is None else [_float(v, where, key, i) for i, v in enumerate(value)]
 
 
 def want_pairs(obj, key: str, default=_REQUIRED, where: str = "") -> list:
-    """``obj[key]`` as (string, float) tuples if it is a list of
-    [string, number] pairs."""
+    """``obj[key]`` as (string, finite float) tuples if it is a list of
+    [string, finite number] pairs."""
     value = _want_pairs(obj, key, default, where)
     if not all(len(p) == 2 and type(p[0]) is str and type(p[1]) in _NUMBER for p in value):
         raise MalformedInput(f"{where}{key} must be {_PAIRS}, got {reprlib.repr(value)}")
-    return [(name, _float(number, f"{where}{key}")) for name, number in value]
+    return [(name, _float(number, where, key, i)) for i, (name, number) in enumerate(value)]

@@ -109,11 +109,9 @@ class GroupCoeffs:
     density: float = 1.0
 
     def validate(self) -> None:
-        if not (isinstance(self.weight, (int, float)) and math.isfinite(self.weight)
-                and 0.0 <= self.weight <= 1.0):
+        if not (isinstance(self.weight, (int, float)) and 0.0 <= self.weight <= 1.0):
             raise InvalidWeight(f"weight {self.weight!r} not in [0, 1]")
-        if not (isinstance(self.density, (int, float)) and math.isfinite(self.density)
-                and 0.0 < self.density <= 1.0):
+        if not (isinstance(self.density, (int, float)) and 0.0 < self.density <= 1.0):
             raise InvalidDensity(f"density {self.density!r} not in (0, 1]")
 
 
@@ -311,7 +309,7 @@ def compute_task_vector(base: Checkpoint, finetuned,
     a time; the reader must stay open until then.  ``base`` is a
     Checkpoint or an open CheckpointReader.
     """
-    require_compat(base, finetuned, "base vs finetuned")
+    require_compat(base, finetuned, f"base vs finetuned {source_id!r}")
     if isinstance(finetuned, CheckpointReader):
         return _FileTaskVector(finetuned, source_id)
     deltas = {name: finetuned.array(name) - base.array(name) for name in base.names()}
@@ -395,7 +393,7 @@ def ties_trim(delta: np.ndarray, density: float) -> np.ndarray:
     with +0.0, and NaN ranks above +inf.  Kept entries keep their bits
     and dropped ones become +0.0.
     """
-    if not (isinstance(density, (int, float)) and math.isfinite(density) and 0.0 < density <= 1.0):
+    if not (isinstance(density, (int, float)) and 0.0 < density <= 1.0):
         raise InvalidDensity(f"density {density!r} not in (0, 1]")
     _require_float32(delta)
     flat = delta.ravel()

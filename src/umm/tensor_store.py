@@ -442,28 +442,37 @@ def load_checkpoint(path) -> Checkpoint:
         return Checkpoint(tensors=dict(reader.items()), metadata=reader.metadata)
 
 
+def _first_few(items: list, sep: str) -> str:
+    """At most five of ``items`` joined by ``sep``, then how many more."""
+    more = f"{sep}and {len(items) - 5} more" if len(items) > 5 else ""
+    return sep.join(items[:5]) + more
+
+
 def require_compat(a, b, what: str = "checkpoints") -> None:
     """Raise IncompatibleCheckpoints unless both hold the same names and shapes.
 
-    ``a`` and ``b`` are each a Checkpoint or an open CheckpointReader.
+    ``a`` and ``b`` are each a Checkpoint or an open CheckpointReader.  The
+    error lists at most five problems, and five names of each missing list,
+    so two unrelated layouts still give one short line.
     """
     shapes_a, shapes_b = a.shapes(), b.shapes()
     names_a, names_b = set(shapes_a), set(shapes_b)
     problems = []
     if names_b - names_a:
-        problems.append(f"missing in first: {', '.join(sorted(names_b - names_a))}")
+        problems.append(f"missing in first: {_first_few(sorted(names_b - names_a), ', ')}")
     if names_a - names_b:
-        problems.append(f"missing in second: {', '.join(sorted(names_a - names_b))}")
+        problems.append(f"missing in second: {_first_few(sorted(names_a - names_b), ', ')}")
     for name in sorted(names_a & names_b):
         sa, sb = shapes_a[name], shapes_b[name]
         if sa != sb:
             problems.append(f"shape mismatch {name}: {list(sa)} vs {list(sb)}")
     if problems:
-        raise IncompatibleCheckpoints(f"{what}: {'; '.join(problems)}")
+        raise IncompatibleCheckpoints(f"{what}: {_first_few(problems, '; ')}")
 
 
-def tensor_summary(ckpt: Checkpoint) -> list:
-    """Per-tensor stats table used by the inspect command."""
+def tensor_summary(ckpt) -> list:
+    """Per-tensor stats table used by the inspect command, of a Checkpoint
+    or an open CheckpointReader."""
     rows = []
     for name, tensor in ckpt.items():
         arr = tensor.data

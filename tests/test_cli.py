@@ -747,6 +747,39 @@ def test_an_unknown_recipe_field_exits_1_before_a_checkpoint_is_read(tmp_path, c
     assert "base.st" not in err
 
 
+@pytest.mark.parametrize("path,value,field", [
+    (("models", 0, "groups", 0, "weight"), float("nan"), "recipe: models[0].groups[0].weight"),
+    (("lambda_scale",), float("inf"), "recipe: lambda_scale"),
+], ids=["weight-nan", "lambda-infinite"])
+def test_a_recipe_number_that_is_not_finite_exits_1_before_a_checkpoint_is_read(
+        tmp_path, capsys, path, value, field):
+    recipe = recipe_obj("ties", 1, 3, [("a", "a.st", (0.5, 1.0))])
+    set_field(recipe, path, value)
+    write_json(tmp_path / "recipe.json", recipe)
+    code, _, err = run_cli(
+        ["merge", "--base", str(tmp_path / "base.st"), "--recipe", str(tmp_path / "recipe.json"),
+         "--out", str(tmp_path / "merged.st")],
+        capsys,
+    )
+    assert_one_located_error(code, err, f"MalformedInput: {field} must be a finite number")
+    assert "base.st" not in err
+
+
+def test_merge_names_the_finetuned_model_whose_layout_differs(tmp_path, capsys):
+    rng = np.random.default_rng(23)
+    for name, num_layers in (("base", 6), ("a", 6), ("b", 3)):
+        save_checkpoint(layered_ckpt(rng, num_layers), tmp_path / f"{name}.st")
+    models = [(sid, str(tmp_path / f"{sid}.st"), (0.5, 0.5)) for sid in "ab"]
+    write_json(tmp_path / "recipe.json", recipe_obj("ties", 3, 3, models))
+    code, _, err = run_cli(
+        ["merge", "--base", str(tmp_path / "base.st"), "--recipe", str(tmp_path / "recipe.json"),
+         "--out", str(tmp_path / "merged.st")],
+        capsys,
+    )
+    assert_one_located_error(code, err, "IncompatibleCheckpoints: base vs finetuned 'b': "
+                                        "missing in second: layers.3.w, layers.4.w, layers.5.w")
+
+
 COMMAND_SPEC = {"command": "evaluate {checkpoint}"}
 TOY_SPEC = {"builtin": "toy-regression"}
 
@@ -1328,6 +1361,24 @@ def test_inspect_reports_shape_dtype_and_moments(tmp_path, capsys):
     assert out["metadata"] == {"note": "fixture"}
 
 
+def test_inspect_holds_one_tensor_at_a_time(tmp_path, capsys):
+    rng = np.random.default_rng(22)
+    peaks = []
+    for num_layers in (12, 24):
+        tensors = {f"layers.{i}.w": Tensor(rng.standard_normal((256, 256), dtype=np.float32), "bf16")
+                   for i in range(num_layers)}
+        # the largest tensor comes last in name order
+        tensors["out.w"] = Tensor(rng.standard_normal((512, 256), dtype=np.float32), "bf16")
+        largest = tensors["out.w"].data.nbytes
+        save_checkpoint(Checkpoint(tensors), tmp_path / f"{num_layers}.st")
+        del tensors
+        peaks.append(_traced_peak(["inspect", "--ckpt", str(tmp_path / f"{num_layers}.st")], capsys))
+    # the largest tensor stored, decoded and checked, and the tensor before
+    # it: no term for the model, so twice the layers leave the peak put
+    assert max(peaks) < 4 * largest, [p / largest for p in peaks]
+    assert peaks[1] - peaks[0] < largest / 2, [p / largest for p in peaks]
+
+
 def test_inspect_empty_checkpoint_is_fine(tmp_path, capsys):
     save_checkpoint(Checkpoint(), tmp_path / "empty.st")
     code, out, _ = run_cli(["inspect", "--ckpt", str(tmp_path / "empty.st")], capsys)
@@ -1552,6 +1603,10 @@ def test_a_value_past_a_numeric_limit_exits_1_without_a_traceback(tmp_path, monk
     (("cmaes", "sigma"), -1, "cmaes.sigma"),
     (("cmaes", "sigma"), float("inf"), "cmaes.sigma"),  # written Infinity; 1e400 reads the same
     (("cmaes", "generation"), -3, "cmaes.generation"),
+    (("history", 0, "best"), float("nan"), "history[0].best"),
+    (("history", 0, "best_so_far"), float("inf"), "history[0].best_so_far"),
+    (("evaluations",), -5, "evaluations"),
+    (("invocations",), -7, "invocations"),
 ])
 def test_search_resume_bad_state_field_exits_1(tmp_path, monkeypatch, capsys, path, value, field):
     monkeypatch.chdir(tmp_path)

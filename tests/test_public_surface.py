@@ -1,7 +1,8 @@
 """Every public name and every private module-level name in src/umm must
 be reached by something that runs, only ``tensor_store.publish`` writes a
-file, each kind of input file is opened by one call, no context manager is
-entered by hand, every JSON decode catches too deep a nesting, and
+file, each kind of input file is opened by one call, no number a JSON
+number reader returned is checked for finiteness again, no context manager
+is entered by hand, every JSON decode catches too deep a nesting, and
 importing the command line leaves scipy unloaded.
 
 A module-level function or class, public or private, or a public method,
@@ -158,6 +159,46 @@ def test_each_input_kind_is_opened_by_one_call():
     )
     assert openers == {"jsonl.read_json": 1, "jsonl.iter_jsonl": 1,
                        "tensor_store.CheckpointReader.__init__": 1}, openers
+
+
+def _callee(node) -> str:
+    """The bare name a call calls: ``f`` for ``f(...)`` and ``m.f(...)``."""
+    func = getattr(node, "func", None)
+    return getattr(func, "attr", None) or getattr(func, "id", None)
+
+
+def test_no_number_a_reader_returned_is_checked_for_finiteness_again():
+    """``want_number``, ``want_numbers`` and ``want_pairs`` return finite
+    floats, so no ``math.isfinite`` or ``np.isfinite`` call takes one of
+    those calls, or a name its function binds, by assignment or by a
+    ``for`` loop, from such a call or from such a name."""
+    readers = {"want_number", "want_numbers", "want_pairs"}
+    again = set()  # a nested def is walked with its outer one too
+    for path in LIBRARY:
+        for func in ast.walk(_parse(path)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = set()
+
+            def from_reader(expr) -> bool:
+                return any(isinstance(n, ast.Call) and _callee(n) in readers
+                           or isinstance(n, ast.Name) and n.id in read for n in ast.walk(expr))
+
+            bindings = [(node.targets, node.value) for node in ast.walk(func)
+                        if isinstance(node, ast.Assign)]
+            bindings += [([node.target], node.iter) for node in ast.walk(func)
+                         if isinstance(node, ast.For)]
+            grown = True
+            while grown:  # a name bound from a read name is read too
+                before = len(read)
+                read |= {n.id for targets, value in bindings if from_reader(value)
+                         for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name)}
+                grown = len(read) > before
+            again |= {f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                      if isinstance(node, ast.Call) and _callee(node) == "isfinite"
+                      and any(from_reader(arg) for arg in node.args)}
+    assert not again, f"finiteness of a number reader's value checked again: {sorted(again)}"
 
 
 def test_context_managers_are_entered_only_by_with():

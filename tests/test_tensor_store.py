@@ -486,6 +486,21 @@ def test_compat_shape_mismatch():
         require_compat(a, b)
 
 
+def test_compat_error_lists_at_most_five_problems_and_names():
+    a = make_ckpt(**{f"t{i:03d}": [0.0, 0.0] for i in range(300)})
+    b = make_ckpt(**{f"t{i:03d}": [0.0, 0.0, 0.0] for i in range(300)})
+    c = make_ckpt(**{f"u{i:03d}": [0.0, 0.0] for i in range(300)})
+    with pytest.raises(IncompatibleCheckpoints) as reshaped:
+        require_compat(a, b)
+    with pytest.raises(IncompatibleCheckpoints) as renamed:
+        require_compat(a, c)
+    assert str(reshaped.value).endswith("; shape mismatch t004: [2] vs [3]; and 295 more")
+    assert str(renamed.value) == ("checkpoints: missing in first: u000, u001, u002, u003, u004, "
+                                  "and 295 more; missing in second: t000, t001, t002, t003, "
+                                  "t004, and 295 more")
+    assert len(str(reshaped.value).encode()) < 1024
+
+
 def test_require_compat_raises():
     a = make_ckpt(x=[1.0])
     b = make_ckpt(z=[1.0])
