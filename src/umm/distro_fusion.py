@@ -191,10 +191,6 @@ class ToyModel:
     def num_contexts(self) -> int:
         return self.logits.shape[0]
 
-    @property
-    def vocab_size(self) -> int:
-        return self.logits.shape[1]
-
 
 def init_toy_model(vocab_size: int, seed: int = None, scale: float = 0.1) -> ToyModel:
     """Zero logits, or small Gaussian logits when a seed is given."""

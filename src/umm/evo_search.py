@@ -1,9 +1,9 @@
 """Evolutionary search over merge-recipe coefficients.
 
-A genome is the flat coefficient vector of one recipe: for TIES,
-(weight, density) per model per group, model-major; for task_arithmetic
-and linear, weights only.  Decoding clips weights to [0, 1] and
-densities to [0.05, 1], so the optimizer itself runs unconstrained.
+A genome is a recipe's coefficients as one flat vector: per model, then
+per group, the weight, plus the density for TIES.  Decoding it onto a
+recipe clips weights to [0, 1] and densities to [0.05, 1], so the
+optimizer itself runs unconstrained.
 
 Candidates are scored by an evaluator: either a builtin (pure numpy) or
 an external command run per candidate.  The external protocol: the
@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import reprlib
 import shlex
@@ -29,7 +30,7 @@ import signal
 import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -93,60 +94,35 @@ _EXCERPT.maxstring = 200
 
 # --- genome codec ---------------------------------------------------------
 
-@dataclass
-class RecipeTemplate:
-    """Fixed recipe structure a genome fills with coefficients."""
-
-    method: str
-    group_size: int
-    num_groups: int
-    source_ids: list
-    lambda_scale: float = 1.0
-    model_paths: dict = field(default_factory=dict)
-
-    @property
-    def per_group_values(self) -> int:
-        return 2 if self.method == "ties" else 1
-
-    @property
-    def genome_length(self) -> int:
-        return len(self.source_ids) * self.num_groups * self.per_group_values
+def encode_genome(recipe: MergeRecipe) -> np.ndarray:
+    """The recipe's coefficients as a float64 genome: per model, then per
+    group, the weight, plus the density for ties."""
+    pairs = np.array([(g.weight, g.density) for m in recipe.per_model for g in m.groups],
+                     np.float64).reshape(-1, 2)
+    return (pairs if recipe.method == "ties" else pairs[:, :1]).reshape(-1)
 
 
-def initial_mean(template: RecipeTemplate) -> np.ndarray:
-    """Search start: every weight 0.5, every density 1.0."""
-    if template.method == "ties":
-        return np.tile([0.5, 1.0], len(template.source_ids) * template.num_groups)
-    return np.full(template.genome_length, 0.5)
-
-
-def decode_genome(genome, template: RecipeTemplate) -> MergeRecipe:
-    """Clip genome values into their boxes and build the recipe."""
+def decode_genome(genome, like: MergeRecipe) -> MergeRecipe:
+    """A recipe with ``like``'s method, group size, lambda scale, models
+    and group count, holding the genome's values clipped into their boxes."""
     values = np.asarray(genome, dtype=np.float64).reshape(-1)
-    if values.size != template.genome_length:
-        raise LengthMismatch(
-            f"genome has {values.size} values, template needs {template.genome_length}"
-        )
+    shape = (len(like.per_model), like.num_groups, 2 if like.method == "ties" else 1)
+    if values.size != math.prod(shape):
+        raise LengthMismatch(f"genome has {values.size} values, recipe needs {math.prod(shape)}")
     # each model lists its groups in order, each group as (weight[, density])
-    per_group = values.reshape(len(template.source_ids), template.num_groups,
-                               template.per_group_values)
+    per_group = values.reshape(shape)
     weights = np.clip(per_group[..., 0], WEIGHT_LO, WEIGHT_HI).tolist()
-    if template.method == "ties":
+    if like.method == "ties":
         densities = np.clip(per_group[..., 1], DENSITY_LO, DENSITY_HI).tolist()
     else:
-        densities = [[1.0] * template.num_groups for _ in template.source_ids]
+        densities = [[1.0] * like.num_groups for _ in like.per_model]
     per_model = [
-        ModelCoeffs(source_id=sid,
+        ModelCoeffs(source_id=m.source_id,
                     groups=[GroupCoeffs(weight=w, density=d) for w, d in zip(ws, ds)],
-                    path=template.model_paths.get(sid, ""))
-        for sid, ws, ds in zip(template.source_ids, weights, densities)
+                    path=m.path)
+        for m, ws, ds in zip(like.per_model, weights, densities)
     ]
-    return MergeRecipe(
-        method=template.method,
-        group_size=template.group_size,
-        lambda_scale=template.lambda_scale,
-        per_model=per_model,
-    )
+    return MergeRecipe(like.method, like.group_size, like.lambda_scale, per_model)
 
 
 # --- evaluators ------------------------------------------------------------
@@ -397,45 +373,20 @@ class SearchConfig:
     base_path: str
     models: list  # [{source_id, path}]
     evaluator: dict
-    lambda_scale: float = 1.0
-    iterations: int = DEFAULT_ITERATIONS
-    pop_size: int = None
-    sigma0: float = DEFAULT_SIGMA0
-    seed: int = 0
-    cache_dir: str = None
-    threads: int = 1
-    retries: int = 1
-
-    def validate(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.group_size < 1:
-            raise ValueError(f"group_size must be >= 1, got {self.group_size}")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if not self.models:
-            raise ValueError("config lists no models")
-        ids = [m["source_id"] for m in self.models]
-        repeated = sorted({sid for sid in ids if ids.count(sid) > 1})
-        if repeated:
-            raise ValueError(f"models repeat source_id {repeated}: each must be distinct")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.pop_size is not None and self.pop_size < 2:
-            raise ValueError(f"pop_size must be null or >= 2, got {self.pop_size}")
-        if self.lambda_scale < 0.0:
-            raise ValueError(f"lambda_scale must be >= 0, got {self.lambda_scale!r}")
-        if not SIGMA_MIN < self.sigma0 < SIGMA_MAX:
-            raise ValueError(f"sigma0 must be in ({SIGMA_MIN}, {SIGMA_MAX}), got {self.sigma0!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+    lambda_scale: float
+    iterations: int
+    pop_size: int  # None: the CMA-ES default for the genome length
+    sigma0: float
+    seed: int
+    cache_dir: str
+    threads: int
+    retries: int
 
 
 def config_from_json_obj(obj: dict, seed: int = None, threads: int = None) -> SearchConfig:
-    """A validated SearchConfig; ``seed`` and ``threads``, when given,
-    replace the values ``obj`` holds."""
+    """The one maker of a SearchConfig: each field typed, defaulted and
+    checked; ``seed`` and ``threads``, when given, replace the values
+    ``obj`` holds."""
     where = "search config: "
     models = []
     for i, m in enumerate(want_objects(obj, "models", where=where)):
@@ -458,7 +409,30 @@ def config_from_json_obj(obj: dict, seed: int = None, threads: int = None) -> Se
         threads=want_int(obj, "threads", 1, where) if threads is None else threads,
         retries=want_int(obj, "retries", 1, where),
     )
-    config.validate()
+    if config.method not in METHODS:
+        raise ValueError(f"unknown method {config.method!r}")
+    if config.group_size < 1:
+        raise ValueError(f"group_size must be >= 1, got {config.group_size}")
+    if config.iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    if not config.models:
+        raise ValueError("config lists no models")
+    ids = [m["source_id"] for m in config.models]
+    repeated = sorted({sid for sid in ids if ids.count(sid) > 1})
+    if repeated:
+        raise ValueError(f"models repeat source_id {repeated}: each must be distinct")
+    if config.threads < 1:
+        raise ValueError("threads must be >= 1")
+    if config.retries < 0:
+        raise ValueError(f"retries must be >= 0, got {config.retries}")
+    if config.pop_size is not None and config.pop_size < 2:
+        raise ValueError(f"pop_size must be null or >= 2, got {config.pop_size}")
+    if config.lambda_scale < 0.0:
+        raise ValueError(f"lambda_scale must be >= 0, got {config.lambda_scale!r}")
+    if not SIGMA_MIN < config.sigma0 < SIGMA_MAX:
+        raise ValueError(f"sigma0 must be in ({SIGMA_MIN}, {SIGMA_MAX}), got {config.sigma0!r}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
     return config
 
 
@@ -511,23 +485,19 @@ def run_search(config: SearchConfig, workdir, resume: bool = False) -> SearchRes
     State is persisted to <workdir>/search_state.json after every
     generation; ``resume=True`` continues from it when present.
     """
-    config.validate()
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     # a bad evaluator spec ends the search before a source checkpoint is read
     evaluator = make_evaluator(config.evaluator)
     sources = load_sources(config.base_path, config.models)
 
+    # the search starts at every weight 0.5 and every density 1.0
     _, num_groups = group_count(sources.base.metadata, config.group_size)
-    template = RecipeTemplate(
-        method=config.method,
-        group_size=config.group_size,
-        num_groups=num_groups,
-        source_ids=[m["source_id"] for m in config.models],
-        lambda_scale=config.lambda_scale,
-        model_paths={m["source_id"]: m["path"] for m in config.models},
-    )
-    dim = template.genome_length
+    start = MergeRecipe(config.method, config.group_size, config.lambda_scale, [
+        ModelCoeffs(m["source_id"], [GroupCoeffs(0.5) for _ in range(num_groups)], m["path"])
+        for m in config.models])
+    mean = encode_genome(start)
+    dim = mean.size
     pop = config.pop_size or default_pop_size(dim)
 
     cache = FitnessCache(config.cache_dir)
@@ -569,18 +539,25 @@ def run_search(config: SearchConfig, workdir, resume: bool = False) -> SearchRes
         history = []
         for i, row in enumerate(want_objects(saved, "history", where=where)):
             at = f"{where}history[{i}]."
-            history.append({"generation": want_int(row, "generation", where=at),
+            if (generation := want_int(row, "generation", where=at)) != i:
+                raise MalformedInput(f"{at}generation {generation} must be {i}")
+            history.append({"generation": i,
                             "best": want_number(row, "best", where=at),
                             "best_so_far": want_number(row, "best_so_far", where=at)})
         evaluations = want_int(saved, "evaluations", where=where)
         invocations = want_int(saved, "invocations", where=where)
-        for key, count in (("evaluations", evaluations), ("invocations", invocations)):
-            if count < 0:
-                raise MalformedInput(f"{where}{key} {count} must be >= 0")
+        # a row and the start recipe's score, then a row and pop scores per generation
+        for key, count, need in (("history", len(history), state.generation + 1),
+                                 ("evaluations", evaluations, 1 + state.generation * pop)):
+            if count != need:
+                raise MalformedInput(f"{where}{key} counts {count}, expected {need} after "
+                                     f"{state.generation} generations")
+        if not 0 <= invocations <= evaluations:
+            raise MalformedInput(f"{where}invocations {invocations} must be in [0, {evaluations}]")
     else:
-        best_genome = initial_mean(template)
+        best_genome = mean
         state = cmaes_init(dim, best_genome, config.sigma0, pop_size=pop, seed=config.seed)
-        best_fitness, invoked = score(decode_genome(best_genome, template), "initial")
+        best_fitness, invoked = score(start, "initial")
         evaluations = 1
         invocations = int(invoked)
         history = [{"generation": 0, "best": best_fitness, "best_so_far": best_fitness}]
@@ -588,7 +565,7 @@ def run_search(config: SearchConfig, workdir, resume: bool = False) -> SearchRes
 
     while state.generation < config.iterations:
         genomes = cmaes_ask(state)
-        recipes = [decode_genome(g, template) for g in genomes]
+        recipes = [decode_genome(g, start) for g in genomes]
         tags = [f"gen{state.generation + 1:04d}-cand{i:03d}" for i in range(len(recipes))]
         if config.threads > 1:
             with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -612,7 +589,7 @@ def run_search(config: SearchConfig, workdir, resume: bool = False) -> SearchRes
 
     return SearchResult(
         best_genome=best_genome,
-        best_recipe=decode_genome(best_genome, template),
+        best_recipe=decode_genome(best_genome, start),
         best_fitness=best_fitness,
         history=history,
         evaluations=evaluations,

@@ -725,6 +725,34 @@ def test_a_negative_seed_flag_exits_1_before_a_checkpoint_is_read(tmp_path, caps
     assert "base.st" not in err
 
 
+@pytest.mark.parametrize("case", ["iterations-negative", "threads-zero",
+                                  "evaluator-prints-blank-lines", "evaluator-not-found"])
+def test_a_search_guard_exits_1_without_a_traceback(tmp_path, expert_dir, capsys, case):
+    blank = tmp_path / "blank.py"
+    blank.write_text("print()\nprint('  ')\n")
+    changes, flags, message = {
+        "iterations-negative": ({"iterations": -1}, [], "ValueError: iterations must be >= 0"),
+        "threads-zero": ({}, ["--threads", "0"], "ValueError: threads must be >= 1"),
+        "evaluator-prints-blank-lines": (
+            {"evaluator": {"command": f"{sys.executable} -S {blank} {{checkpoint}}"}}, [],
+            "EvaluatorProtocol: evaluator printed nothing to stdout"),
+        "evaluator-not-found": (
+            {"evaluator": {"command": f"{tmp_path / 'no-such-evaluator'} {{checkpoint}}"}}, [],
+            "EvaluatorFailed: cannot run evaluator"),
+    }[case]
+    write_json(tmp_path / "config.json",
+               dict(search_config_obj(expert_dir, iterations=0), **changes))
+    code, _, err = run_cli(
+        flags + ["search", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert code == 1
+    lines = [line for line in err.splitlines() if line.startswith("ERROR umm: ")]
+    assert len(lines) == 1 and message in lines[0], err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("path,where", [
     ((), "recipe: unknown field 'note'"),
     (("models", 0), "recipe: models[0]: unknown field 'note'"),
@@ -1607,10 +1635,17 @@ def test_a_value_past_a_numeric_limit_exits_1_without_a_traceback(tmp_path, monk
     (("history", 0, "best_so_far"), float("inf"), "history[0].best_so_far"),
     (("evaluations",), -5, "evaluations"),
     (("invocations",), -7, "invocations"),
+    # states no search writes: each value alone is in range
+    (("history", 0, "generation"), -3, "history[0].generation"),
+    (("evaluations",), lambda state: state["evaluations"] + 1, "evaluations"),
+    (("invocations",), 50, "invocations"),
+    (("history",), lambda state: state["history"][:-1], "history"),
 ])
 def test_search_resume_bad_state_field_exits_1(tmp_path, monkeypatch, capsys, path, value, field):
     monkeypatch.chdir(tmp_path)
     filename, state, argv = search_state_input(tmp_path)
+    if callable(value):  # an edit of the saved value
+        value = value(state)
     if path:
         set_field(state, path, value)
     else:

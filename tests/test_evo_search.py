@@ -23,16 +23,15 @@ from umm.evo_search import (
     WEIGHT_HI,
     WEIGHT_LO,
     FitnessCache,
-    RecipeTemplate,
     config_from_json_obj,
     decode_genome,
+    encode_genome,
     evaluate_candidate,
-    initial_mean,
     load_sources,
     make_evaluator,
     run_search,
 )
-from umm.merge_core import compute_task_vector
+from umm.merge_core import GroupCoeffs, MergeRecipe, ModelCoeffs, compute_task_vector
 from umm.tensor_store import (
     Checkpoint,
     Tensor,
@@ -43,13 +42,14 @@ from umm.tensor_store import (
 from umm.toy_mlp import init_mlp, mlp_forward, mse, train_mlp
 
 
-def ties_template(n_models=2, n_groups=3, group_size=3):
-    return RecipeTemplate(
-        method="ties",
-        group_size=group_size,
-        num_groups=n_groups,
-        source_ids=[f"m{i}" for i in range(n_models)],
-    )
+def start_recipe(method, group_size, num_groups, source_ids):
+    """A recipe where a search starts: every weight 0.5, every density 1.0."""
+    return MergeRecipe(method, group_size, 1.0, [
+        ModelCoeffs(sid, [GroupCoeffs(0.5) for _ in range(num_groups)]) for sid in source_ids])
+
+
+def ties_recipe(n_models=2, n_groups=3, group_size=3):
+    return start_recipe("ties", group_size, n_groups, [f"m{i}" for i in range(n_models)])
 
 
 def recipe_coefficients(recipe):
@@ -60,57 +60,57 @@ def recipe_coefficients(recipe):
 # --- genome codec ------------------------------------------------------------
 
 def test_decode_all_half():
-    template = ties_template()
-    recipe = decode_genome(np.full(template.genome_length, 0.5), template)
+    like = ties_recipe()
+    recipe = decode_genome(np.full(encode_genome(like).size, 0.5), like)
     for model in recipe.per_model:
         for g in model.groups:
             assert g.weight == 0.5 and g.density == 0.5
 
 
 def test_decode_clips_weight_floor():
-    template = ties_template(n_models=1, n_groups=1)
-    recipe = decode_genome([-3.0, 0.8], template)
+    like = ties_recipe(n_models=1, n_groups=1)
+    recipe = decode_genome([-3.0, 0.8], like)
     assert recipe.per_model[0].groups[0].weight == 0.0
 
 
 def test_decode_clips_density_floor():
-    template = ties_template(n_models=1, n_groups=1)
-    recipe = decode_genome([0.5, 0.0], template)
+    like = ties_recipe(n_models=1, n_groups=1)
+    recipe = decode_genome([0.5, 0.0], like)
     assert recipe.per_model[0].groups[0].density == 0.05
 
 
 def test_decode_task_arithmetic_has_no_density_slots():
-    template = RecipeTemplate("task_arithmetic", 5, 4, ["a", "b"])
-    assert template.genome_length == 8
-    recipe = decode_genome(np.linspace(0, 1, 8), template)
+    like = start_recipe("task_arithmetic", 5, 4, ["a", "b"])
+    assert encode_genome(like).size == 8
+    recipe = decode_genome(np.linspace(0, 1, 8), like)
     assert all(g.density == 1.0 for m in recipe.per_model for g in m.groups)
 
 
 def test_decode_length_mismatch():
     with pytest.raises(LengthMismatch):
-        decode_genome([0.5] * 5, ties_template())
+        decode_genome([0.5] * 5, ties_recipe())
 
 
 def test_decode_encode_identity_on_box(rng):
-    template = ties_template(n_models=3, n_groups=2)
-    genome = np.empty(template.genome_length)
+    like = ties_recipe(n_models=3, n_groups=2)
+    genome = np.empty(encode_genome(like).size)
     genome[0::2] = rng.uniform(0.0, 1.0, size=genome[0::2].shape)
     genome[1::2] = rng.uniform(0.05, 1.0, size=genome[1::2].shape)
-    recipe = decode_genome(genome, template)
+    recipe = decode_genome(genome, like)
     np.testing.assert_array_equal(recipe_coefficients(recipe), genome)
 
 
-def scalar_decoded_coefficients(genome, template):
+def scalar_decoded_coefficients(genome, like):
     """(weight, density) per group, model-major, clipped one value at a time."""
     values = np.asarray(genome, dtype=np.float64).reshape(-1)
     coefficients = []
     idx = 0
-    for _ in template.source_ids:
-        for _ in range(template.num_groups):
+    for _ in like.per_model:
+        for _ in range(like.num_groups):
             weight = float(np.clip(values[idx], WEIGHT_LO, WEIGHT_HI))
             idx += 1
             density = 1.0
-            if template.method == "ties":
+            if like.method == "ties":
                 density = float(np.clip(values[idx], DENSITY_LO, DENSITY_HI))
                 idx += 1
             coefficients.append((weight, density))
@@ -119,24 +119,41 @@ def scalar_decoded_coefficients(genome, template):
 
 @pytest.mark.parametrize("method", ["ties", "task_arithmetic"])
 def test_decode_matches_scalar_clips_bitwise(rng, method):
-    template = RecipeTemplate(method, 2, 4, ["a", "b", "c"])
+    like = start_recipe(method, 2, 4, ["a", "b", "c"])
     edges = [-0.0, 0.0, -1e-300, 1.0, np.nextafter(1.0, 2.0), DENSITY_LO, -np.inf, np.inf, np.nan]
     for _ in range(200):
-        genome = rng.uniform(-0.5, 1.5, template.genome_length)
+        genome = rng.uniform(-0.5, 1.5, encode_genome(like).size)
         genome[rng.random(genome.size) < 0.2] = rng.choice(edges)
-        recipe = decode_genome(genome, template)
+        recipe = decode_genome(genome, like)
         got = [(g.weight, g.density) for m in recipe.per_model for g in m.groups]
-        want = scalar_decoded_coefficients(genome, template)
+        want = scalar_decoded_coefficients(genome, like)
         assert all(type(v) is float for pair in got for v in pair)
         assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
 
 def test_initial_mean_layout():
-    template = ties_template(n_models=2, n_groups=2)
-    mean = initial_mean(template)
+    mean = encode_genome(ties_recipe(n_models=2, n_groups=2))
     np.testing.assert_array_equal(mean, [0.5, 1.0] * 4)
-    ta = RecipeTemplate("task_arithmetic", 3, 2, ["a"])
-    np.testing.assert_array_equal(initial_mean(ta), [0.5, 0.5])
+    ta = start_recipe("task_arithmetic", 3, 2, ["a"])
+    np.testing.assert_array_equal(encode_genome(ta), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("method", ["ties", "task_arithmetic", "linear"])
+def test_a_recipe_in_its_boxes_decodes_from_its_genome_unchanged(rng, method):
+    for _ in range(100):
+        num_groups = int(rng.integers(1, 5))
+        recipe = MergeRecipe(method, int(rng.integers(1, 4)), float(rng.uniform(0.0, 2.0)), [
+            ModelCoeffs(f"m{i}", [
+                GroupCoeffs(float(rng.uniform(WEIGHT_LO, WEIGHT_HI)),
+                            float(rng.uniform(DENSITY_LO, DENSITY_HI)) if method == "ties" else 1.0)
+                for _ in range(num_groups)], path=f"m{i}.st")
+            for i in range(int(rng.integers(1, 4)))])
+        genome = encode_genome(recipe)
+        coefficients = recipe_coefficients(recipe)
+        want = coefficients if method == "ties" else coefficients[0::2]
+        assert genome.dtype == np.float64
+        np.testing.assert_array_equal(genome, want)
+        assert decode_genome(genome, recipe).dumps() == recipe.dumps()
 
 
 # --- external evaluator protocol ----------------------------------------------
@@ -396,8 +413,7 @@ def test_load_sources_holds_one_finetuned_checkpoint_at_a_time(tmp_path):
 
 def test_cache_second_call_skips_evaluator(tmp_path):
     sources = two_expert_sources(tmp_path)
-    template = ties_template()
-    recipe = decode_genome(initial_mean(template), template)
+    recipe = ties_recipe()
     ev = CountingEvaluator()
     cache = FitnessCache()
     f1, invoked1 = evaluate_candidate(recipe, ev, tmp_path, sources, cache=cache)
@@ -408,8 +424,7 @@ def test_cache_second_call_skips_evaluator(tmp_path):
 
 def test_cache_persists_on_disk(tmp_path):
     sources = two_expert_sources(tmp_path)
-    template = ties_template()
-    recipe = decode_genome(initial_mean(template), template)
+    recipe = ties_recipe()
     ev = CountingEvaluator()
     cache_dir = tmp_path / "cache"
     f1, _ = evaluate_candidate(recipe, ev, tmp_path, sources, cache=FitnessCache(cache_dir))
@@ -458,8 +473,7 @@ def test_cache_put_survives_a_concurrent_put_of_the_same_key(tmp_path, monkeypat
 
 def test_cache_key_distinguishes_evaluators(tmp_path):
     sources = two_expert_sources(tmp_path)
-    template = ties_template()
-    recipe = decode_genome(initial_mean(template), template)
+    recipe = ties_recipe()
     k1 = FitnessCache.key(recipe, sources.digest, "eval-a")
     k2 = FitnessCache.key(recipe, sources.digest, "eval-b")
     assert k1 != k2
@@ -481,8 +495,7 @@ def test_evaluate_candidate_retries(tmp_path):
             return 2.0
 
     sources = two_expert_sources(tmp_path)
-    template = ties_template()
-    recipe = decode_genome(initial_mean(template), template)
+    recipe = ties_recipe()
     ev = FlakyEvaluator()
     fitness, invoked = evaluate_candidate(recipe, ev, tmp_path, sources, FitnessCache(), retries=1)
     assert fitness == 2.0 and invoked and ev.calls == 2
@@ -514,11 +527,9 @@ def test_run_search_zero_iterations(tmp_path):
     result = run_search(config, tmp_path / "w")
     assert result.evaluations == 1
     assert result.generations == 0
-    template = ties_template()
-    np.testing.assert_array_equal(result.best_genome, initial_mean(template))
-    np.testing.assert_array_equal(
-        recipe_coefficients(result.best_recipe), initial_mean(template)
-    )
+    mean = encode_genome(ties_recipe())
+    np.testing.assert_array_equal(result.best_genome, mean)
+    np.testing.assert_array_equal(recipe_coefficients(result.best_recipe), mean)
 
 
 def test_run_search_checks_layer_metadata_like_merge(tmp_path):

@@ -1,9 +1,10 @@
 """Every public name and every private module-level name in src/umm must
 be reached by something that runs, only ``tensor_store.publish`` writes a
-file, each kind of input file is opened by one call, no number a JSON
-number reader returned is checked for finiteness again, no context manager
-is entered by hand, every JSON decode catches too deep a nesting, and
-importing the command line leaves scipy unloaded.
+file, each kind of input file is opened by one call, only the config
+reader builds a search config, no number a JSON number reader returned is
+checked for finiteness again, no context manager is entered by hand, every
+JSON decode catches too deep a nesting, and importing the command line
+leaves scipy unloaded.
 
 A module-level function or class, public or private, or a public method,
 counts as reached when its name appears as a Name, an Attribute or an
@@ -159,6 +160,18 @@ def test_each_input_kind_is_opened_by_one_call():
     )
     assert openers == {"jsonl.read_json": 1, "jsonl.iter_jsonl": 1,
                        "tensor_store.CheckpointReader.__init__": 1}, openers
+
+
+def test_only_the_config_reader_builds_a_search_config():
+    """``evo_search.config_from_json_obj`` types, defaults and checks each
+    field, so ``run_search`` trusts its config only while nothing else in
+    the library, the tests or the benchmark calls ``SearchConfig(...)``."""
+    paths = LIBRARY + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    builders = collections.Counter(
+        scope for path in paths for scope, call in _scoped_calls(_parse(path), path.stem)
+        if _callee(call) == "SearchConfig"
+    )
+    assert builders == {"evo_search.config_from_json_obj": 1}, builders
 
 
 def _callee(node) -> str:
