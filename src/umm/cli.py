@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     )
     try:
         result = args.func(args)
-    except (UmmError, OSError, ValueError) as exc:
+    except (UmmError, OSError, ValueError, MemoryError) as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return 1
     print(json.dumps(result, indent=2))

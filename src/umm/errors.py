@@ -44,7 +44,7 @@ class IncompatibleCheckpoints(UmmError):
 
 
 class RecipeMethodMismatch(UmmError):
-    """Recipe method does not match the requested merge operation."""
+    """Recipe names a merge method that is not one of ``merge_core.METHODS``."""
 
 
 class RecipeModelMismatch(UmmError):
@@ -90,7 +90,7 @@ class NonFiniteFitness(UmmError):
 
 
 class EvaluatorFailed(UmmError):
-    """External evaluator exited nonzero or timed out."""
+    """External evaluator could not start, exited nonzero or timed out."""
 
 
 class EvaluatorProtocol(UmmError):

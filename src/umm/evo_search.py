@@ -357,8 +357,9 @@ def evaluate_candidate(recipe: MergeRecipe, evaluator, workdir: Path, sources: S
         try:
             fitness = evaluator.evaluate(path)
             break
-        except (EvaluatorFailed, EvaluatorProtocol):
-            if attempt == retries:
+        except (EvaluatorFailed, EvaluatorProtocol) as exc:
+            # a command that could not start would not start on a retry either
+            if attempt == retries or isinstance(exc.__cause__, OSError):
                 raise
     cache.put(key, fitness)
     return fitness, True
@@ -541,9 +542,12 @@ def run_search(config: SearchConfig, workdir, resume: bool = False) -> SearchRes
             at = f"{where}history[{i}]."
             if (generation := want_int(row, "generation", where=at)) != i:
                 raise MalformedInput(f"{at}generation {generation} must be {i}")
-            history.append({"generation": i,
-                            "best": want_number(row, "best", where=at),
-                            "best_so_far": want_number(row, "best_so_far", where=at)})
+            best = want_number(row, "best", where=at)
+            # the loop keeps the best so far, or takes a generation's best above it
+            follows = max(history[-1]["best_so_far"], best) if history else best
+            if (best_so_far := want_number(row, "best_so_far", where=at)) != follows:
+                raise MalformedInput(f"{at}best_so_far {best_so_far!r} must be {follows!r}")
+            history.append({"generation": i, "best": best, "best_so_far": best_so_far})
         evaluations = want_int(saved, "evaluations", where=where)
         invocations = want_int(saved, "invocations", where=where)
         # a row and the start recipe's score, then a row and pop scores per generation
@@ -554,6 +558,9 @@ def run_search(config: SearchConfig, workdir, resume: bool = False) -> SearchRes
                                      f"{state.generation} generations")
         if not 0 <= invocations <= evaluations:
             raise MalformedInput(f"{where}invocations {invocations} must be in [0, {evaluations}]")
+        if best_fitness != history[-1]["best_so_far"]:
+            raise MalformedInput(f"{where}best_fitness {best_fitness!r} must be the last "
+                                 f"history best_so_far, {history[-1]['best_so_far']!r}")
     else:
         best_genome = mean
         state = cmaes_init(dim, best_genome, config.sigma0, pop_size=pop, seed=config.seed)

@@ -108,12 +108,6 @@ class GroupCoeffs:
     weight: float
     density: float = 1.0
 
-    def validate(self) -> None:
-        if not (isinstance(self.weight, (int, float)) and 0.0 <= self.weight <= 1.0):
-            raise InvalidWeight(f"weight {self.weight!r} not in [0, 1]")
-        if not (isinstance(self.density, (int, float)) and 0.0 < self.density <= 1.0):
-            raise InvalidDensity(f"density {self.density!r} not in (0, 1]")
-
 
 @dataclass
 class ModelCoeffs:
@@ -124,29 +118,15 @@ class ModelCoeffs:
 
 @dataclass
 class MergeRecipe:
+    """A merge method with per-model, per-group coefficients.  Nothing
+    here checks a recipe: ``recipe_from_json_obj`` checks one it reads,
+    ``decode_genome`` clips a search's into their boxes, and ``merge``
+    takes the recipe it is given."""
+
     method: str
     group_size: int
     lambda_scale: float = 1.0
     per_model: list = field(default_factory=list)  # list of ModelCoeffs
-
-    def validate(self) -> None:
-        if self.method not in METHODS:
-            raise RecipeMethodMismatch(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not isinstance(self.group_size, int) or self.group_size < 1:
-            raise ValueError(f"group_size must be a positive integer, got {self.group_size!r}")
-        if not (math.isfinite(self.lambda_scale) and self.lambda_scale >= 0.0):
-            raise ValueError(f"lambda_scale must be finite and >= 0, got {self.lambda_scale!r}")
-        if not self.per_model:
-            raise ValueError("recipe lists no models")
-        counts = {len(m.groups) for m in self.per_model}
-        if len(counts) != 1:
-            raise GroupCountMismatch(f"models disagree on group count: {sorted(counts)}")
-        ids = [m.source_id for m in self.per_model]
-        if len(set(ids)) != len(ids):
-            raise RecipeModelMismatch(f"duplicate source_id in recipe: {ids}")
-        for model in self.per_model:
-            for g in model.groups:
-                g.validate()
 
     @property
     def num_groups(self) -> int:
@@ -172,7 +152,7 @@ class MergeRecipe:
 
 
 def recipe_from_json_obj(obj: dict) -> MergeRecipe:
-    models = []
+    models, seen = [], {}
     for i, m in enumerate(want_objects(obj, "models", where="recipe: ")):
         where = f"recipe: models[{i}]."
         reject_unknown(m, ("source_id", "path", "groups"), where)
@@ -180,20 +160,35 @@ def recipe_from_json_obj(obj: dict) -> MergeRecipe:
         for j, g in enumerate(want_objects(m, "groups", where=where)):
             at = f"{where}groups[{j}]."
             reject_unknown(g, ("weight", "density"), at)
-            groups.append(GroupCoeffs(weight=want_number(g, "weight", where=at),
-                                      density=want_number(g, "density", 1.0, where=at)))
-        models.append(ModelCoeffs(source_id=want_str(m, "source_id", where=where),
-                                  path=want_str(m, "path", "", where=where),
-                                  groups=groups))
+            weight, density = want_number(g, "weight", where=at), want_number(g, "density", 1.0, at)
+            if not 0.0 <= weight <= 1.0:
+                raise InvalidWeight(f"{at}weight must be in [0, 1], got {weight!r}")
+            if not 0.0 < density <= 1.0:
+                raise InvalidDensity(f"{at}density must be in (0, 1], got {density!r}")
+            groups.append(GroupCoeffs(weight, density))
+        source_id = want_str(m, "source_id", where=where)
+        if source_id in seen:
+            raise RecipeModelMismatch(f"{where}source_id {source_id!r} repeats that of "
+                                      f"models[{seen[source_id]}]")
+        seen[source_id] = i
+        models.append(ModelCoeffs(source_id, groups, want_str(m, "path", "", where=where)))
     reject_unknown(obj, ("method", "group_size", "lambda_scale", "models"), "recipe: ")
-    recipe = MergeRecipe(
-        method=want_str(obj, "method", where="recipe: "),
-        group_size=want_int(obj, "group_size", where="recipe: "),
-        lambda_scale=want_number(obj, "lambda_scale", 1.0, where="recipe: "),
-        per_model=models,
-    )
-    recipe.validate()
-    return recipe
+    method = want_str(obj, "method", where="recipe: ")
+    if method not in METHODS:
+        raise RecipeMethodMismatch(f"recipe: method must be one of {', '.join(METHODS)}, "
+                                   f"got {method!r}")
+    group_size = want_int(obj, "group_size", where="recipe: ")
+    if group_size < 1:
+        raise ValueError(f"recipe: group_size must be >= 1, got {group_size}")
+    lambda_scale = want_number(obj, "lambda_scale", 1.0, where="recipe: ")
+    if lambda_scale < 0.0:
+        raise ValueError(f"recipe: lambda_scale must be >= 0, got {lambda_scale!r}")
+    if not models:
+        raise ValueError("recipe: models lists no models")
+    counts = sorted({len(m.groups) for m in models})
+    if len(counts) != 1:
+        raise GroupCountMismatch(f"recipe: models disagree on group count: {counts}")
+    return MergeRecipe(method, group_size, lambda_scale, models)
 
 
 def load_recipe(path) -> MergeRecipe:
@@ -267,7 +262,6 @@ def expand_schedule(recipe: MergeRecipe, ckpt: Checkpoint) -> Schedule:
     Tensor names matching the metadata layer template with index i get
     group floor(i / group_size); all others share the final global group.
     """
-    recipe.validate()
     meta = ckpt.metadata
     if "layer_pattern" not in meta:
         raise MissingLayerMetadata("checkpoint metadata lacks layer_pattern")

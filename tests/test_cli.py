@@ -726,7 +726,8 @@ def test_a_negative_seed_flag_exits_1_before_a_checkpoint_is_read(tmp_path, caps
 
 
 @pytest.mark.parametrize("case", ["iterations-negative", "threads-zero",
-                                  "evaluator-prints-blank-lines", "evaluator-not-found"])
+                                  "evaluator-prints-blank-lines", "evaluator-not-found",
+                                  "pop-size-past-memory", "points-past-memory"])
 def test_a_search_guard_exits_1_without_a_traceback(tmp_path, expert_dir, capsys, case):
     blank = tmp_path / "blank.py"
     blank.write_text("print()\nprint('  ')\n")
@@ -739,6 +740,12 @@ def test_a_search_guard_exits_1_without_a_traceback(tmp_path, expert_dir, capsys
         "evaluator-not-found": (
             {"evaluator": {"command": f"{tmp_path / 'no-such-evaluator'} {{checkpoint}}"}}, [],
             "EvaluatorFailed: cannot run evaluator"),
+        # 10**16 float64 entries are past any 64-bit address space, so the
+        # allocation fails at once and no memory is touched
+        "pop-size-past-memory": ({"pop_size": 10**16}, [], "MemoryError: Unable to allocate"),
+        "points-past-memory": (
+            {"evaluator": {"builtin": "toy-regression", "points": 10**16}}, [],
+            "MemoryError: Unable to allocate"),
     }[case]
     write_json(tmp_path / "config.json",
                dict(search_config_obj(expert_dir, iterations=0), **changes))
@@ -790,6 +797,54 @@ def test_a_recipe_number_that_is_not_finite_exits_1_before_a_checkpoint_is_read(
         capsys,
     )
     assert_one_located_error(code, err, f"MalformedInput: {field} must be a finite number")
+    assert "base.st" not in err
+
+
+# each bad recipe value -> the edit that makes it and what its one error line
+# names; the recipe has models a and b, each with three groups
+BAD_RECIPE_FIELDS = {
+    "weight-above-one": ((("models", 1, "groups", 1, "weight"), 1.5),
+                         "InvalidWeight: recipe: models[1].groups[1].weight must be in [0, 1], "
+                         "got 1.5"),
+    "weight-negative": ((("models", 0, "groups", 2, "weight"), -0.1),
+                        "InvalidWeight: recipe: models[0].groups[2].weight must be in [0, 1], "
+                        "got -0.1"),
+    "density-zero": ((("models", 1, "groups", 1, "density"), 0),
+                     "InvalidDensity: recipe: models[1].groups[1].density must be in (0, 1], "
+                     "got 0.0"),
+    "density-above-one": ((("models", 0, "groups", 0, "density"), 1.5),
+                          "InvalidDensity: recipe: models[0].groups[0].density must be in "
+                          "(0, 1], got 1.5"),
+    "method-unknown": ((("method",), "slerp"),
+                       "RecipeMethodMismatch: recipe: method must be one of linear, "
+                       "task_arithmetic, ties, got 'slerp'"),
+    "group-size-zero": ((("group_size",), 0), "ValueError: recipe: group_size must be >= 1, got 0"),
+    "lambda-negative": ((("lambda_scale",), -1),
+                        "ValueError: recipe: lambda_scale must be >= 0, got -1.0"),
+    "no-models": ((("models",), []), "ValueError: recipe: models lists no models"),
+    "source-id-repeated": ((("models", 1, "source_id"), "a"),
+                           "RecipeModelMismatch: recipe: models[1].source_id 'a' repeats that "
+                           "of models[0]"),
+    "groups-uneven": ((("models", 1, "groups"), [{"weight": 0.5}] * 2),
+                      "GroupCountMismatch: recipe: models disagree on group count: [2, 3]"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_RECIPE_FIELDS))
+def test_a_bad_recipe_field_exits_1_before_a_checkpoint_is_read(tmp_path, capsys, name):
+    # tmp_path holds no base.st, so an error about it means the value went unseen
+    (path, value), named = BAD_RECIPE_FIELDS[name]
+    recipe = recipe_obj("ties", 1, 3, [("a", "a.st", (0.5, 1.0)), ("b", "b.st", (0.5, 1.0))])
+    set_field(recipe, path, value)
+    write_json(tmp_path / "recipe.json", recipe)
+    code, _, err = run_cli(
+        ["merge", "--base", str(tmp_path / "base.st"), "--recipe", str(tmp_path / "recipe.json"),
+         "--out", str(tmp_path / "merged.st")],
+        capsys,
+    )
+    assert code == 1
+    lines = [line for line in err.splitlines() if line.startswith("ERROR umm: ")]
+    assert len(lines) == 1 and named in lines[0], err
     assert "base.st" not in err
 
 
@@ -1640,6 +1695,12 @@ def test_a_value_past_a_numeric_limit_exits_1_without_a_traceback(tmp_path, monk
     (("evaluations",), lambda state: state["evaluations"] + 1, "evaluations"),
     (("invocations",), 50, "invocations"),
     (("history",), lambda state: state["history"][:-1], "history"),
+    # best values that do not follow from the history
+    (("history", 0, "best_so_far"), lambda state: state["history"][0]["best"] + 1,
+     "history[0].best_so_far"),
+    (("history", 1, "best_so_far"), lambda state: state["history"][1]["best_so_far"] + 1,
+     "history[1].best_so_far"),
+    (("best_fitness",), 1e9, "best_fitness"),
 ])
 def test_search_resume_bad_state_field_exits_1(tmp_path, monkeypatch, capsys, path, value, field):
     monkeypatch.chdir(tmp_path)

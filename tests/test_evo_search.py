@@ -2,6 +2,7 @@ import hashlib
 import os
 import signal
 import stat
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -499,6 +500,25 @@ def test_evaluate_candidate_retries(tmp_path):
     ev = FlakyEvaluator()
     fitness, invoked = evaluate_candidate(recipe, ev, tmp_path, sources, FitnessCache(), retries=1)
     assert fitness == 2.0 and invoked and ev.calls == 2
+
+
+@pytest.mark.parametrize("command,launches", [
+    ("{tmp}/no-such-evaluator {{checkpoint}}", 1),
+    ("{python} -S -c 'import sys; sys.exit(1)' {{checkpoint}}", 4),
+], ids=["cannot-start", "exits-1"])
+def test_only_a_command_that_ran_is_retried(tmp_path, monkeypatch, command, launches):
+    popen, launched = subprocess.Popen, []
+
+    def counting_popen(*args, **kwargs):
+        launched.append(args[0])
+        return popen(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", counting_popen)
+    sources = two_expert_sources(tmp_path, steps=1)
+    ev = make_evaluator({"command": command.format(tmp=tmp_path, python=sys.executable)})
+    with pytest.raises(EvaluatorFailed):
+        evaluate_candidate(ties_recipe(), ev, tmp_path, sources, FitnessCache(), retries=3)
+    assert len(launched) == launches
 
 
 # --- run_search ------------------------------------------------------------------------

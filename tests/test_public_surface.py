@@ -2,9 +2,9 @@
 be reached by something that runs, only ``tensor_store.publish`` writes a
 file, each kind of input file is opened by one call, only the config
 reader builds a search config, no number a JSON number reader returned is
-checked for finiteness again, no context manager is entered by hand, every
-JSON decode catches too deep a nesting, and importing the command line
-leaves scipy unloaded.
+checked for finiteness again, no class defines a ``validate`` method, no
+context manager is entered by hand, every JSON decode catches too deep a
+nesting, and importing the command line leaves scipy unloaded.
 
 A module-level function or class, public or private, or a public method,
 counts as reached when its name appears as a Name, an Attribute or an
@@ -172,6 +172,16 @@ def test_only_the_config_reader_builds_a_search_config():
         if _callee(call) == "SearchConfig"
     )
     assert builders == {"evo_search.config_from_json_obj": 1}, builders
+
+
+def test_no_class_defines_a_validate_method():
+    """A value is checked by the reader that makes it, so nothing checks
+    it again later: no class under ``src/umm`` defines ``validate``."""
+    found = [f"{path.stem}.{node.name}" for path in LIBRARY for node in ast.walk(_parse(path))
+             if isinstance(node, ast.ClassDef)
+             and any(isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and item.name == "validate" for item in node.body)]
+    assert found == [], found
 
 
 def _callee(node) -> str:
