@@ -61,6 +61,16 @@ def _model_flag(value: str) -> tuple:
     return source_id, path
 
 
+def _vocab_size(value: str) -> int:
+    try:
+        size = int(value)
+    except ValueError:
+        size = 0
+    if size < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
+    return size
+
+
 def _parse_markers(value):
     if value is None:
         return DEFAULT_MARKERS
@@ -126,13 +136,13 @@ def cmd_search(args) -> dict:
 
 def cmd_align_stats(args) -> dict:
     norm = SurfaceNormalizer(markers=_parse_markers(args.markers))
-    pivot_seqs = load_token_seqs(args.pivot, vocab_size=args.pivot_vocab)
-    source_seqs = load_token_seqs(args.source, vocab_size=args.source_vocab)
+    pivot_seqs, pivot_vocab = load_token_seqs(args.pivot, vocab_size=args.pivot_vocab)
+    source_seqs, source_vocab = load_token_seqs(args.source, vocab_size=args.source_vocab)
     if len(pivot_seqs) != len(source_seqs):
         raise LengthMismatch(
             f"{len(pivot_seqs)} pivot sequences vs {len(source_seqs)} source sequences"
         )
-    stats = AlignStats(pivot_seqs[0].vocab_size, source_seqs[0].vocab_size)
+    stats = AlignStats(pivot_vocab, source_vocab)
     totals = {kind: 0 for kind in kind_histogram([])}
     for index, (pivot, source) in enumerate(zip(pivot_seqs, source_seqs)):
         with located(f"pair {index}"):
@@ -260,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--markers", default=None,
                    help="comma-separated word-boundary markers to strip")
-    p.add_argument("--pivot-vocab", type=int, default=None)
-    p.add_argument("--source-vocab", type=int, default=None)
+    p.add_argument("--pivot-vocab", type=_vocab_size, default=None)
+    p.add_argument("--source-vocab", type=_vocab_size, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_align_stats)
 
@@ -269,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--examples", required=True)
     p.add_argument("--stats", required=True)
     p.add_argument("--markers", default=None)
-    p.add_argument("--pivot-vocab", type=int, default=None)
-    p.add_argument("--source-vocab", type=int, default=None)
+    p.add_argument("--pivot-vocab", type=_vocab_size, default=None)
+    p.add_argument("--source-vocab", type=_vocab_size, default=None)
     p.add_argument("--vocab-map", default="proportional",
                    choices=["proportional", "argmax"])
     p.add_argument("--out-dir", required=True)

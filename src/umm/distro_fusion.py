@@ -340,11 +340,16 @@ def example_from_json_obj(obj: dict) -> FusionExample:
 
 def load_fusion_corpus(path) -> list:
     """JSONL of {"instruction", "gold", "pivot_rows", "source_aligned_rows"}
-    objects, one example per line; errors name ``path:lineno``."""
+    objects, one example per line, whose rows are all as wide as the first
+    example's; errors name ``path:lineno``."""
     corpus = []
     for lineno, obj in iter_jsonl(path):
         with located(f"{path}:{lineno}"):
-            corpus.append(example_from_json_obj(obj))
+            example = example_from_json_obj(obj)
+            if corpus and example.pivot_dist.vocab_size != corpus[0].pivot_dist.vocab_size:
+                raise ShapeMismatch(f"rows are {example.pivot_dist.vocab_size} wide, but the "
+                                    f"first example's are {corpus[0].pivot_dist.vocab_size}")
+            corpus.append(example)
     if not corpus:
         raise EmptySequence(f"{path} holds no fusion examples")
     return corpus

@@ -265,7 +265,10 @@ def make_evaluator(spec: dict):
         points = want_int(spec, "points", 64, where)
         if points < 1:
             raise bad("points", ">= 1", points)
-        return ToyRegressionEvaluator(targets, lo, hi, points)
+        try:
+            return ToyRegressionEvaluator(targets, lo, hi, points)
+        except MemoryError as exc:
+            raise bad("points", "small enough to allocate", points) from exc
     raise ValueError(f"{where}builtin must be toy-regression or l2-to-target when there is "
                      f"no command, got {reprlib.repr(builtin)}")
 
@@ -563,7 +566,11 @@ def run_search(config: SearchConfig, workdir, resume: bool = False) -> SearchRes
                                  f"history best_so_far, {history[-1]['best_so_far']!r}")
     else:
         best_genome = mean
-        state = cmaes_init(dim, best_genome, config.sigma0, pop_size=pop, seed=config.seed)
+        try:
+            state = cmaes_init(dim, best_genome, config.sigma0, pop_size=pop, seed=config.seed)
+        except MemoryError as exc:
+            raise ValueError(f"search config: pop_size must be small enough to allocate, "
+                             f"got {pop}") from exc
         best_fitness, invoked = score(start, "initial")
         evaluations = 1
         invocations = int(invoked)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import sys
 
 from dataclasses import dataclass, field
 
@@ -62,32 +61,30 @@ _MAX_COUNT = 2**53  # largest pair count; float64 (the vocab map) holds every in
 
 @dataclass
 class TokenSeq:
-    """One tokenization: ids with their surface strings."""
+    """One tokenization: ids with their surface strings.  Built only by
+    ``token_seq_from_json_obj``, which checks each id against its
+    vocabulary."""
 
     ids: list
     surfaces: list
-    vocab_size: int
-
-    def __post_init__(self) -> None:
-        self.vocab_size = int(self.vocab_size)
-        if len(self.ids) != len(self.surfaces):
-            raise LengthMismatch(
-                f"{len(self.ids)} ids but {len(self.surfaces)} surfaces"
-            )
-        if self.vocab_size < 1:
-            raise ValueError(f"vocab_size must be positive, got {self.vocab_size}")
-        for i in self.ids:
-            if not 0 <= i < self.vocab_size:
-                raise OutOfVocab(f"token id {i} outside [0, {self.vocab_size})")
 
     def __len__(self) -> int:
         return len(self.ids)
 
 
-def token_seq_from_json_obj(obj: dict, vocab_size: int, where: str = "") -> TokenSeq:
-    """A TokenSeq from a {"ids": [...], "surfaces": [...]} object."""
-    return TokenSeq(want_ints(obj, "ids", where=where), want_strs(obj, "surfaces", where=where),
-                    vocab_size)
+def token_seq_from_json_obj(obj: dict, vocab_size: int = None, where: str = "") -> TokenSeq:
+    """A TokenSeq from a {"ids": [...], "surfaces": [...]} object: as many
+    surfaces as ids, and each id >= 0 and, when ``vocab_size`` is given,
+    below it.  Errors name the field through ``where``."""
+    ids, surfaces = want_ints(obj, "ids", where=where), want_strs(obj, "surfaces", where=where)
+    if len(ids) != len(surfaces):
+        raise LengthMismatch(f"{where}ids holds {len(ids)} ids but {where}surfaces holds "
+                             f"{len(surfaces)} surfaces")
+    if ids and (min(ids) < 0 or vocab_size is not None and max(ids) >= vocab_size):
+        bad = next(i for i in ids if i < 0 or vocab_size is not None and i >= vocab_size)
+        need = "must be >= 0" if bad < 0 else f"outside [0, {vocab_size})"
+        raise OutOfVocab(f"token id {bad} in {where}ids {need}")
+    return TokenSeq(ids, surfaces)
 
 
 class SurfaceNormalizer:
@@ -328,40 +325,17 @@ def check_partition(segments: list, pivot_len: int, source_len: int) -> None:
 
 @dataclass
 class AlignStats:
-    """Co-occurrence counts of (pivot token id, source token id) pairs."""
+    """Co-occurrence counts of (pivot token id, source token id) pairs,
+    with the two vocab sizes as the transfer matrix's shape.  ``load_stats``
+    checks each counted pair of a file; ``update_stats`` counts only ids
+    that ``token_seq_from_json_obj`` checked."""
 
     pivot_vocab_size: int
     source_vocab_size: int
     counts: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self.pivot_vocab_size = int(self.pivot_vocab_size)
-        self.source_vocab_size = int(self.source_vocab_size)
-        if self.pivot_vocab_size < 1 or self.source_vocab_size < 1:
-            raise ValueError("vocab sizes must be positive")
-        for (p, s), c in self.counts.items():
-            if not 0 <= p < self.pivot_vocab_size:
-                raise OutOfVocab(f"pivot id {p} outside [0, {self.pivot_vocab_size})")
-            if not 0 <= s < self.source_vocab_size:
-                raise OutOfVocab(f"source id {s} outside [0, {self.source_vocab_size})")
-            if c < 1:
-                raise ValueError(f"count for ({p}, {s}) must be >= 1, got {c}")
-            if c > _MAX_COUNT:
-                raise ValueError(f"count for ({p}, {s}) must be at most 2**53, got {c}")
-
     def total(self) -> int:
         return sum(self.counts.values())
-
-
-def _require_vocabs(stats: AlignStats, pivot: TokenSeq, source: TokenSeq) -> None:
-    if pivot.vocab_size != stats.pivot_vocab_size:
-        raise ShapeMismatch(
-            f"pivot vocab {pivot.vocab_size} vs stats {stats.pivot_vocab_size}"
-        )
-    if source.vocab_size != stats.source_vocab_size:
-        raise ShapeMismatch(
-            f"source vocab {source.vocab_size} vs stats {stats.source_vocab_size}"
-        )
 
 
 def update_stats(stats: AlignStats, segments: list, pivot: TokenSeq,
@@ -372,7 +346,6 @@ def update_stats(stats: AlignStats, segments: list, pivot: TokenSeq,
     unknown, so counting their cross product would only add noise.
     Mutates and returns ``stats``.
     """
-    _require_vocabs(stats, pivot, source)
     for seg in segments:
         if seg.kind == MANY_MANY:
             continue
@@ -458,7 +431,6 @@ def project_distribution(src_dist: DistributionMatrix, segments: list,
             f"fallback rows over {pivot_fallback.vocab_size} tokens, "
             f"stats expect {stats.pivot_vocab_size}"
         )
-    _require_vocabs(stats, pivot, source)
     check_partition(segments, len(pivot), len(source))
 
     n_pivot = len(pivot)
@@ -494,26 +466,23 @@ def project_distribution(src_dist: DistributionMatrix, segments: list,
 
 # --- JSON-lines persistence -----------------------------------------------------
 
-def load_token_seqs(path, vocab_size: int = None) -> list:
-    """JSONL of {"ids": [...], "surfaces": [...]} objects.
+def load_token_seqs(path, vocab_size: int = None) -> tuple:
+    """(sequences, vocab size) from JSONL of {"ids": [...], "surfaces":
+    [...]} objects.
 
-    All sequences in a file share one vocabulary; when ``vocab_size``
-    is not given it is inferred as max id + 1 over the whole file and set
-    on every sequence after the single pass that checks each line.
-    Errors in a line name ``path:lineno``.
+    All sequences in a file share one vocabulary: ``vocab_size`` when it
+    is given, else max id + 1 over the whole file.  Errors in a line name
+    ``path:lineno``.
     """
-    line_vocab = sys.maxsize if vocab_size is None else vocab_size
     seqs = []
     for lineno, obj in iter_jsonl(path):
         with located(f"{path}:{lineno}"):
-            seqs.append(token_seq_from_json_obj(obj, line_vocab))
+            seqs.append(token_seq_from_json_obj(obj, vocab_size))
     if not seqs:
         raise EmptySequence(f"{path} holds no token sequences")
     if vocab_size is None:
         vocab_size = max((max(seq.ids) for seq in seqs if seq.ids), default=0) + 1
-        for seq in seqs:
-            seq.vocab_size = vocab_size
-    return seqs
+    return seqs, vocab_size
 
 
 def save_stats(stats: AlignStats, path) -> None:
@@ -531,8 +500,6 @@ def load_stats(path, pivot_vocab_size: int = None,
     Each id must be >= 0 and below its vocab size when that is given.
     Errors in a line name ``path:lineno``.
     """
-    p_end = sys.maxsize if pivot_vocab_size is None else pivot_vocab_size
-    s_end = sys.maxsize if source_vocab_size is None else source_vocab_size
     counts = {}
     for lineno, obj in iter_jsonl(path):
         try:  # not located(): a stats file has one line per counted pair
@@ -541,10 +508,13 @@ def load_stats(path, pivot_vocab_size: int = None,
                 raise MalformedInput(f"c must be at least 1, got {c}")
         except MalformedInput as exc:
             raise MalformedInput(f"{path}:{lineno}: bad stats line: {exc}") from exc
-        if not 0 <= p < p_end:
-            raise OutOfVocab(f"{path}:{lineno}: pivot id {p} outside [0, {p_end})")
-        if not 0 <= s < s_end:
-            raise OutOfVocab(f"{path}:{lineno}: source id {s} outside [0, {s_end})")
+        if p < 0 or s < 0:
+            side, token = ("pivot", p) if p < 0 else ("source", s)
+            raise OutOfVocab(f"{path}:{lineno}: {side} id {token} must be >= 0")
+        if pivot_vocab_size is not None and p >= pivot_vocab_size:
+            raise OutOfVocab(f"{path}:{lineno}: pivot id {p} outside [0, {pivot_vocab_size})")
+        if source_vocab_size is not None and s >= source_vocab_size:
+            raise OutOfVocab(f"{path}:{lineno}: source id {s} outside [0, {source_vocab_size})")
         total = counts[(p, s)] = counts.get((p, s), 0) + c
         if total > _MAX_COUNT:
             raise MalformedInput(f"{path}:{lineno}: bad stats line: count for ({p}, {s}) "

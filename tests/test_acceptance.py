@@ -238,7 +238,7 @@ NORM = SurfaceNormalizer()
 
 
 def _seq(symbols):
-    return TokenSeq(list(symbols), [ALPHABET[i] for i in symbols], len(ALPHABET))
+    return TokenSeq(list(symbols), [ALPHABET[i] for i in symbols])
 
 
 def _check_optimal(pa, pb):
@@ -260,8 +260,8 @@ def test_05_alignment_identity_split_and_optimality():
         # every source token splits into exactly two pivot tokens
         words = [("hel", "lo"), ("ca", "t"), ("mer", "ge"), ("to", "ken")]
         for first, second in words:
-            pivot = TokenSeq([0, 1], [first, second], 2)
-            source = TokenSeq([0], [first + second], 1)
+            pivot = TokenSeq([0, 1], [first, second])
+            source = TokenSeq([0], [first + second])
             kinds = kind_histogram(align_sequences(pivot, source, NORM))
             assert kinds == {"one_one": 0, "one_many": 0,
                              "many_one": 1, "many_many": 0}
@@ -302,12 +302,10 @@ def test_06_projection_rows_normalized_and_identity_exact():
             pivot = TokenSeq(
                 rng.integers(0, pivot_vocab, lp).tolist(),
                 [SURFACE_POOL[i] for i in rng.integers(0, len(SURFACE_POOL), lp)],
-                pivot_vocab,
             )
             source = TokenSeq(
                 rng.integers(0, source_vocab, ls).tolist(),
                 [SURFACE_POOL[i] for i in rng.integers(0, len(SURFACE_POOL), ls)],
-                source_vocab,
             )
             segments = align_sequences(pivot, source, NORM)
             stats = update_stats(AlignStats(pivot_vocab, source_vocab),
@@ -322,7 +320,7 @@ def test_06_projection_rows_normalized_and_identity_exact():
 
         # aligning a sequence with itself gives identity statistics, and
         # projecting through them must reproduce the input bitwise
-        seq = TokenSeq([0, 3, 1, 5, 2, 4], ["ab", "b", "ca", "abc", "b", "ab"], 6)
+        seq = TokenSeq([0, 3, 1, 5, 2, 4], ["ab", "b", "ca", "abc", "b", "ab"])
         segments = align_sequences(seq, seq, NORM)
         stats = update_stats(AlignStats(6, 6), segments, seq, seq)
         dist = DistributionMatrix(rng.dirichlet(np.ones(6), size=len(seq)))

@@ -126,6 +126,17 @@ def test_model_flag_without_equals_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["align-stats", "fuse-targets"])
+@pytest.mark.parametrize("flag", ["--pivot-vocab", "--source-vocab"])
+def test_a_vocab_flag_below_1_is_a_usage_error_naming_the_flag(capsys, command, flag):
+    inputs = {"align-stats": ["--pivot", "p", "--source", "s", "--out", "o"],
+              "fuse-targets": ["--examples", "e", "--stats", "s", "--out-dir", "o"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command] + inputs + [flag, "0"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be an integer >= 1, got '0'" in capsys.readouterr().err
+
+
 # --- merge -----------------------------------------------------------------------
 
 
@@ -742,10 +753,12 @@ def test_a_search_guard_exits_1_without_a_traceback(tmp_path, expert_dir, capsys
             "EvaluatorFailed: cannot run evaluator"),
         # 10**16 float64 entries are past any 64-bit address space, so the
         # allocation fails at once and no memory is touched
-        "pop-size-past-memory": ({"pop_size": 10**16}, [], "MemoryError: Unable to allocate"),
+        "pop-size-past-memory": (
+            {"pop_size": 10**16}, [],
+            "ValueError: search config: pop_size must be small enough to allocate"),
         "points-past-memory": (
             {"evaluator": {"builtin": "toy-regression", "points": 10**16}}, [],
-            "MemoryError: Unable to allocate"),
+            "ValueError: search config: evaluator.points must be small enough to allocate"),
     }[case]
     write_json(tmp_path / "config.json",
                dict(search_config_obj(expert_dir, iterations=0), **changes))
@@ -1080,6 +1093,36 @@ def test_align_stats_empty_sequence_names_the_pair(tmp_path, capsys):
     assert_one_located_error(code, err, "EmptySequence: pair 1: ")
 
 
+def test_align_stats_id_at_the_vocab_flag_names_path_and_line(tmp_path, capsys):
+    lines = token_lines_identical()
+    write_jsonl(tmp_path / "pivot.jsonl", lines)
+    write_jsonl(tmp_path / "source.jsonl", lines)
+    code, _, err = run_cli(
+        ["align-stats", "--pivot", str(tmp_path / "pivot.jsonl"),
+         "--source", str(tmp_path / "source.jsonl"), "--pivot-vocab", "3",
+         "--out", str(tmp_path / "stats.jsonl")],
+        capsys,
+    )
+    assert_one_located_error(code, err, f"{tmp_path / 'pivot.jsonl'}:3: token id 3 ")
+    assert "outside [0, 3)" in err
+
+
+def test_align_stats_negative_id_without_a_vocab_flag_says_it_must_be_non_negative(
+        tmp_path, capsys):
+    lines = token_lines_identical()
+    write_jsonl(tmp_path / "pivot.jsonl", lines)
+    write_jsonl(tmp_path / "source.jsonl", [lines[0], {"ids": [1, -1], "surfaces": ["a", "b"]},
+                                            lines[2]])
+    code, _, err = run_cli(
+        ["align-stats", "--pivot", str(tmp_path / "pivot.jsonl"),
+         "--source", str(tmp_path / "source.jsonl"), "--out", str(tmp_path / "stats.jsonl")],
+        capsys,
+    )
+    assert_one_located_error(code, err, f"{tmp_path / 'source.jsonl'}:2: token id -1 in ids "
+                                         "must be >= 0")
+    assert str(sys.maxsize) not in err
+
+
 # --- fuse-targets ----------------------------------------------------------------
 
 
@@ -1175,6 +1218,21 @@ def test_fuse_targets_scalar_ids_name_the_example(tmp_path, capsys):
     write_jsonl(tmp_path / "raw.jsonl", raw)
     code, _, err = run_cli(fuse_args(tmp_path), capsys)
     assert_one_located_error(code, err, "example 1:")
+
+
+@pytest.mark.parametrize("side,bad_id,message", [
+    ("source", 7, "token id 7 in source.ids outside [0, 4)"),
+    ("pivot", -2, "token id -2 in pivot.ids must be >= 0"),
+], ids=["source-too-large", "pivot-negative"])
+def test_fuse_targets_out_of_vocab_id_names_the_example_and_field(tmp_path, capsys, side,
+                                                                  bad_id, message):
+    raw = fuse_fixture(tmp_path, capsys,
+                       source_rows_for=lambda ids: [[0.25] * 4 for _ in ids])
+    ids = raw[1][side]["ids"]  # pivot and source share this list
+    raw[1][side] = dict(raw[1][side], ids=ids[:-1] + [bad_id])
+    write_jsonl(tmp_path / "raw.jsonl", raw)
+    code, _, err = run_cli(fuse_args(tmp_path), capsys)
+    assert_one_located_error(code, err, f"{tmp_path / 'raw.jsonl'}:2: example 1: {message}")
 
 
 def test_fuse_targets_scalar_instruction_names_the_example(tmp_path, capsys):
@@ -1425,6 +1483,20 @@ def test_toy_train_malformed_rows_name_path_and_line(tmp_path, capsys, bad_rows)
         capsys,
     )
     assert_one_located_error(code, err, f"{tmp_path / 'corpus.jsonl'}:3:")
+
+
+def test_toy_train_rows_wider_than_the_first_examples_name_path_and_line(tmp_path, capsys):
+    corpus = small_corpus()
+    corpus[1] = small_corpus(vocab=5)[1]
+    write_fusion_corpus(corpus, tmp_path / "corpus.jsonl")
+    code, _, err = run_cli(
+        ["toy-train", "--corpus", str(tmp_path / "corpus.jsonl"),
+         "--lambda", "0.5", "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert_one_located_error(code, err, f"{tmp_path / 'corpus.jsonl'}:2: rows are 5 wide, "
+                                         "but the first example's are 4")
+    assert not (tmp_path / "run").exists()
 
 
 # --- inspect ---------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Every public name and every private module-level name in src/umm must
 be reached by something that runs, only ``tensor_store.publish`` writes a
 file, each kind of input file is opened by one call, only the config
-reader builds a search config, no number a JSON number reader returned is
+reader builds a search config, only the token reader builds a token
+sequence in the library, no number a JSON number reader returned is
 checked for finiteness again, no class defines a ``validate`` method, no
 context manager is entered by hand, every JSON decode catches too deep a
 nesting, and importing the command line leaves scipy unloaded.
@@ -172,6 +173,17 @@ def test_only_the_config_reader_builds_a_search_config():
         if _callee(call) == "SearchConfig"
     )
     assert builders == {"evo_search.config_from_json_obj": 1}, builders
+
+
+def test_only_the_token_reader_builds_a_token_seq():
+    """``token_align.token_seq_from_json_obj`` checks each token id against
+    its vocabulary, so the library counts and projects ids unchecked only
+    while nothing else in it calls ``TokenSeq(...)``."""
+    builders = collections.Counter(
+        scope for path in LIBRARY for scope, call in _scoped_calls(_parse(path), path.stem)
+        if _callee(call) == "TokenSeq"
+    )
+    assert builders == {"token_align.token_seq_from_json_obj": 1}, builders
 
 
 def test_no_class_defines_a_validate_method():

@@ -35,6 +35,7 @@ from umm.token_align import (
     project_distribution,
     save_stats,
     substitution_costs,
+    token_seq_from_json_obj,
     update_stats,
     _SEED_BLOCK_CELLS,
     _transfer_matrix,
@@ -54,31 +55,33 @@ from reference_impls import (
 ALPHABET = ("ab", "b", "ca")
 
 
-def seq(surfaces, vocab_size=None, ids=None):
+def seq(surfaces, ids=None):
     if ids is None:
         ids = [ALPHABET.index(s) if s in ALPHABET else 0 for s in surfaces]
-    if vocab_size is None:
-        vocab_size = max(ids, default=0) + 1
-    return TokenSeq(ids=ids, surfaces=list(surfaces), vocab_size=vocab_size)
+    return TokenSeq(ids=ids, surfaces=list(surfaces))
 
 
 def random_seq(rng, length):
     ids = [int(rng.integers(0, len(ALPHABET))) for _ in range(length)]
-    return TokenSeq(ids=ids, surfaces=[ALPHABET[i] for i in ids], vocab_size=len(ALPHABET))
+    return TokenSeq(ids=ids, surfaces=[ALPHABET[i] for i in ids])
 
 
 # --- domain types -----------------------------------------------------------
 
 def test_token_seq_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        TokenSeq(ids=[1, 2], surfaces=["a"], vocab_size=3)
+    with pytest.raises(LengthMismatch, match=re.escape("source.ids holds 2 ids but "
+                                                       "source.surfaces holds 1 surfaces")):
+        token_seq_from_json_obj({"ids": [1, 2], "surfaces": ["a"]}, 3, "source.")
 
 
 def test_token_seq_id_out_of_vocab():
-    with pytest.raises(OutOfVocab):
-        TokenSeq(ids=[3], surfaces=["a"], vocab_size=3)
-    with pytest.raises(OutOfVocab):
-        TokenSeq(ids=[-1], surfaces=["a"], vocab_size=3)
+    with pytest.raises(OutOfVocab, match=re.escape("token id 3 in source.ids outside [0, 3)")):
+        token_seq_from_json_obj({"ids": [0, 3], "surfaces": ["a", "b"]}, 3, "source.")
+    with pytest.raises(OutOfVocab, match=re.escape("token id -1 in ids must be >= 0")):
+        token_seq_from_json_obj({"ids": [0, -1, 5], "surfaces": ["a", "b", "c"]}, 3)
+    with pytest.raises(OutOfVocab, match=re.escape("token id -2 in ids must be >= 0")):
+        token_seq_from_json_obj({"ids": [-2], "surfaces": ["a"]})
+    assert token_seq_from_json_obj({"ids": [7], "surfaces": ["a"]}).ids == [7]
 
 
 def test_segment_kind_must_match_spans():
@@ -149,8 +152,8 @@ def test_identical_sequences_all_one_one():
 
 
 def test_split_word_pair_is_many_one():
-    pivot = TokenSeq(ids=[0, 1], surfaces=["hel", "lo"], vocab_size=2)
-    source = TokenSeq(ids=[0], surfaces=["hello"], vocab_size=1)
+    pivot = TokenSeq(ids=[0, 1], surfaces=["hel", "lo"])
+    source = TokenSeq(ids=[0], surfaces=["hello"])
     segments = align_sequences(pivot, source)
     assert len(segments) == 1
     assert segments[0].pivot_span == (0, 2)
@@ -159,8 +162,8 @@ def test_split_word_pair_is_many_one():
 
 
 def test_unsynchronized_boundaries_become_many_many():
-    pivot = TokenSeq(ids=[0, 1, 2], surfaces=["A", "BC", "D"], vocab_size=3)
-    source = TokenSeq(ids=[0, 1], surfaces=["AB", "CD"], vocab_size=2)
+    pivot = TokenSeq(ids=[0, 1, 2], surfaces=["A", "BC", "D"])
+    source = TokenSeq(ids=[0, 1], surfaces=["AB", "CD"])
     segments = align_sequences(pivot, source)
     assert len(segments) == 1
     assert segments[0].pivot_span == (0, 3)
@@ -169,7 +172,7 @@ def test_unsynchronized_boundaries_become_many_many():
 
 
 def test_align_empty_raises():
-    empty = TokenSeq(ids=[], surfaces=[], vocab_size=1)
+    empty = TokenSeq(ids=[], surfaces=[])
     full = seq(["ab"])
     with pytest.raises(EmptySequence):
         align_sequences(empty, full)
@@ -178,8 +181,8 @@ def test_align_empty_raises():
 
 
 def test_markers_change_costs():
-    pivot = TokenSeq(ids=[0], surfaces=["▁hello"], vocab_size=1)
-    source = TokenSeq(ids=[0], surfaces=["hello"], vocab_size=1)
+    pivot = TokenSeq(ids=[0], surfaces=["▁hello"])
+    source = TokenSeq(ids=[0], surfaces=["hello"])
     assert alignment_cost(pivot, source) == 0.0
     assert alignment_cost(pivot, source, SurfaceNormalizer(markers=())) > 0.0
 
@@ -206,8 +209,8 @@ TIE_SURFACES = ("", "▁", "Ġ▁", "ab", "b", "ca", "abc", "▁ab", "Ġca", "é
 
 
 def assert_matches_scalar_dp(pivot_surfaces, source_surfaces):
-    pivot = TokenSeq(list(range(len(pivot_surfaces))), pivot_surfaces, len(pivot_surfaces))
-    source = TokenSeq(list(range(len(source_surfaces))), source_surfaces, len(source_surfaces))
+    pivot = TokenSeq(list(range(len(pivot_surfaces))), pivot_surfaces)
+    source = TokenSeq(list(range(len(source_surfaces))), source_surfaces)
     norm = SurfaceNormalizer()
     moves, cost = ref_align_moves([norm.normalize(s) for s in pivot_surfaces],
                                   [norm.normalize(s) for s in source_surfaces])
@@ -249,8 +252,8 @@ def test_substitution_costs_working_set_is_bounded(rng):
     def surfaces():
         return ["".join(rng.choice(letters, size=int(rng.integers(12, 17)))) for _ in range(n)]
 
-    pivot = TokenSeq(list(range(n)), surfaces(), n)
-    source = TokenSeq(list(range(n)), surfaces(), n)
+    pivot = TokenSeq(list(range(n)), surfaces())
+    source = TokenSeq(list(range(n)), surfaces())
     assert len(set(pivot.surfaces)) == len(set(source.surfaces)) == n
     # the float64 cost table, the int8 move table and the float64 matrix
     # of substitution costs; distances of all 1500 x 1500 pairs at once
@@ -289,8 +292,8 @@ def test_alignment_working_set_holds_no_move_table(rng):
     def surfaces():
         return ["".join(rng.choice(letters, size=int(rng.integers(12, 17)))) for _ in range(n)]
 
-    pivot = TokenSeq(list(range(n)), surfaces(), n)
-    source = TokenSeq(list(range(n)), surfaces(), n)
+    pivot = TokenSeq(list(range(n)), surfaces())
+    source = TokenSeq(list(range(n)), surfaces())
     assert len(set(pivot.surfaces)) == len(set(source.surfaces)) == n
     # the float64 cost table and the float64 matrix of substitution
     # costs; an int8 move table would add 2.15 MiB
@@ -313,8 +316,8 @@ def test_kind_histogram():
 # --- statistics ---------------------------------------------------------------
 
 def test_update_stats_one_one():
-    pivot = TokenSeq(ids=[7], surfaces=["x"], vocab_size=8)
-    source = TokenSeq(ids=[3], surfaces=["x"], vocab_size=4)
+    pivot = TokenSeq(ids=[7], surfaces=["x"])
+    source = TokenSeq(ids=[3], surfaces=["x"])
     stats = AlignStats(8, 4)
     segments = [AlignmentSegment((0, 1), (0, 1))]
     update_stats(stats, segments, pivot, source)
@@ -322,8 +325,8 @@ def test_update_stats_one_one():
 
 
 def test_update_stats_one_many_cross_product():
-    pivot = TokenSeq(ids=[7], surfaces=["xy"], vocab_size=8)
-    source = TokenSeq(ids=[3, 9], surfaces=["x", "y"], vocab_size=10)
+    pivot = TokenSeq(ids=[7], surfaces=["xy"])
+    source = TokenSeq(ids=[3, 9], surfaces=["x", "y"])
     stats = AlignStats(8, 10)
     segments = [AlignmentSegment((0, 1), (0, 2))]
     update_stats(stats, segments, pivot, source)
@@ -331,8 +334,8 @@ def test_update_stats_one_many_cross_product():
 
 
 def test_update_stats_many_many_skipped():
-    pivot = TokenSeq(ids=[0, 1], surfaces=["a", "b"], vocab_size=2)
-    source = TokenSeq(ids=[0, 1], surfaces=["c", "d"], vocab_size=2)
+    pivot = TokenSeq(ids=[0, 1], surfaces=["a", "b"])
+    source = TokenSeq(ids=[0, 1], surfaces=["c", "d"])
     stats = AlignStats(2, 2)
     segments = [AlignmentSegment((0, 2), (0, 2))]
     update_stats(stats, segments, pivot, source)
@@ -340,18 +343,11 @@ def test_update_stats_many_many_skipped():
 
 
 def test_update_stats_repeated_ids_accumulate():
-    pivot = TokenSeq(ids=[5, 5], surfaces=["a", "a"], vocab_size=6)
-    source = TokenSeq(ids=[2], surfaces=["aa"], vocab_size=3)
+    pivot = TokenSeq(ids=[5, 5], surfaces=["a", "a"])
+    source = TokenSeq(ids=[2], surfaces=["aa"])
     stats = AlignStats(6, 3)
     update_stats(stats, [AlignmentSegment((0, 2), (0, 1))], pivot, source)
     assert stats.counts == {(5, 2): 2}
-
-
-def test_update_stats_vocab_mismatch():
-    pivot = TokenSeq(ids=[0], surfaces=["a"], vocab_size=1)
-    source = TokenSeq(ids=[0], surfaces=["a"], vocab_size=1)
-    with pytest.raises(ShapeMismatch):
-        update_stats(AlignStats(2, 1), [], pivot, source)
 
 
 def test_stats_order_independent(rng):
@@ -369,15 +365,6 @@ def test_stats_order_independent(rng):
     assert forward.counts == backward.counts
 
 
-def test_stats_validation():
-    with pytest.raises(ValueError):
-        AlignStats(2, 2, {(0, 0): 0})
-    with pytest.raises(OutOfVocab):
-        AlignStats(2, 2, {(2, 0): 1})
-    with pytest.raises(OutOfVocab):
-        AlignStats(2, 2, {(0, 5): 1})
-
-
 # --- projection ----------------------------------------------------------------
 
 def identity_setup(vocab, n):
@@ -385,7 +372,7 @@ def identity_setup(vocab, n):
     rows = rng.dirichlet(np.ones(vocab), size=n)
     ids = [int(rng.integers(0, vocab)) for _ in range(n)]
     surfaces = [f"t{i}" for i in ids]
-    tokens = TokenSeq(ids=ids, surfaces=surfaces, vocab_size=vocab)
+    tokens = TokenSeq(ids=ids, surfaces=surfaces)
     stats = AlignStats(vocab, vocab, {(v, v): 1 for v in range(vocab)})
     segments = [AlignmentSegment((i, i + 1), (i, i + 1)) for i in range(n)]
     fallback = DistributionMatrix(np.full((n, vocab), 1.0 / vocab))
@@ -401,8 +388,8 @@ def test_projection_identity_is_exact():
 def test_projection_hand_example():
     # pivot vocab {x=0, y=1}, source vocab {a=0, b=1}
     stats = AlignStats(2, 2, {(0, 0): 3, (1, 0): 1, (1, 1): 2})
-    pivot = TokenSeq(ids=[0], surfaces=["x"], vocab_size=2)
-    source = TokenSeq(ids=[0], surfaces=["a"], vocab_size=2)
+    pivot = TokenSeq(ids=[0], surfaces=["x"])
+    source = TokenSeq(ids=[0], surfaces=["a"])
     src = DistributionMatrix(np.array([[0.8, 0.2]]))
     fallback = DistributionMatrix(np.array([[0.5, 0.5]]))
     segments = [AlignmentSegment((0, 1), (0, 1))]
@@ -413,8 +400,8 @@ def test_projection_hand_example():
 def test_projection_zero_mass_falls_back():
     # all of the source row's mass sits on token 1, which has no counts
     stats = AlignStats(2, 2, {(0, 0): 4})
-    pivot = TokenSeq(ids=[0], surfaces=["x"], vocab_size=2)
-    source = TokenSeq(ids=[1], surfaces=["q"], vocab_size=2)
+    pivot = TokenSeq(ids=[0], surfaces=["x"])
+    source = TokenSeq(ids=[1], surfaces=["q"])
     src = DistributionMatrix(np.array([[0.0, 1.0]]))
     fallback = DistributionMatrix(np.array([[0.25, 0.75]]))
     segments = [AlignmentSegment((0, 1), (0, 1))]
@@ -424,8 +411,8 @@ def test_projection_zero_mass_falls_back():
 
 def test_projection_many_many_falls_back():
     stats = AlignStats(3, 3, {(v, v): 1 for v in range(3)})
-    pivot = TokenSeq(ids=[0, 1], surfaces=["a", "b"], vocab_size=3)
-    source = TokenSeq(ids=[1, 2], surfaces=["c", "d"], vocab_size=3)
+    pivot = TokenSeq(ids=[0, 1], surfaces=["a", "b"])
+    source = TokenSeq(ids=[1, 2], surfaces=["c", "d"])
     src = DistributionMatrix(np.full((2, 3), 1.0 / 3))
     fallback = DistributionMatrix(np.array([[0.6, 0.2, 0.2], [0.1, 0.1, 0.8]]))
     segments = [AlignmentSegment((0, 2), (0, 2))]
@@ -436,8 +423,8 @@ def test_projection_many_many_falls_back():
 def test_projection_one_many_picks_max_frequency_row():
     # pivot token 0 pairs with source token 2 most often
     stats = AlignStats(1, 3, {(0, 1): 1, (0, 2): 5})
-    pivot = TokenSeq(ids=[0], surfaces=["xy"], vocab_size=1)
-    source = TokenSeq(ids=[1, 2], surfaces=["x", "y"], vocab_size=3)
+    pivot = TokenSeq(ids=[0], surfaces=["xy"])
+    source = TokenSeq(ids=[1, 2], surfaces=["x", "y"])
     src = DistributionMatrix(np.array([[0.9, 0.05, 0.05], [0.1, 0.2, 0.7]]))
     fallback = DistributionMatrix(np.array([[1.0]]))
     segments = [AlignmentSegment((0, 1), (0, 2))]
@@ -448,8 +435,8 @@ def test_projection_one_many_picks_max_frequency_row():
 
 def test_projection_one_many_tie_prefers_leftmost():
     stats = AlignStats(2, 2, {(0, 0): 2, (0, 1): 2, (1, 0): 1, (1, 1): 1})
-    pivot = TokenSeq(ids=[0], surfaces=["xy"], vocab_size=2)
-    source = TokenSeq(ids=[0, 1], surfaces=["x", "y"], vocab_size=2)
+    pivot = TokenSeq(ids=[0], surfaces=["xy"])
+    source = TokenSeq(ids=[0, 1], surfaces=["x", "y"])
     src = DistributionMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]))
     fallback = DistributionMatrix(np.array([[0.5, 0.5]]))
     segments = [AlignmentSegment((0, 1), (0, 2))]
@@ -462,8 +449,8 @@ def test_projection_one_many_tie_prefers_leftmost():
 
 def test_projection_many_one_copies_single_row():
     stats = AlignStats(2, 2, {(0, 0): 1, (1, 0): 1, (1, 1): 1, (0, 1): 1})
-    pivot = TokenSeq(ids=[0, 1], surfaces=["he", "llo"], vocab_size=2)
-    source = TokenSeq(ids=[0], surfaces=["hello"], vocab_size=2)
+    pivot = TokenSeq(ids=[0, 1], surfaces=["he", "llo"])
+    source = TokenSeq(ids=[0], surfaces=["hello"])
     src = DistributionMatrix(np.array([[0.3, 0.7]]))
     fallback = DistributionMatrix(np.full((2, 2), 0.5))
     segments = [AlignmentSegment((0, 2), (0, 1))]
@@ -475,8 +462,8 @@ def test_projection_many_one_copies_single_row():
 
 def test_projection_argmax_mode_concentrates_mass():
     stats = AlignStats(2, 2, {(0, 0): 3, (1, 0): 1, (1, 1): 2})
-    pivot = TokenSeq(ids=[0], surfaces=["x"], vocab_size=2)
-    source = TokenSeq(ids=[0], surfaces=["a"], vocab_size=2)
+    pivot = TokenSeq(ids=[0], surfaces=["x"])
+    source = TokenSeq(ids=[0], surfaces=["a"])
     src = DistributionMatrix(np.array([[0.8, 0.2]]))
     fallback = DistributionMatrix(np.array([[0.5, 0.5]]))
     segments = [AlignmentSegment((0, 1), (0, 1))]
@@ -575,8 +562,8 @@ def test_projection_matches_scalar_reference_bit_for_bit():
     for _ in range(2000):
         case = random_projection_case(rng)
         spans, counts, pivot_ids, source_ids, pv, sv, src, fallback, vocab_map = case
-        pivot = TokenSeq(ids=pivot_ids, surfaces=["p"] * len(pivot_ids), vocab_size=pv)
-        source = TokenSeq(ids=source_ids, surfaces=["s"] * len(source_ids), vocab_size=sv)
+        pivot = TokenSeq(ids=pivot_ids, surfaces=["p"] * len(pivot_ids))
+        source = TokenSeq(ids=source_ids, surfaces=["s"] * len(source_ids))
         segments = [AlignmentSegment((p0, p1), (s0, s1)) for p0, p1, s0, s1 in spans]
         projected = project_distribution(
             DistributionMatrix(src), segments, AlignStats(pv, sv, dict(counts)), pivot, source,
@@ -666,7 +653,8 @@ def test_token_seq_jsonl_round_trip(tmp_path):
     path.write_text("".join(
         json.dumps({"ids": s.ids, "surfaces": s.surfaces}) + "\n" for s in seqs
     ))
-    loaded = load_token_seqs(path, vocab_size=len(ALPHABET))
+    loaded, vocab_size = load_token_seqs(path, vocab_size=len(ALPHABET))
+    assert vocab_size == len(ALPHABET)
     assert [s.ids for s in loaded] == [s.ids for s in seqs]
     assert [s.surfaces for s in loaded] == [s.surfaces for s in seqs]
 
@@ -674,8 +662,8 @@ def test_token_seq_jsonl_round_trip(tmp_path):
 def test_token_seq_jsonl_infers_vocab(tmp_path):
     path = tmp_path / "tokens.jsonl"
     path.write_text('{"ids": [0, 4], "surfaces": ["a", "b"]}\n')
-    loaded = load_token_seqs(path)
-    assert loaded[0].vocab_size == 5
+    loaded, vocab_size = load_token_seqs(path)
+    assert vocab_size == 5 and loaded[0].ids == [0, 4]
 
 
 @pytest.mark.parametrize("vocab_size", [None, len(ALPHABET)], ids=["inferred", "given"])
@@ -691,9 +679,9 @@ def test_token_seq_jsonl_checks_each_line_once(tmp_path, monkeypatch, vocab_size
              {"ids": [], "surfaces": []}]
     path = tmp_path / "tokens.jsonl"
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
-    loaded = load_token_seqs(path, vocab_size=vocab_size)
+    loaded, size = load_token_seqs(path, vocab_size=vocab_size)
     assert calls == [line["ids"] for line in lines]
-    assert [seq.vocab_size for seq in loaded] == [3] * 3
+    assert len(loaded) == 3 and size == 3
 
 
 def test_token_seq_jsonl_negative_id_names_the_line(tmp_path):
@@ -766,8 +754,8 @@ def test_stats_jsonl_rejects_non_integers(tmp_path, line):
 @pytest.mark.parametrize("line, sizes, message", [
     ({"p": 9, "s": 1, "c": 1}, (2, 2), "pivot id 9 outside [0, 2)"),
     ({"p": 1, "s": 2, "c": 1}, (2, 2), "source id 2 outside [0, 2)"),
-    ({"p": -1, "s": 0, "c": 1}, (None, None), "pivot id -1 outside [0, "),
-    ({"p": 0, "s": -3, "c": 1}, (None, 2), "source id -3 outside [0, "),
+    ({"p": -1, "s": 0, "c": 1}, (None, None), "pivot id -1 must be >= 0"),
+    ({"p": 0, "s": -3, "c": 1}, (None, 2), "source id -3 must be >= 0"),
 ], ids=["pivot-too-large", "source-too-large", "pivot-negative", "source-negative"])
 def test_stats_jsonl_out_of_vocab_id_names_the_line(tmp_path, line, sizes, message):
     path = tmp_path / "stats.jsonl"
