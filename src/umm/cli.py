@@ -17,6 +17,7 @@ from pathlib import Path
 from umm.distro_fusion import (
     DistributionMatrix,
     FusionExample,
+    check_ids,
     init_toy_model,
     load_fusion_corpus,
     mince_fuse,
@@ -173,6 +174,8 @@ def cmd_fuse_targets(args) -> dict:
                                             "pivot.")
             source = token_seq_from_json_obj(want_object(obj, "source"), stats.source_vocab_size,
                                              "source.")
+            instruction = want_ints(obj, "instruction", [])
+            check_ids("instruction", instruction, stats.pivot_vocab_size)
             pivot_dist = DistributionMatrix(want_list(obj, "pivot_rows"))
             source_dist = DistributionMatrix(want_list(obj, "source_rows"))
             segments = align_sequences(pivot, source, norm)
@@ -181,7 +184,7 @@ def cmd_fuse_targets(args) -> dict:
                 pivot_fallback=pivot_dist, vocab_map=args.vocab_map,
             )
             example = FusionExample(
-                instruction=want_ints(obj, "instruction", []),
+                instruction=instruction,
                 gold=pivot.ids,
                 pivot_dist=pivot_dist,
                 source_dist_aligned=projected,

@@ -330,12 +330,16 @@ def example_from_json_obj(obj: dict) -> FusionExample:
         pivot_dist=DistributionMatrix(want_list(obj, "pivot_rows")),
         source_dist_aligned=DistributionMatrix(want_list(obj, "source_aligned_rows")),
     )
-    vocab = example.pivot_dist.vocab_size
-    for what, ids in (("gold", example.gold), ("instruction", example.instruction[-1:])):
-        bad = next((t for t in ids if not 0 <= t < vocab), None)
-        if bad is not None:
-            raise OutOfVocab(f"{what} id {bad} outside [0, {vocab})")
+    check_ids("gold", example.gold, example.pivot_dist.vocab_size)
+    check_ids("instruction", example.instruction[-1:], example.pivot_dist.vocab_size)
     return example
+
+
+def check_ids(what: str, ids: list, vocab: int) -> None:
+    """OutOfVocab naming ``what`` and the first id outside [0, vocab)."""
+    bad = next((t for t in ids if not 0 <= t < vocab), None)
+    if bad is not None:
+        raise OutOfVocab(f"{what} id {bad} outside [0, {vocab})")
 
 
 def load_fusion_corpus(path) -> list:

@@ -9,6 +9,7 @@ range are rejected by field."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -20,6 +21,7 @@ from umm.errors import IoFailure, MalformedInput
 _REQUIRED = object()
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, surrogate-escaped
 _NUMBER = (int, float)
+_BLOCK_CHARS = 1 << 16  # a few thousand short lines: one block in memory, not the file
 
 
 def read_json(path):
@@ -32,7 +34,7 @@ def read_json(path):
         raise IoFailure(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def iter_jsonl(path) -> Iterator:
+def iter_jsonl(path, take_block=None) -> Iterator:
     """Yield (lineno, obj) for each non-blank line of a JSON-lines file.
 
     The file is opened once and read in one pass.  Line numbers count
@@ -40,9 +42,16 @@ def iter_jsonl(path) -> Iterator:
     a lone surrogate, so only a line that is not ASCII is searched for
     one.  A line that is not UTF-8, or not JSON, raises IoFailure naming
     ``path:lineno`` once the lines before it are yielded.
+
+    With ``take_block``, the file is read in blocks of whole lines, about
+    ``_BLOCK_CHARS`` characters each, and each block's text goes first to
+    ``take_block(text)``.  A block it takes (returns True for) yields
+    nothing; the lines of any other block are decoded and yielded as
+    above, each before the next block is read.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
+        lines = enumerate(fh, 1) if take_block is None else _untaken_lines(fh, take_block)
+        for lineno, line in lines:
             bad = not line.isascii() and _ESCAPED_BYTE.search(line)
             if bad:
                 byte = ord(bad.group()) - 0xDC00
@@ -54,6 +63,17 @@ def iter_jsonl(path) -> Iterator:
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise IoFailure(f"{path}:{lineno}: not JSON: {exc}") from exc
             yield lineno, obj
+
+
+def _untaken_lines(fh, take_block) -> Iterator:
+    """(lineno, line) for each line of ``fh``'s blocks that ``take_block``
+    did not take."""
+    lineno = 1
+    while text := fh.read(_BLOCK_CHARS) + fh.readline():
+        if not take_block(text):
+            # split on "\n" only, as the file's own line iterator does
+            yield from enumerate(io.StringIO(text), lineno)
+        lineno += text.count("\n")
 
 
 def _reader(kind: str, types: tuple, items: tuple = None):

@@ -27,8 +27,9 @@ segments as it walks and returns them, not a move list.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
+import re
 
 from dataclasses import dataclass, field
 
@@ -57,6 +58,13 @@ GAP_COST = 1.0
 MIN_MAPPED_MASS = 1e-6
 DEFAULT_MARKERS = ("▁", "Ġ")  # SentencePiece and byte-BPE word starts
 _MAX_COUNT = 2**53  # largest pair count; float64 (the vocab map) holds every int up to it
+# save_stats' line, spelt as json.dumps spells it; load_stats reads this form in blocks
+_STATS_LINE = '{{"p": {}, "s": {}, "c": {}}}\n'
+# a block of _STATS_LINE lines whose numbers are canonical JSON integers of at
+# most 16 digits, so each fits an int64 and a count just past 2**53 is seen
+_STATS_BLOCK = re.compile("(?:%s)*" % "(?:0|[1-9][0-9]{0,15})".join(
+    map(re.escape, _STATS_LINE.format(*"\0\0\0").split("\0"))))
+_NOT_DIGITS = str.maketrans(dict.fromkeys(_STATS_LINE.format("", "", ""), " "))
 
 
 @dataclass
@@ -489,7 +497,27 @@ def save_stats(stats: AlignStats, path) -> None:
     """JSONL, one {"p", "s", "c"} object per counted pair, sorted."""
     with publish(path, text=True) as fh:
         for (p, s) in sorted(stats.counts):
-            fh.write(json.dumps({"p": p, "s": s, "c": stats.counts[(p, s)]}) + "\n")
+            fh.write(_STATS_LINE.format(p, s, stats.counts[(p, s)]))
+
+
+def _take_stats_block(counts: dict, pivot_vocab_size, source_vocab_size, text: str) -> bool:
+    """Add a block of ``_STATS_LINE`` lines to ``counts`` and return True,
+    if every line has that form, passes ``load_stats``' checks and counts
+    a pair that neither ``counts`` nor another line of the block holds.
+    Otherwise leave ``counts`` as it is and return False, so the block is
+    read line by line and an error names its line."""
+    if not _STATS_BLOCK.fullmatch(text):
+        return False
+    p, s, c = np.fromstring(text.translate(_NOT_DIGITS), np.int64, sep=" ").reshape(-1, 3).T
+    if (c.min() < 1 or c.max() > _MAX_COUNT
+            or pivot_vocab_size is not None and p.max() >= pivot_vocab_size
+            or source_vocab_size is not None and s.max() >= source_vocab_size):
+        return False
+    block = dict(zip(zip(p.tolist(), s.tolist()), c.tolist()))
+    if len(block) < c.size or not counts.keys().isdisjoint(block):
+        return False
+    counts.update(block)
+    return True
 
 
 def load_stats(path, pivot_vocab_size: int = None,
@@ -498,10 +526,16 @@ def load_stats(path, pivot_vocab_size: int = None,
     up, to at most 2**53.
 
     Each id must be >= 0 and below its vocab size when that is given.
-    Errors in a line name ``path:lineno``.
+    Errors in a line name ``path:lineno``.  Lines in ``save_stats``' own
+    form are read a block of a few thousand at a time, with one match and
+    one integer parse per block; any other JSON spelling of the same
+    object is still accepted, line by line, and so is every line of a
+    block that holds one, or that fails a check.
     """
     counts = {}
-    for lineno, obj in iter_jsonl(path):
+    take_block = functools.partial(_take_stats_block, counts, pivot_vocab_size,
+                                   source_vocab_size)
+    for lineno, obj in iter_jsonl(path, take_block):
         try:  # not located(): a stats file has one line per counted pair
             p, s, c = want_int(obj, "p"), want_int(obj, "s"), want_int(obj, "c")
             if c < 1:

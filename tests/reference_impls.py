@@ -2,15 +2,20 @@
 
 These are direct, unoptimized transcriptions of the documented merge
 semantics, written before the vectorized package code and kept free of
-any imports from it.  Every arithmetic step of a merge oracle is an
-explicit float32 operation, and the projection oracle works one pivot
-position at a time, so the main implementation can be held to bitwise
-equality.
+imports from the code they check.  Every arithmetic step of a merge
+oracle is an explicit float32 operation, and the projection oracle works
+one pivot position at a time, so the main implementation can be held to
+bitwise equality.  The statistics-file oracle reads one line at a time
+through the package's JSON-lines reader and field readers, so its errors
+are the package's own.
 """
 
 import math
 
 import numpy as np
+
+from umm.errors import MalformedInput, OutOfVocab
+from umm.jsonl import iter_jsonl, want_int
 
 F = np.float32
 
@@ -324,6 +329,36 @@ def ref_transfer_matrix(counts: dict, pivot_vocab: int, source_vocab: int, vocab
     nonzero = column_sums > 0
     inverse[nonzero] = 1.0 / column_sums[nonzero]
     return matrix @ sparse.diags(inverse)
+
+
+def ref_load_stats(path, pivot_vocab_size: int = None, source_vocab_size: int = None):
+    """(pivot vocab size, source vocab size, counts) of a stats file, one
+    line at a time: each line is decoded, checked and added to the counts
+    before the next is read, so every error names the first bad line."""
+    counts = {}
+    for lineno, obj in iter_jsonl(path):
+        try:
+            p, s, c = want_int(obj, "p"), want_int(obj, "s"), want_int(obj, "c")
+            if c < 1:
+                raise MalformedInput(f"c must be at least 1, got {c}")
+        except MalformedInput as exc:
+            raise MalformedInput(f"{path}:{lineno}: bad stats line: {exc}") from exc
+        if p < 0 or s < 0:
+            side, token = ("pivot", p) if p < 0 else ("source", s)
+            raise OutOfVocab(f"{path}:{lineno}: {side} id {token} must be >= 0")
+        if pivot_vocab_size is not None and p >= pivot_vocab_size:
+            raise OutOfVocab(f"{path}:{lineno}: pivot id {p} outside [0, {pivot_vocab_size})")
+        if source_vocab_size is not None and s >= source_vocab_size:
+            raise OutOfVocab(f"{path}:{lineno}: source id {s} outside [0, {source_vocab_size})")
+        total = counts[(p, s)] = counts.get((p, s), 0) + c
+        if total > 2**53:
+            raise MalformedInput(f"{path}:{lineno}: bad stats line: count for ({p}, {s}) "
+                                 f"reaches {total}, above 2**53")
+    if pivot_vocab_size is None:
+        pivot_vocab_size = max((p for p, _ in counts), default=0) + 1
+    if source_vocab_size is None:
+        source_vocab_size = max((s for _, s in counts), default=0) + 1
+    return pivot_vocab_size, source_vocab_size, counts
 
 
 def ref_project_distribution(src_rows, segments, counts: dict, pivot_ids, source_ids,

@@ -1244,6 +1244,19 @@ def test_fuse_targets_scalar_instruction_names_the_example(tmp_path, capsys):
     assert_one_located_error(code, err, "example 2:")
 
 
+@pytest.mark.parametrize("instruction, bad", [([-5, 10**30], -5), ([3, 4], 4)],
+                         ids=["negative", "at-the-vocab"])
+def test_fuse_targets_instruction_id_outside_the_pivot_vocab_names_the_example(
+        tmp_path, capsys, instruction, bad):
+    raw = fuse_fixture(tmp_path, capsys,
+                       source_rows_for=lambda ids: [[0.25] * 4 for _ in ids])
+    raw[1]["instruction"] = instruction
+    write_jsonl(tmp_path / "raw.jsonl", raw)
+    code, _, err = run_cli(fuse_args(tmp_path), capsys)
+    assert_one_located_error(code, err, f"{tmp_path / 'raw.jsonl'}:2: example 1: "
+                                        f"instruction id {bad} outside [0, 4)")
+
+
 @pytest.mark.parametrize("bad_rows", [
     lambda rows: {"a": 1},
     lambda rows: [[0.5, 0.5], [1.0]],

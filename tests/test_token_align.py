@@ -1,10 +1,13 @@
 import json
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from umm import jsonl
 from umm.distro_fusion import DistributionMatrix
 from umm.errors import (
     EmptySequence,
@@ -43,6 +46,7 @@ from umm.token_align import (
 
 from reference_impls import (
     ref_align_moves,
+    ref_load_stats,
     ref_min_alignment_cost,
     ref_project_distribution,
     ref_segment_moves,
@@ -709,9 +713,11 @@ def test_token_seq_jsonl_empty_file(tmp_path):
 
 
 def test_stats_jsonl_round_trip(tmp_path):
-    stats = AlignStats(4, 4, {(0, 1): 3, (2, 2): 1})
+    stats = AlignStats(4, 4, {(0, 1): 3, (2, 2): 1, (1, 3): 2**53})
     path = tmp_path / "stats.jsonl"
     save_stats(stats, path)
+    assert path.read_text() == "".join(json.dumps({"p": p, "s": s, "c": c}) + "\n"
+                                       for (p, s), c in sorted(stats.counts.items()))
     loaded = load_stats(path, 4, 4)
     assert loaded.counts == stats.counts
     assert load_stats(path).pivot_vocab_size == 3
@@ -762,6 +768,99 @@ def test_stats_jsonl_out_of_vocab_id_names_the_line(tmp_path, line, sizes, messa
     path.write_text('{"p": 0, "s": 0, "c": 1}\n' + json.dumps(line) + "\n")
     with pytest.raises(OutOfVocab, match=re.escape(f"{path}:2: {message}")):
         load_stats(path, *sizes)
+
+
+def _same_as_the_line_reader(path, *sizes):
+    """load_stats and the one-line-at-a-time oracle give the same sizes and
+    counts in the same order, or the same exception type and message."""
+    try:
+        expected = ref_load_stats(path, *sizes)
+    except Exception as exc:  # any error: compared by type and message
+        with pytest.raises(type(exc)) as caught:
+            load_stats(path, *sizes)
+        assert str(caught.value) == str(exc)
+        return
+    stats = load_stats(path, *sizes)
+    assert (stats.pivot_vocab_size, stats.source_vocab_size, list(stats.counts.items())) == \
+        (expected[0], expected[1], list(expected[2].items()))
+
+
+_IDS = st.integers(0, 7)  # few ids, so pairs repeat across lines and blocks
+_SAVED_LINE = st.builds(lambda p, s, c: json.dumps({"p": p, "s": s, "c": c}),
+                        _IDS, _IDS, st.integers(1, 50))
+_OTHER_LINE = st.one_of(  # the same objects spelt otherwise, blank lines, large numbers
+    st.builds(lambda p, s, c: json.dumps({"p": p, "s": s, "c": c}), _IDS, _IDS,
+              st.sampled_from([2**52, 2**53 - 1, 2**53, 2**53 + 1])),
+    st.builds(lambda p, s, c: json.dumps({"c": c, "s": s, "p": p}), _IDS, _IDS, st.integers(1, 50)),
+    st.builds(lambda p, s: json.dumps({"p": p, "s": s, "c": 1}, separators=(",", ":")), _IDS, _IDS),
+    st.builds(lambda p, s: f' {{ "p" : {p}, "s": {s},  "c": 2 }} ', _IDS, _IDS),
+    st.sampled_from(["", "  ", "\t"]),
+    st.sampled_from([
+        '{"p": -0, "s": 0, "c": 1}', '{"p": 12345678901234567, "s": 0, "c": 1}',
+        '{"p": 9999999999999999999, "s": 0, "c": 1}',  # past int64
+        '{"p": 0, "s": 0, "c": 1, "\u00e9\u2028": 1}',  # U+2028 ends no JSON-lines line
+    ]),
+)
+_BAD_LINE = st.sampled_from([
+    "not json", "[0, 0, 1]", '{"p": 0, "s": 1}', '{"p": -1, "s": 0, "c": 1}',
+    '{"p": 0, "s": 0, "c": 0}', '{"p": 0, "s": 0, "c": 1.5}', '{"p": true, "s": 0, "c": 1}',
+    '{"p": 01, "s": 0, "c": 1}', '{"p": 1, "s": 2, "c": 3}\x0c',
+    "\udcff",  # a byte that is not UTF-8
+])
+_ENDINGS = st.sampled_from(["\n", "\r\n"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(saved=st.lists(st.tuples(_SAVED_LINE, _ENDINGS), max_size=60),
+       others=st.lists(st.tuples(_OTHER_LINE, _ENDINGS), max_size=6),
+       bad=st.lists(st.tuples(_BAD_LINE, _ENDINGS), max_size=1),
+       last_ending=st.booleans(), data=st.data(),
+       sizes=st.tuples(st.one_of(st.none(), st.integers(1, 8)),
+                       st.one_of(st.none(), st.integers(1, 8))))
+def test_load_stats_matches_the_line_by_line_reader(tmp_path_factory, saved, others, bad,
+                                                    last_ending, data, sizes):
+    """Lines as save_stats writes them, with other spellings, blank lines,
+    CRLF endings, repeated pairs, counts at and past 2**53 and at most one
+    bad line put in at random places, read in blocks of about one line, a
+    few lines and the whole file."""
+    lines = list(saved)
+    for line in others + bad:
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+    text = "".join(line + ending for line, ending in lines)
+    if lines and not last_ending:
+        text = text[:-len(lines[-1][1])]
+    path = tmp_path_factory.mktemp("stats") / "stats.jsonl"
+    path.write_bytes(text.encode("utf-8", errors="surrogateescape"))
+    for block_chars in (1, 60, 200, jsonl._BLOCK_CHARS):
+        with mock.patch.object(jsonl, "_BLOCK_CHARS", block_chars):
+            _same_as_the_line_reader(path, *sizes)
+
+
+def test_save_stats_lines_are_read_without_a_json_decode(tmp_path, monkeypatch):
+    """A 20000-line file save_stats wrote is read with no json.loads; with
+    one other spelling in the middle, at most that line's block is decoded."""
+    rng = np.random.default_rng(3)
+    cells = rng.choice(512 * 640, size=20000, replace=False)
+    counts = dict(zip(((int(cell) // 640, int(cell) % 640) for cell in cells),
+                      rng.integers(1, 51, size=cells.size).tolist()))
+    path = tmp_path / "stats.jsonl"
+    save_stats(AlignStats(512, 640, counts), path)
+    lines = path.read_text().splitlines(keepends=True)
+    odd = lines[:]
+    p, s, c = (json.loads(odd[10000])[k] for k in "psc")
+    odd[10000] = json.dumps({"c": c, "s": s, "p": p}) + "\n"
+    odd_path = tmp_path / "odd.jsonl"
+    odd_path.write_text("".join(odd))
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
+    stats = load_stats(path, 512, 640)
+    assert decoded == []
+    assert list(stats.counts.items()) == sorted(counts.items())
+    stats = load_stats(odd_path, 512, 640)
+    shortest = min(len(line) for line in lines)
+    assert odd[10000] in decoded and len(decoded) <= jsonl._BLOCK_CHARS // shortest + 1
+    assert list(stats.counts.items()) == sorted(counts.items())
 
 
 def test_jsonl_reader_counts_blank_lines_and_names_the_bad_one(tmp_path):
