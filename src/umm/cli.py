@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import logging
 import sys
@@ -240,7 +241,10 @@ def cmd_inspect(args) -> dict:
 
 # --- wiring --------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: parsing leaves it as it was, so each
+    ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="umm",
         description="Checkpoint merging and distribution-fusion toolkit.",

@@ -14,9 +14,11 @@ and leaving a token unmatched on either side costs 1.  Surfaces are
 first stripped of leading word-boundary markers so tokenizers that
 encode whitespace differently still compare cleanly.
 
-The substitution costs of all distinct pivot x source surfaces come
-from one batched integer Levenshtein in numpy, divided once by the
-longer length.  The DP table holds costs only and is filled one
+The substitution costs of distinct pivot x source surfaces come from
+one batched integer Levenshtein in numpy, divided once by the longer
+length, and are kept in the command's ``SurfaceNormalizer``, so each
+surface pair is costed once per command however many pairs hold it.
+The DP table holds costs only and is filled one
 anti-diagonal at a time, a few numpy calls per diagonal; each cell
 keeps the same float64 value as a scalar row-by-row loop.  The moves
 are recomputed only along the backtrace path, with that loop's float64
@@ -95,23 +97,6 @@ def token_seq_from_json_obj(obj: dict, vocab_size: int = None, where: str = "") 
     return TokenSeq(ids, surfaces)
 
 
-class SurfaceNormalizer:
-    """Strips leading word-boundary markers before surface comparison."""
-
-    def __init__(self, markers=DEFAULT_MARKERS):
-        self.markers = tuple(str(m) for m in markers if m)
-
-    def normalize(self, surface: str) -> str:
-        stripped = True
-        while stripped:
-            stripped = False
-            for marker in self.markers:
-                if surface.startswith(marker):
-                    surface = surface[len(marker):]
-                    stripped = True
-        return surface
-
-
 def classify_spans(pivot_len: int, source_len: int) -> str:
     if pivot_len == 1 and source_len == 1:
         return ONE_ONE
@@ -146,6 +131,8 @@ class AlignmentSegment:
 _LEVENSHTEIN_BLOCK_CELLS = 1 << 17
 # working-set cap of the substitution costs gathered into the DP table, in cells
 _SEED_BLOCK_CELLS = 1 << 14
+# cells of float64 substitution costs a SurfaceNormalizer keeps (32 MiB)
+_COST_TABLE_CELLS = 1 << 22
 
 
 def _code_points(surfaces: list) -> tuple:
@@ -188,8 +175,9 @@ def _levenshtein_block(a_codes, a_lens, b_codes, b_lens) -> np.ndarray:
     return out
 
 
-def substitution_costs(pivot_surfaces: list, source_surfaces: list) -> np.ndarray:
-    """[pivot, source] float64 matrix of surface substitution costs.
+def substitution_costs(pivot_surfaces: list, source_surfaces: list, out=None) -> np.ndarray:
+    """[pivot, source] float64 matrix of surface substitution costs, in
+    ``out`` when it is given.
 
     Each cost is the character edit distance divided by the longer
     length, and 0.0 for identical surfaces (two empty ones included).
@@ -200,7 +188,7 @@ def substitution_costs(pivot_surfaces: list, source_surfaces: list) -> np.ndarra
     """
     a_codes, a_lens = _code_points(pivot_surfaces)
     b_codes, b_lens = _code_points(source_surfaces)
-    costs = np.empty((len(a_lens), len(b_lens)), dtype=np.float64)
+    costs = np.empty((len(a_lens), len(b_lens))) if out is None else out
     per_b = b_codes.shape[1] + 1
     b_step = max(1, _LEVENSHTEIN_BLOCK_CELLS // per_b)
     a_step = max(1, _LEVENSHTEIN_BLOCK_CELLS // (per_b * max(1, min(b_step, len(b_lens)))))
@@ -215,14 +203,80 @@ def substitution_costs(pivot_surfaces: list, source_surfaces: list) -> np.ndarra
     return costs
 
 
-def _unique_index(surfaces: list, norm: SurfaceNormalizer) -> tuple:
-    """(distinct normalized surfaces in first-seen order, index of each
-    surface); each distinct raw surface is normalized once."""
-    raw = {}
-    raw_index = [raw.setdefault(s, len(raw)) for s in surfaces]
-    index = {}
-    positions = [index.setdefault(norm.normalize(s), len(index)) for s in raw]
-    return list(index), np.array(positions, dtype=np.intp)[raw_index]
+def _grown(have: int, need: int) -> int:
+    """The room on one table axis: twice ``have`` when ``need`` overflows it."""
+    return have if need <= have else max(need, 2 * have)
+
+
+class SurfaceNormalizer:
+    """Strips leading word-boundary markers before surface comparison, and
+    keeps the substitution costs of the surfaces it has compared.
+
+    One normalizer serves every pair of a command.  It keeps the table
+    position of each raw surface it has seen and one float64 table of
+    the costs of every distinct normalized pivot x source surface seen
+    so far, so a pair costs only the surfaces no earlier pair brought.
+    A cost depends on its two surfaces alone, so the table gives the
+    same bits in any pair order.  The table holds at most
+    ``_COST_TABLE_CELLS`` cells, counting the copy made while it grows,
+    or one pair's surfaces if they need more; past that it starts over.
+    """
+
+    def __init__(self, markers=DEFAULT_MARKERS):
+        self.markers = tuple(str(m) for m in markers if m)
+        self._start_over()
+
+    def _start_over(self) -> None:
+        self._table = np.empty((0, 0))  # rows and columns past _costed hold no cost yet
+        self._costed = (0, 0)
+        self._pivot_at, self._source_at = {}, {}  # raw surface -> table row / column
+        self._pivot_forms, self._source_forms = {}, {}  # normalized surface -> row / column
+
+    def normalize(self, surface: str) -> str:
+        stripped = True
+        while stripped:
+            stripped = False
+            for marker in self.markers:
+                if surface.startswith(marker):
+                    surface = surface[len(marker):]
+                    stripped = True
+        return surface
+
+    def _place(self, surfaces: list, at: dict, forms: dict) -> np.ndarray:
+        """The table index of each surface; a new normalized form takes the next one."""
+        for surface in dict.fromkeys(surfaces):
+            if surface not in at:
+                at[surface] = forms.setdefault(self.normalize(surface), len(forms))
+        return np.fromiter(map(at.__getitem__, surfaces), np.intp, len(surfaces))
+
+    def costs(self, pivot_surfaces: list, source_surfaces: list) -> tuple:
+        """(table, rows, cols): ``table[rows[i], cols[j]]`` is the cost of
+        substituting source surface j for pivot surface i.  Only pairs of
+        normalized surfaces the table lacks go through
+        ``substitution_costs``, straight into the table."""
+        rows = self._place(pivot_surfaces, self._pivot_at, self._pivot_forms)
+        cols = self._place(source_surfaces, self._source_at, self._source_forms)
+        need = (len(self._pivot_forms), len(self._source_forms))
+        (n, m), held = self._costed, self._table
+        if need == (n, m):
+            return held, rows, cols
+        if need[0] > held.shape[0] or need[1] > held.shape[1]:
+            shape = tuple(map(_grown, held.shape, need))  # an empty table grows to fit
+            if held.size and held.size + shape[0] * shape[1] > _COST_TABLE_CELLS:
+                del held
+                self._start_over()
+                return self.costs(pivot_surfaces, source_surfaces)
+            self._table = np.empty(shape)
+            self._table[:n, :m] = held[:n, :m]
+            del held
+        table = self._table
+        pivots, sources = list(self._pivot_forms), list(self._source_forms)
+        if n and need[1] > m:
+            substitution_costs(pivots[:n], sources[m:], out=table[:n, m:need[1]])
+        if need[0] > n:
+            substitution_costs(pivots[n:], sources, out=table[n:need[0], :need[1]])
+        self._costed = need
+        return table, rows, cols
 
 
 def _align_moves(pivot: TokenSeq, source: TokenSeq, norm: SurfaceNormalizer) -> tuple:
@@ -252,17 +306,16 @@ def _align_moves(pivot: TokenSeq, source: TokenSeq, norm: SurfaceNormalizer) -> 
     """
     if len(pivot) == 0 or len(source) == 0:
         raise EmptySequence("cannot align an empty token sequence")
-    p_unique, p_index = _unique_index(pivot.surfaces, norm)
-    s_unique, s_index = _unique_index(source.surfaces, norm)
-    sub = substitution_costs(p_unique, s_unique)
+    sub, p_index, s_index = norm.costs(pivot.surfaces, source.surfaces)
 
     n, m = len(p_index), len(s_index)
     cost = np.empty((n + 1, m + 1), dtype=np.float64)
     cost[:, 0] = np.arange(n + 1) * GAP_COST
     cost[0, :] = np.arange(m + 1) * GAP_COST
-    rows = max(1, _SEED_BLOCK_CELLS // m)  # a block of rows at a time: no n x m temporary
+    # a block of rows at a time: no n x m temporary
+    rows = max(1, _SEED_BLOCK_CELLS // max(m, sub.shape[1]))
     for i0 in range(0, n, rows):
-        block = sub.take(p_index[i0:i0 + rows], axis=0)  # rows x S, then rows x m
+        block = sub.take(p_index[i0:i0 + rows], axis=0)  # rows x table columns, then rows x m
         cost[i0 + 1:i0 + rows + 1, 1:] = block.take(s_index, axis=1)
     flat_cost = cost.reshape(-1)
     for d in range(2, n + m + 1):
@@ -302,7 +355,8 @@ def align_sequences(pivot: TokenSeq, source: TokenSeq,
     """Segments of the minimum-cost alignment, covering both sequences.
 
     Tie-break preference at equal cost: substitution, then a gap in the
-    source, then a gap in the pivot.
+    source, then a gap in the pivot.  Without ``norm`` a fresh default
+    normalizer is used, which keeps nothing across calls.
     """
     segments, _ = _align_moves(pivot, source, norm or SurfaceNormalizer())
     return segments

@@ -9,6 +9,7 @@ import collections
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -965,6 +966,46 @@ def test_search_resume_after_crash_matches_uninterrupted(tmp_path, expert_dir, c
             == (tmp_path / "ref" / "best_recipe.json").read_bytes())
     assert ((tmp_path / "crash" / "history.csv").read_bytes()
             == (tmp_path / "ref" / "history.csv").read_bytes())
+
+
+# --- one parser per process -------------------------------------------------------
+
+
+def _first_call_in_a_process(argv) -> tuple:
+    """(exit code, stdout) of ``main(argv)`` as the first call of a new process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from umm.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv], env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def test_main_called_again_in_one_process_answers_as_a_first_call(tmp_path, capsys):
+    lines = token_lines_identical()
+    write_jsonl(tmp_path / "pivot.jsonl", lines)
+    write_jsonl(tmp_path / "source.jsonl", lines[::-1])
+    save_checkpoint(Checkpoint({"w": Tensor(np.ones((2, 3), np.float32))}), tmp_path / "c.st")
+    align = ["align-stats", "--pivot", str(tmp_path / "pivot.jsonl"),
+             "--source", str(tmp_path / "source.jsonl"), "--out", str(tmp_path / "stats.jsonl")]
+    calls = [["--log-level", "error", "inspect", "--bogus"], ["--log-level", "error"] + align,
+             ["inspect", "--ckpt", str(tmp_path / "c.st")], align]
+    expected = [_first_call_in_a_process(argv) for argv in calls]
+    assert [code for code, _ in expected] == [2, 0, 0, 0]
+    got, errs = [], []
+    for argv in calls + calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        got.append((code, captured.out))
+        errs.append(captured.err)
+    assert got == expected + expected
+    # a --log-level, given or left at its default, does not carry into the next call
+    for err in errs[1:3] + errs[5:7]:
+        assert "INFO" not in err, err
+    for err in (errs[3], errs[7]):
+        assert "INFO umm: wrote" in err, err
 
 
 # --- align-stats -----------------------------------------------------------------

@@ -304,31 +304,28 @@ def test_l2_to_target_zero_at_target(tmp_path):
     base_path = tmp_path / "base.st"
     save_checkpoint(base, base_path)
     ev = make_evaluator({"builtin": "l2-to-target", "target_path": str(base_path)})
-    assert ev.evaluate(base_path) == 0.0
+    assert ev.evaluate(base) == 0.0
 
 
 def test_l2_to_target_negative_away_from_target(tmp_path):
     base = init_mlp(3)
     other = init_mlp(4)
-    base_path, other_path = tmp_path / "b.st", tmp_path / "o.st"
+    base_path = tmp_path / "b.st"
     save_checkpoint(base, base_path)
-    save_checkpoint(other, other_path)
     ev = make_evaluator({"builtin": "l2-to-target", "target_path": str(base_path)})
-    assert ev.evaluate(other_path) < 0.0
+    assert ev.evaluate(other) < 0.0
 
 
-def test_toy_regression_matches_manual_mse(tmp_path):
+def test_toy_regression_matches_manual_mse():
     xs = np.linspace(-2, 2, 64)
     ckpt = train_mlp(init_mlp(0), xs, np.sin(2.5 * xs), lr=0.01, steps=200)
-    path = tmp_path / "m.st"
-    save_checkpoint(ckpt, path)
     pred = mlp_forward(ckpt, xs)
     expected = -(
         float(np.mean((pred - np.sin(2.5 * xs)) ** 2))
         + float(np.mean((pred - np.cos(1.5 * xs)) ** 2))
     )
     ev = make_evaluator({"builtin": "toy-regression"})
-    assert ev.evaluate(path) == pytest.approx(expected, rel=1e-12)
+    assert ev.evaluate(ckpt) == pytest.approx(expected, rel=1e-12)
 
 
 def test_toy_regression_rejects_unknown_target():
@@ -478,6 +475,24 @@ def test_cache_key_distinguishes_evaluators(tmp_path):
     k1 = FitnessCache.key(recipe, sources.digest, "eval-a")
     k2 = FitnessCache.key(recipe, sources.digest, "eval-b")
     assert k1 != k2
+
+
+@pytest.mark.parametrize("spec", [{"builtin": "toy-regression"}, "l2-to-target"],
+                         ids=["toy-regression", "l2-to-target"])
+def test_builtin_evaluator_scores_the_merged_checkpoint_in_memory(tmp_path, monkeypatch, spec):
+    sources = two_expert_sources(tmp_path)
+    if spec == "l2-to-target":
+        spec = {"builtin": spec, "target_path": str(tmp_path / "m0.st")}
+    ev = make_evaluator(spec)
+    scored = []
+    real = type(ev).evaluate
+    monkeypatch.setattr(type(ev), "evaluate", lambda self, ckpt: scored.append(ckpt) or real(self, ckpt))
+    fitness, invoked = evaluate_candidate(ties_recipe(), ev, tmp_path, sources, FitnessCache())
+    assert invoked and len(scored) == 1 and isinstance(scored[0], Checkpoint)
+    # the candidate file is still written, and scoring it gives the same bits
+    written = load_checkpoint(tmp_path / "candidate.st")
+    assert checkpoint_digest(written) == checkpoint_digest(scored[0])
+    assert real(ev, written) == fitness
 
 
 def test_evaluate_candidate_retries(tmp_path):

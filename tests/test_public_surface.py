@@ -3,9 +3,11 @@ be reached by something that runs, only ``tensor_store.publish`` writes a
 file, each kind of input file is opened by one call, only the config
 reader builds a search config, only the token reader builds a token
 sequence in the library, no number a JSON number reader returned is
-checked for finiteness again, no class defines a ``validate`` method, no
-context manager is entered by hand, every JSON decode catches too deep a
-nesting, and importing the command line leaves scipy unloaded.
+checked for finiteness again, surface costs are computed only by the
+cost table, builtin evaluators read no checkpoint, no class defines a
+``validate`` method, no context manager is entered by hand, every JSON
+decode catches too deep a nesting, and importing the command line leaves
+scipy unloaded.
 
 A module-level function or class, public or private, or a public method,
 counts as reached when its name appears as a Name, an Attribute or an
@@ -184,6 +186,33 @@ def test_only_the_token_reader_builds_a_token_seq():
         if _callee(call) == "TokenSeq"
     )
     assert builders == {"token_align.token_seq_from_json_obj": 1}, builders
+
+
+def test_only_the_cost_table_computes_substitution_costs():
+    """``SurfaceNormalizer.costs`` keeps every surface pair's cost for the
+    rest of its command, so no alignment path costs surfaces around it:
+    nothing else in the library calls ``substitution_costs``."""
+    callers = collections.Counter(
+        scope for path in LIBRARY for scope, call in _scoped_calls(_parse(path), path.stem)
+        if _callee(call) == "substitution_costs"
+    )
+    assert set(callers) == {"token_align.SurfaceNormalizer.costs"}, callers
+
+
+def test_builtin_evaluators_score_without_reading_a_checkpoint():
+    """A builtin evaluator scores the merged checkpoint it is handed, so no
+    ``evaluate`` method of a class in ``_BUILTIN_EVALUATORS`` reads one."""
+    tree = _parse(ROOT / "src" / "umm" / "evo_search.py")
+    builtins = {n.id for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "_BUILTIN_EVALUATORS" for t in node.targets)
+                for n in ast.walk(node.value) if isinstance(n, ast.Name)}
+    assert builtins == {"L2ToTargetEvaluator", "ToyRegressionEvaluator"}, builtins
+    reads = [f"{cls.name}.evaluate:{call.lineno}" for cls in tree.body
+             if isinstance(cls, ast.ClassDef) and cls.name in builtins
+             for method in cls.body if getattr(method, "name", None) == "evaluate"
+             for call in ast.walk(method) if isinstance(call, ast.Call)
+             and _callee(call) in ("load_checkpoint", "CheckpointReader")]
+    assert not reads, f"builtin evaluators that read a checkpoint: {reads}"
 
 
 def test_no_class_defines_a_validate_method():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umm import jsonl
+from umm import jsonl, token_align
 from umm.distro_fusion import DistributionMatrix
 from umm.errors import (
     EmptySequence,
@@ -309,6 +309,77 @@ def test_alignment_working_set_holds_no_move_table(rng):
     finally:
         tracemalloc.stop()
     assert peak < tables + 2**20, ((peak - tables) / 2**20)
+
+
+# surfaces that share normalized forms ("▁ab" and "ab") and costs that tie
+_SHARED_SURFACE = st.sampled_from(TIE_SURFACES + ("abcd", "▁b", "Ġé", "ca▁", "▁▁ab"))
+_TOKENS = st.lists(_SHARED_SURFACE, min_size=1, max_size=10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairs=st.lists(st.tuples(_TOKENS, _TOKENS), min_size=1, max_size=6),
+       cap=st.integers(1, 120))
+def test_a_shared_normalizer_gives_every_pair_the_bits_of_a_fresh_one(pairs, cap):
+    """The same segments and cost bits four ways: a fresh normalizer per
+    pair, one normalizer in order, one in reverse order, and one whose
+    table starts over as it runs."""
+    seqs = [(seq(p), seq(s)) for p, s in pairs]
+
+    def aligned(order, norm=None) -> dict:
+        return {k: (align_sequences(*seqs[k], norm), repr(alignment_cost(*seqs[k], norm)))
+                for k in order}
+
+    forward = range(len(seqs))
+    fresh = aligned(forward)
+    assert aligned(forward, SurfaceNormalizer()) == fresh
+    assert aligned(reversed(forward), SurfaceNormalizer()) == fresh
+    with mock.patch.object(token_align, "_COST_TABLE_CELLS", cap):
+        assert aligned(forward, SurfaceNormalizer()) == fresh
+
+
+def test_a_small_cost_table_starts_over_and_keeps_the_bits(rng):
+    words = ["".join(rng.choice(list("abcde"), size=int(rng.integers(1, 5)))) for _ in range(60)]
+    seqs = [(seq([str(w) for w in rng.choice(words, size=12)]),
+             seq(["Ġ" + str(w) for w in rng.choice(words, size=9)])) for _ in range(40)]
+    norm = SurfaceNormalizer()
+    sizes = []
+    with mock.patch.object(token_align, "_COST_TABLE_CELLS", 600):
+        for pivot, source in seqs:
+            assert alignment_cost(pivot, source, norm) == alignment_cost(pivot, source)
+            sizes.append(norm._table.size)
+    assert max(sizes) <= 600
+    assert any(b < a for a, b in zip(sizes, sizes[1:])), sizes  # it started over
+
+
+def test_a_shared_normalizer_holds_at_most_its_cap_whatever_the_pair_count(monkeypatch):
+    """Surfaces never repeat, so every pair grows the table: the peak stays
+    within the cap (the table and the copy it grows from) plus one pair's
+    working set, and does not grow with the number of pairs."""
+    cap, n = 1 << 16, 100
+    monkeypatch.setattr(token_align, "_COST_TABLE_CELLS", cap)
+    fresh = iter(range(10**9))
+
+    def pair():
+        return (seq([f"p{next(fresh):07}" for _ in range(n)], list(range(n))),
+                seq([f"s{next(fresh):07}" for _ in range(n)], list(range(n))))
+
+    norm = SurfaceNormalizer()
+    peaks = []
+    tracemalloc.start()
+    try:
+        for count in (30, 120):
+            tracemalloc.reset_peak()
+            for _ in range(count):
+                alignment_cost(*pair(), norm)
+                assert norm._table.size <= cap
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    # one pair: its DP table, at most 2**17 int32 cells in each of the
+    # Levenshtein's three planes, and its surfaces with their table places
+    one_pair = 8 * (n + 1) ** 2 + 3 * 4 * (1 << 17) + 2**18
+    assert peaks[0] < 8 * cap + one_pair, (peaks[0] - 8 * cap) / 2**20
+    assert peaks[1] < peaks[0] + 2**16, (peaks[1] - peaks[0]) / 2**10
 
 
 def test_kind_histogram():
