@@ -5,9 +5,11 @@ per group, the weight, plus the density for TIES.  Decoding it onto a
 recipe clips weights to [0, 1] and densities to [0.05, 1], so the
 optimizer itself runs unconstrained.
 
-Candidates are scored by an evaluator: either a builtin (pure numpy),
-which scores the merged checkpoint in memory, or an external command run
-per candidate on the checkpoint file.  The external protocol: the
+Candidates are scored by an evaluator: either a builtin (pure numpy) or
+an external command run per candidate.  Every evaluator's
+``evaluate(merged, path)`` gets the merged checkpoint and the path it
+was written to, and uses what it needs: a builtin scores the checkpoint
+in memory, a command gets the file.  The external protocol: the
 command template's "{checkpoint}" is replaced by the merged-checkpoint
 path, and the last line the command prints to stdout must be JSON
 {"fitness": <finite float>}, higher is better.  Results are cached by
@@ -144,7 +146,7 @@ class ExternalEvaluator:
     def evaluator_id(self) -> str:
         return f"cmd:{self.command}"
 
-    def evaluate(self, checkpoint_path) -> float:
+    def evaluate(self, merged: Checkpoint, checkpoint_path) -> float:
         tokens = [t.replace("{checkpoint}", str(checkpoint_path)) for t in self.words]
         try:
             # a byte that is not UTF-8 reads as \xNN: an error quotes it,
@@ -189,7 +191,7 @@ class L2ToTargetEvaluator:
     def evaluator_id(self) -> str:
         return f"l2-to-target:{self._digest}"
 
-    def evaluate(self, merged: Checkpoint) -> float:
+    def evaluate(self, merged: Checkpoint, checkpoint_path) -> float:
         require_compat(self.target, merged, "target vs merged")
         total = 0.0
         for name in self.target.names():
@@ -221,15 +223,12 @@ class ToyRegressionEvaluator:
     def evaluator_id(self) -> str:
         return f"toy-regression:{self._spec}"
 
-    def evaluate(self, ckpt: Checkpoint) -> float:
-        pred = mlp_forward(ckpt, self.xs)
+    def evaluate(self, merged: Checkpoint, checkpoint_path) -> float:
+        pred = mlp_forward(merged, self.xs)
         total = 0.0
         for ys in self.ys:
             total += float(np.mean((pred - ys) ** 2))
         return -total
-
-
-_BUILTIN_EVALUATORS = (L2ToTargetEvaluator, ToyRegressionEvaluator)
 
 
 def make_evaluator(spec: dict):
@@ -348,8 +347,8 @@ def evaluate_candidate(recipe: MergeRecipe, evaluator, workdir: Path, sources: S
                        cache: FitnessCache, retries: int = 1,
                        tag: str = "candidate") -> tuple:
     """Merge per recipe, write the checkpoint to ``workdir``, score it and
-    memoize.  A builtin evaluator scores the merged checkpoint in memory;
-    any other evaluator gets the path of the file written.
+    memoize.  The evaluator gets both the merged checkpoint and the path
+    of the file written.
 
     Returns (fitness, invoked) where invoked is False on a cache hit.
     """
@@ -360,10 +359,9 @@ def evaluate_candidate(recipe: MergeRecipe, evaluator, workdir: Path, sources: S
     merged = merge(sources.base, sources.vectors, recipe)
     path = workdir / f"{tag}.st"
     save_checkpoint(merged, path)
-    scored = merged if isinstance(evaluator, _BUILTIN_EVALUATORS) else path
     for attempt in range(retries + 1):
         try:
-            fitness = evaluator.evaluate(scored)
+            fitness = evaluator.evaluate(merged, path)
             break
         except (EvaluatorFailed, EvaluatorProtocol) as exc:
             # a command that could not start would not start on a retry either

@@ -203,11 +203,6 @@ def substitution_costs(pivot_surfaces: list, source_surfaces: list, out=None) ->
     return costs
 
 
-def _grown(have: int, need: int) -> int:
-    """The room on one table axis: twice ``have`` when ``need`` overflows it."""
-    return have if need <= have else max(need, 2 * have)
-
-
 class SurfaceNormalizer:
     """Strips leading word-boundary markers before surface comparison, and
     keeps the substitution costs of the surfaces it has compared.
@@ -217,9 +212,10 @@ class SurfaceNormalizer:
     the costs of every distinct normalized pivot x source surface seen
     so far, so a pair costs only the surfaces no earlier pair brought.
     A cost depends on its two surfaces alone, so the table gives the
-    same bits in any pair order.  The table holds at most
-    ``_COST_TABLE_CELLS`` cells, counting the copy made while it grows,
-    or one pair's surfaces if they need more; past that it starts over.
+    same bits in any pair order.  The table is exactly as large as the
+    surfaces it covers.  It holds at most ``_COST_TABLE_CELLS`` cells,
+    counting the copy made while it grows, or one pair's surfaces if they
+    need more; past that it starts over.
     """
 
     def __init__(self, markers=DEFAULT_MARKERS):
@@ -227,8 +223,7 @@ class SurfaceNormalizer:
         self._start_over()
 
     def _start_over(self) -> None:
-        self._table = np.empty((0, 0))  # rows and columns past _costed hold no cost yet
-        self._costed = (0, 0)
+        self._table = np.empty((0, 0))
         self._pivot_at, self._source_at = {}, {}  # raw surface -> table row / column
         self._pivot_forms, self._source_forms = {}, {}  # normalized surface -> row / column
 
@@ -256,26 +251,22 @@ class SurfaceNormalizer:
         ``substitution_costs``, straight into the table."""
         rows = self._place(pivot_surfaces, self._pivot_at, self._pivot_forms)
         cols = self._place(source_surfaces, self._source_at, self._source_forms)
-        need = (len(self._pivot_forms), len(self._source_forms))
-        (n, m), held = self._costed, self._table
+        held = self._table
+        (n, m), need = held.shape, (len(self._pivot_forms), len(self._source_forms))
         if need == (n, m):
             return held, rows, cols
-        if need[0] > held.shape[0] or need[1] > held.shape[1]:
-            shape = tuple(map(_grown, held.shape, need))  # an empty table grows to fit
-            if held.size and held.size + shape[0] * shape[1] > _COST_TABLE_CELLS:
-                del held
-                self._start_over()
-                return self.costs(pivot_surfaces, source_surfaces)
-            self._table = np.empty(shape)
-            self._table[:n, :m] = held[:n, :m]
+        if held.size and held.size + need[0] * need[1] > _COST_TABLE_CELLS:
             del held
-        table = self._table
+            self._start_over()
+            return self.costs(pivot_surfaces, source_surfaces)
+        table = self._table = np.empty(need)
+        table[:n, :m] = held
+        del held
         pivots, sources = list(self._pivot_forms), list(self._source_forms)
         if n and need[1] > m:
-            substitution_costs(pivots[:n], sources[m:], out=table[:n, m:need[1]])
+            substitution_costs(pivots[:n], sources[m:], out=table[:n, m:])
         if need[0] > n:
-            substitution_costs(pivots[n:], sources, out=table[n:need[0], :need[1]])
-        self._costed = need
+            substitution_costs(pivots[n:], sources, out=table[n:])
         return table, rows, cols
 
 
@@ -312,11 +303,17 @@ def _align_moves(pivot: TokenSeq, source: TokenSeq, norm: SurfaceNormalizer) -> 
     cost = np.empty((n + 1, m + 1), dtype=np.float64)
     cost[:, 0] = np.arange(n + 1) * GAP_COST
     cost[0, :] = np.arange(m + 1) * GAP_COST
-    # a block of rows at a time: no n x m temporary
-    rows = max(1, _SEED_BLOCK_CELLS // max(m, sub.shape[1]))
+    # A block of rows at a time, so no n x m temporary.  A table no wider
+    # than the pair gives whole rows, then the pair's columns of them (the
+    # faster gather); a wider one gives only the pair's cells, so seeding
+    # stays O(n x m) however wide the table grows.
+    rows = max(1, _SEED_BLOCK_CELLS // m)
+    flat_sub, width = sub.reshape(-1), sub.shape[1]
     for i0 in range(0, n, rows):
-        block = sub.take(p_index[i0:i0 + rows], axis=0)  # rows x table columns, then rows x m
-        cost[i0 + 1:i0 + rows + 1, 1:] = block.take(s_index, axis=1)
+        block = p_index[i0:i0 + rows]
+        cost[i0 + 1:i0 + rows + 1, 1:] = (
+            sub.take(block, axis=0).take(s_index, axis=1) if width <= m
+            else flat_sub.take(block[:, None] * width + s_index))
     flat_cost = cost.reshape(-1)
     for d in range(2, n + m + 1):
         i0, i1 = max(1, d - m), min(n, d - 1)

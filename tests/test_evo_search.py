@@ -165,17 +165,18 @@ def write_script(path, body):
 
 
 def checkpoint_file(tmp_path, name="c.st"):
+    """(checkpoint, path it was saved to): the two arguments of ``evaluate``."""
     ckpt = init_mlp(0, widths=(1, 4, 1))
     path = tmp_path / name
     save_checkpoint(ckpt, path)
-    return path
+    return ckpt, path
 
 
 def test_external_evaluator_parses_last_line(tmp_path):
     script = tmp_path / "eval.py"
     write_script(script, "import sys\nprint('log line')\nprint('{\"fitness\": 0.73}')\n")
     ev = make_evaluator({"command": f"{sys.executable} {script} {{checkpoint}}"})
-    assert ev.evaluate(checkpoint_file(tmp_path)) == 0.73
+    assert ev.evaluate(*checkpoint_file(tmp_path)) == 0.73
 
 
 def test_external_evaluator_nonzero_exit(tmp_path):
@@ -183,7 +184,7 @@ def test_external_evaluator_nonzero_exit(tmp_path):
     write_script(script, "import sys\nsys.exit(3)\n")
     ev = make_evaluator({"command": f"{sys.executable} {script} {{checkpoint}}"})
     with pytest.raises(EvaluatorFailed):
-        ev.evaluate(checkpoint_file(tmp_path))
+        ev.evaluate(*checkpoint_file(tmp_path))
 
 
 def test_external_evaluator_garbage_output(tmp_path):
@@ -191,7 +192,7 @@ def test_external_evaluator_garbage_output(tmp_path):
     write_script(script, "print('not json at all')\n")
     ev = make_evaluator({"command": f"{sys.executable} {script} {{checkpoint}}"})
     with pytest.raises(EvaluatorProtocol):
-        ev.evaluate(checkpoint_file(tmp_path))
+        ev.evaluate(*checkpoint_file(tmp_path))
 
 
 @pytest.mark.parametrize("stream,code,states", [
@@ -202,7 +203,7 @@ def test_external_evaluator_errors_quote_a_bounded_excerpt(tmp_path, stream, cod
     write_script(script, f"import sys\nprint('x' * 100_000, file=sys.{stream})\nsys.exit({code})\n")
     ev = make_evaluator({"command": f"{sys.executable} {script} {{checkpoint}}"})
     with pytest.raises((EvaluatorFailed, EvaluatorProtocol)) as info:
-        ev.evaluate(checkpoint_file(tmp_path))
+        ev.evaluate(*checkpoint_file(tmp_path))
     message = str(info.value)
     assert states in message and "xxx...xxx" in message
     assert len(message.encode()) < 1024
@@ -213,7 +214,7 @@ def test_external_evaluator_missing_key(tmp_path):
     write_script(script, "print('{\"score\": 1.0}')\n")
     ev = make_evaluator({"command": f"{sys.executable} {script} {{checkpoint}}"})
     with pytest.raises(EvaluatorProtocol):
-        ev.evaluate(checkpoint_file(tmp_path))
+        ev.evaluate(*checkpoint_file(tmp_path))
 
 
 def test_external_evaluator_nonfinite_fitness(tmp_path):
@@ -221,7 +222,7 @@ def test_external_evaluator_nonfinite_fitness(tmp_path):
     write_script(script, "print('{\"fitness\": NaN}')\n")
     ev = make_evaluator({"command": f"{sys.executable} {script} {{checkpoint}}"})
     with pytest.raises(EvaluatorProtocol):
-        ev.evaluate(checkpoint_file(tmp_path))
+        ev.evaluate(*checkpoint_file(tmp_path))
 
 
 def test_external_evaluator_timeout(tmp_path):
@@ -231,7 +232,7 @@ def test_external_evaluator_timeout(tmp_path):
         {"command": f"{sys.executable} {script} {{checkpoint}}", "timeout": 0.5}
     )
     with pytest.raises(EvaluatorFailed):
-        ev.evaluate(checkpoint_file(tmp_path))
+        ev.evaluate(*checkpoint_file(tmp_path))
 
 
 def _alive(pid):
@@ -252,7 +253,7 @@ def test_external_evaluator_timeout_kills_grandchildren(tmp_path):
     pid = None
     try:
         with pytest.raises(EvaluatorFailed):
-            ev.evaluate(checkpoint_file(tmp_path))
+            ev.evaluate(*checkpoint_file(tmp_path))
         pid = int(pid_file.read_text())
         deadline = time.monotonic() + 5.0
         while _alive(pid) and time.monotonic() < deadline:
@@ -285,7 +286,7 @@ def test_external_evaluator_output_that_is_not_utf8_is_quoted(tmp_path, stream, 
     write_script(script, f"import sys\nsys.{stream}.buffer.write(b'\\xff\\n')\nsys.exit({code})\n")
     ev = make_evaluator({"command": f"{sys.executable} {script} {{checkpoint}}"})
     with pytest.raises(error) as info:
-        ev.evaluate(checkpoint_file(tmp_path))
+        ev.evaluate(*checkpoint_file(tmp_path))
     assert states + repr("\\xff") in str(info.value)
 
 
@@ -294,7 +295,7 @@ def test_external_evaluator_reads_past_a_line_that_is_not_utf8(tmp_path):
     write_script(script, "import sys\n"
                          "sys.stdout.buffer.write(b'log \\xff\\n{\"fitness\": 0.25}\\n')\n")
     ev = make_evaluator({"command": f"{sys.executable} {script} {{checkpoint}}"})
-    assert ev.evaluate(checkpoint_file(tmp_path)) == 0.25
+    assert ev.evaluate(*checkpoint_file(tmp_path)) == 0.25
 
 
 # --- builtin evaluators -----------------------------------------------------------
@@ -304,7 +305,7 @@ def test_l2_to_target_zero_at_target(tmp_path):
     base_path = tmp_path / "base.st"
     save_checkpoint(base, base_path)
     ev = make_evaluator({"builtin": "l2-to-target", "target_path": str(base_path)})
-    assert ev.evaluate(base) == 0.0
+    assert ev.evaluate(base, base_path) == 0.0
 
 
 def test_l2_to_target_negative_away_from_target(tmp_path):
@@ -313,7 +314,7 @@ def test_l2_to_target_negative_away_from_target(tmp_path):
     base_path = tmp_path / "b.st"
     save_checkpoint(base, base_path)
     ev = make_evaluator({"builtin": "l2-to-target", "target_path": str(base_path)})
-    assert ev.evaluate(other) < 0.0
+    assert ev.evaluate(other, None) < 0.0  # a builtin does not read the path
 
 
 def test_toy_regression_matches_manual_mse():
@@ -325,7 +326,7 @@ def test_toy_regression_matches_manual_mse():
         + float(np.mean((pred - np.cos(1.5 * xs)) ** 2))
     )
     ev = make_evaluator({"builtin": "toy-regression"})
-    assert ev.evaluate(ckpt) == pytest.approx(expected, rel=1e-12)
+    assert ev.evaluate(ckpt, None) == pytest.approx(expected, rel=1e-12)
 
 
 def test_toy_regression_rejects_unknown_target():
@@ -348,7 +349,7 @@ class CountingEvaluator:
     def evaluator_id(self):
         return "counting:v1"
 
-    def evaluate(self, path):
+    def evaluate(self, merged, path):
         self.calls += 1
         return 1.25
 
@@ -486,13 +487,16 @@ def test_builtin_evaluator_scores_the_merged_checkpoint_in_memory(tmp_path, monk
     ev = make_evaluator(spec)
     scored = []
     real = type(ev).evaluate
-    monkeypatch.setattr(type(ev), "evaluate", lambda self, ckpt: scored.append(ckpt) or real(self, ckpt))
+    monkeypatch.setattr(type(ev), "evaluate",
+                        lambda self, *args: scored.append(args) or real(self, *args))
     fitness, invoked = evaluate_candidate(ties_recipe(), ev, tmp_path, sources, FitnessCache())
-    assert invoked and len(scored) == 1 and isinstance(scored[0], Checkpoint)
+    assert invoked and len(scored) == 1
+    merged, path = scored[0]
+    assert isinstance(merged, Checkpoint) and path == tmp_path / "candidate.st"
     # the candidate file is still written, and scoring it gives the same bits
-    written = load_checkpoint(tmp_path / "candidate.st")
-    assert checkpoint_digest(written) == checkpoint_digest(scored[0])
-    assert real(ev, written) == fitness
+    written = load_checkpoint(path)
+    assert checkpoint_digest(written) == checkpoint_digest(merged)
+    assert real(ev, written, None) == fitness
 
 
 def test_evaluate_candidate_retries(tmp_path):
@@ -504,7 +508,7 @@ def test_evaluate_candidate_retries(tmp_path):
         def evaluator_id(self):
             return "flaky:v1"
 
-        def evaluate(self, path):
+        def evaluate(self, merged, path):
             self.calls += 1
             if self.calls == 1:
                 raise EvaluatorFailed("transient")

@@ -4,7 +4,7 @@ file, each kind of input file is opened by one call, only the config
 reader builds a search config, only the token reader builds a token
 sequence in the library, no number a JSON number reader returned is
 checked for finiteness again, surface costs are computed only by the
-cost table, builtin evaluators read no checkpoint, no class defines a
+cost table, no evaluator reads a checkpoint, no class defines a
 ``validate`` method, no context manager is entered by hand, every JSON
 decode catches too deep a nesting, and importing the command line leaves
 scipy unloaded.
@@ -199,20 +199,19 @@ def test_only_the_cost_table_computes_substitution_costs():
     assert set(callers) == {"token_align.SurfaceNormalizer.costs"}, callers
 
 
-def test_builtin_evaluators_score_without_reading_a_checkpoint():
-    """A builtin evaluator scores the merged checkpoint it is handed, so no
-    ``evaluate`` method of a class in ``_BUILTIN_EVALUATORS`` reads one."""
-    tree = _parse(ROOT / "src" / "umm" / "evo_search.py")
-    builtins = {n.id for node in tree.body if isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "_BUILTIN_EVALUATORS" for t in node.targets)
-                for n in ast.walk(node.value) if isinstance(n, ast.Name)}
-    assert builtins == {"L2ToTargetEvaluator", "ToyRegressionEvaluator"}, builtins
-    reads = [f"{cls.name}.evaluate:{call.lineno}" for cls in tree.body
-             if isinstance(cls, ast.ClassDef) and cls.name in builtins
-             for method in cls.body if getattr(method, "name", None) == "evaluate"
+def test_no_evaluator_reads_a_checkpoint():
+    """An evaluator is handed the merged checkpoint and the path it was
+    written to, so a builtin scores the checkpoint in memory: no
+    ``evaluate`` method under ``src/umm`` reads a checkpoint."""
+    methods = {f"{path.stem}.{cls.name}": method for path in LIBRARY
+               for cls in ast.walk(_parse(path)) if isinstance(cls, ast.ClassDef)
+               for method in cls.body if getattr(method, "name", None) == "evaluate"}
+    assert {"evo_search.ExternalEvaluator", "evo_search.L2ToTargetEvaluator",
+            "evo_search.ToyRegressionEvaluator"} <= set(methods), sorted(methods)
+    reads = [f"{owner}.evaluate:{call.lineno}" for owner, method in methods.items()
              for call in ast.walk(method) if isinstance(call, ast.Call)
              and _callee(call) in ("load_checkpoint", "CheckpointReader")]
-    assert not reads, f"builtin evaluators that read a checkpoint: {reads}"
+    assert not reads, f"evaluators that read a checkpoint: {reads}"
 
 
 def test_no_class_defines_a_validate_method():
