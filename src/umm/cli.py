@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse-targets", help="project, fuse, and emit target rows")
     p.add_argument("--examples", required=True)
     p.add_argument("--stats", required=True)
-    p.add_argument("--markers", default=None)
+    p.add_argument("--markers", default=None,
+                   help="comma-separated word-boundary markers to strip")
     p.add_argument("--pivot-vocab", type=_vocab_size, default=None)
     p.add_argument("--source-vocab", type=_vocab_size, default=None)
     p.add_argument("--vocab-map", default="proportional",

@@ -3,11 +3,10 @@ be reached by something that runs, only ``tensor_store.publish`` writes a
 file, each kind of input file is opened by one call, only the config
 reader builds a search config, only the token reader builds a token
 sequence in the library, no number a JSON number reader returned is
-checked for finiteness again, surface costs are computed only by the
-cost table, no evaluator reads a checkpoint, no class defines a
-``validate`` method, no context manager is entered by hand, every JSON
-decode catches too deep a nesting, and importing the command line leaves
-scipy unloaded.
+checked for finiteness again, no evaluator reads a checkpoint, no class
+defines a ``validate`` method, no context manager is entered by hand,
+every JSON decode catches too deep a nesting, and importing the command
+line leaves scipy unloaded.
 
 A module-level function or class, public or private, or a public method,
 counts as reached when its name appears as a Name, an Attribute or an
@@ -186,17 +185,6 @@ def test_only_the_token_reader_builds_a_token_seq():
         if _callee(call) == "TokenSeq"
     )
     assert builders == {"token_align.token_seq_from_json_obj": 1}, builders
-
-
-def test_only_the_cost_table_computes_substitution_costs():
-    """``SurfaceNormalizer.costs`` keeps every surface pair's cost for the
-    rest of its command, so no alignment path costs surfaces around it:
-    nothing else in the library calls ``substitution_costs``."""
-    callers = collections.Counter(
-        scope for path in LIBRARY for scope, call in _scoped_calls(_parse(path), path.stem)
-        if _callee(call) == "substitution_costs"
-    )
-    assert set(callers) == {"token_align.SurfaceNormalizer.costs"}, callers
 
 
 def test_no_evaluator_reads_a_checkpoint():

@@ -317,12 +317,10 @@ _TOKENS = st.lists(_SHARED_SURFACE, min_size=1, max_size=10)
 
 
 @settings(max_examples=80, deadline=None)
-@given(pairs=st.lists(st.tuples(_TOKENS, _TOKENS), min_size=1, max_size=6),
-       cap=st.integers(1, 120))
-def test_a_shared_normalizer_gives_every_pair_the_bits_of_a_fresh_one(pairs, cap):
-    """The same segments and cost bits four ways: a fresh normalizer per
-    pair, one normalizer in order, one in reverse order, and one whose
-    table starts over as it runs."""
+@given(pairs=st.lists(st.tuples(_TOKENS, _TOKENS), min_size=1, max_size=6))
+def test_a_shared_normalizer_gives_every_pair_the_bits_of_a_fresh_one(pairs):
+    """The same segments and cost bits three ways: a fresh normalizer per
+    pair, one normalizer in order, and one in reverse order."""
     seqs = [(seq(p), seq(s)) for p, s in pairs]
 
     def aligned(order, norm=None) -> dict:
@@ -333,30 +331,37 @@ def test_a_shared_normalizer_gives_every_pair_the_bits_of_a_fresh_one(pairs, cap
     fresh = aligned(forward)
     assert aligned(forward, SurfaceNormalizer()) == fresh
     assert aligned(reversed(forward), SurfaceNormalizer()) == fresh
-    with mock.patch.object(token_align, "_COST_TABLE_CELLS", cap):
-        assert aligned(forward, SurfaceNormalizer()) == fresh
 
 
-def test_a_small_cost_table_starts_over_and_keeps_the_bits(rng):
-    words = ["".join(rng.choice(list("abcde"), size=int(rng.integers(1, 5)))) for _ in range(60)]
-    seqs = [(seq([str(w) for w in rng.choice(words, size=12)]),
-             seq(["Ġ" + str(w) for w in rng.choice(words, size=9)])) for _ in range(40)]
+def test_each_pair_costs_only_its_own_distinct_surfaces(rng, monkeypatch):
+    """No surface repeats across pairs and some repeat within one, so a
+    pair's Levenshtein cells are its distinct normalized pivot forms
+    times its distinct normalized source forms, however many pairs one
+    normalizer has served before it."""
+    cells = []
+
+    def counting(pivots, sources, **options):
+        cells.append(len(pivots) * len(sources))
+        return substitution_costs(pivots, sources, **options)
+
+    monkeypatch.setattr(token_align, "substitution_costs", counting)
     norm = SurfaceNormalizer()
-    sizes = []
-    with mock.patch.object(token_align, "_COST_TABLE_CELLS", 600):
-        for pivot, source in seqs:
-            assert alignment_cost(pivot, source, norm) == alignment_cost(pivot, source)
-            sizes.append(norm._table.size)
-    assert max(sizes) <= 600
-    assert any(b < a for a, b in zip(sizes, sizes[1:])), sizes  # it started over
+    for k in range(20):
+        words = [f"w{k}x{i}" for i in range(8)]
+        pivot = [str(w) for w in rng.choice(words, size=12)]
+        source = [marker + str(w) for marker, w in
+                  zip(rng.choice(["", "▁", "Ġ"], size=9), rng.choice(words, size=9))]
+        want = (len({norm.normalize(t) for t in pivot})
+                * len({norm.normalize(t) for t in source}))
+        cells.clear()
+        alignment_cost(seq(pivot), seq(source), norm)
+        assert sum(cells) == want, (k, cells, want)
 
 
-def test_a_shared_normalizer_holds_at_most_its_cap_whatever_the_pair_count(monkeypatch):
-    """Surfaces never repeat, so every pair grows the table: the peak stays
-    within the cap (the table and the copy it grows from) plus one pair's
-    working set, and does not grow with the number of pairs."""
-    cap, n = 1 << 16, 100
-    monkeypatch.setattr(token_align, "_COST_TABLE_CELLS", cap)
+def test_a_shared_normalizer_peak_does_not_grow_with_the_pair_count():
+    """Surfaces never repeat across pairs: the peak stays within one
+    pair's working set and does not grow with the number of pairs."""
+    n = 100
     fresh = iter(range(10**9))
 
     def pair():
@@ -371,14 +376,13 @@ def test_a_shared_normalizer_holds_at_most_its_cap_whatever_the_pair_count(monke
             tracemalloc.reset_peak()
             for _ in range(count):
                 alignment_cost(*pair(), norm)
-                assert norm._table.size <= cap
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    # one pair: its DP table, at most 2**17 int32 cells in each of the
-    # Levenshtein's three planes, and its surfaces with their table places
-    one_pair = 8 * (n + 1) ** 2 + 3 * 4 * (1 << 17) + 2**18
-    assert peaks[0] < 8 * cap + one_pair, (peaks[0] - 8 * cap) / 2**20
+    # one pair: its DP table and substitution costs, at most 2**17 int32
+    # cells in each of the Levenshtein's three planes, and its surfaces
+    one_pair = 2 * 8 * (n + 1) ** 2 + 3 * 4 * (1 << 17) + 2**18
+    assert peaks[0] < one_pair, peaks[0] / 2**20
     assert peaks[1] < peaks[0] + 2**16, (peaks[1] - peaks[0]) / 2**10
 
 
