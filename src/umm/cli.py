@@ -93,7 +93,11 @@ def cmd_merge(args) -> dict:
         recipe = load_recipe(args.recipe)
         # the base is opened, not loaded: merge decodes each tensor once
         base = stack.enter_context(CheckpointReader(args.base))
-        overrides = dict(args.model or [])
+        overrides = {}
+        for source_id, path in args.model or []:
+            if source_id in overrides:
+                raise ValueError(f"--model repeats source id {source_id!r}: each must be distinct")
+            overrides[source_id] = path
         unknown = set(overrides) - {m.source_id for m in recipe.per_model}
         if unknown:
             raise ValueError(f"--model names not in recipe: {sorted(unknown)}")

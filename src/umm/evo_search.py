@@ -278,7 +278,9 @@ def make_evaluator(spec: dict):
 
 @dataclass
 class SourceSet:
-    """Base checkpoint plus task vectors, with a combined content digest."""
+    """Base checkpoint plus task vectors, with a combined content digest.
+    Each vector holds its loaded fine-tuned checkpoint, not its deltas:
+    every candidate's merge takes each delta as it merges that tensor."""
 
     base: Checkpoint
     vectors: list
@@ -287,8 +289,9 @@ class SourceSet:
 
 def load_sources(base_path, models: list) -> SourceSet:
     """The base and one task vector per model ({source_id, path} dicts),
-    in source_id order.  Each fine-tuned checkpoint is loaded when its
-    turn comes, so set-up peaks at one checkpoint above what it returns."""
+    in source_id order, each checkpoint loaded once.  A fine-tuned
+    checkpoint is loaded and digested when its turn comes, so set-up peaks
+    at one digest's working set above what it returns."""
     base = load_checkpoint(base_path)
     digests = [checkpoint_digest(base)]
     vectors = []

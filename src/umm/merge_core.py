@@ -28,9 +28,10 @@ tensor's per-model (weight, density) pairs:
 Everything after the trim runs once per block of a span, so many small
 tensors cost one set of numpy calls, and a large tensor is finished in
 ``_BLOCK``-entry blocks.  A span over several layer groups gets a
-per-entry float32 weight array per model.  Lazy deltas are read one
-tensor and model at a time, each against the span's decoded base, so a
-merge holds only the current span's deltas.
+per-entry float32 weight array per model.  A task vector holds its
+fine-tuned checkpoint, loaded or open, not its deltas: each delta is
+taken one tensor and model at a time, against the span's decoded base,
+so a merge holds only the current span's deltas.
 task_arithmetic and ties keep a tensor's base bits, -0.0 included, when
 its scaled contribution is exactly zero.
 
@@ -64,43 +65,27 @@ from umm.errors import (
     RecipeModelMismatch,
 )
 from umm.jsonl import read_json, reject_unknown, want_int, want_number, want_objects, want_str
-from umm.tensor_store import Checkpoint, CheckpointReader, Tensor, require_compat
+from umm.tensor_store import Checkpoint, Tensor, require_compat
 
 METHODS = ("linear", "task_arithmetic", "ties")
 
 
-class _FileTaskVector:
-    """finetuned - base, one tensor read from an open container when a
-    merge asks for it; the same interface as TaskVector."""
-
-    def __init__(self, finetuned: CheckpointReader, source_id: str = ""):
-        self._finetuned = finetuned
-        self.source_id = source_id
-
-    def shapes(self) -> dict:
-        return self._finetuned.shapes()
-
-    def delta(self, name: str, base_arr: np.ndarray) -> np.ndarray:
-        # read returns a new array, so the difference can overwrite it
-        delta = self._finetuned.read(name).data
-        delta -= base_arr
-        return delta
-
-
 @dataclass
 class TaskVector:
-    """Per-tensor float32 deltas of one fine-tuned model against a base."""
+    """finetuned - base of one fine-tuned model, one tensor at a time: a
+    delta is taken when a merge asks for it, against the base tensor the
+    merge has decoded, so a merge holds one tensor's deltas at a time."""
 
-    deltas: dict  # tensor name -> np.ndarray (f32)
+    finetuned: object  # a loaded Checkpoint or an open CheckpointReader
     source_id: str = ""
 
     def shapes(self) -> dict:
         """Tensor name -> delta shape."""
-        return {name: arr.shape for name, arr in self.deltas.items()}
+        return self.finetuned.shapes()
 
     def delta(self, name: str, base_arr: np.ndarray) -> np.ndarray:
-        """The delta of tensor ``name``; a lazy vector subtracts ``base_arr``."""
-        return self.deltas[name]
+        """The float32 delta of tensor ``name`` against ``base_arr``."""
+        return self.finetuned.array(name) - base_arr
 
 
 @dataclass
@@ -291,23 +276,16 @@ def expand_schedule(recipe: MergeRecipe, ckpt: Checkpoint) -> Schedule:
 
 # --- task vectors -------------------------------------------------------------
 
-def compute_task_vector(base: Checkpoint, finetuned,
-                        source_id: str = "") -> TaskVector | _FileTaskVector:
-    """Elementwise float32 difference finetuned - base.
+def compute_task_vector(base, finetuned, source_id: str = "") -> TaskVector:
+    """The elementwise float32 difference finetuned - base, taken lazily.
 
-    From a loaded Checkpoint every delta is computed now, so a search can
-    reuse them for each candidate.  From an open CheckpointReader the
-    vector is lazy, with the same ``shapes`` and ``delta``: each delta is
-    read and computed when a merge asks for it, against the base
-    tensor the merge has decoded, so a merge holds one tensor's deltas at
-    a time; the reader must stay open until then.  ``base`` is a
-    Checkpoint or an open CheckpointReader.
+    ``base`` and ``finetuned`` are each a Checkpoint or an open
+    CheckpointReader, and must hold the same names and shapes.  Each delta
+    is computed when a merge asks for it, so a reader must stay open until
+    the merge is done.
     """
     require_compat(base, finetuned, f"base vs finetuned {source_id!r}")
-    if isinstance(finetuned, CheckpointReader):
-        return _FileTaskVector(finetuned, source_id)
-    deltas = {name: finetuned.array(name) - base.array(name) for name in base.names()}
-    return TaskVector(deltas=deltas, source_id=source_id)
+    return TaskVector(finetuned, source_id)
 
 
 def _ordered_vectors(recipe: MergeRecipe, vectors: list) -> list:
@@ -631,7 +609,8 @@ def merge(base, vectors: list, recipe: MergeRecipe, out=None) -> Checkpoint | No
 
     ``base`` is a Checkpoint or an open CheckpointReader; a reader's
     tensors are decoded once each, as their span is merged.  ``vectors``
-    holds one TaskVector per recipe model, in any order.  The output has
+    holds one task vector per recipe model, in any order: anything with a
+    ``source_id``, ``shapes()`` and ``delta(name, base_arr)``.  The output has
     the base's tensor names and metadata, every tensor f32.  It is
     returned as a Checkpoint, or, with ``out`` (an open CheckpointWriter of
     that layout), each span's tensors are written to ``out`` as soon as

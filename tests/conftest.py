@@ -111,10 +111,26 @@ def full_disk(monkeypatch):
     return fail
 
 
+class DrawnTaskVector:
+    """Given float32 deltas behind the task-vector interface of a merge
+    (``source_id``, ``shapes``, ``delta``), for tests that draw deltas
+    directly rather than as the difference of two checkpoints."""
+
+    def __init__(self, deltas: dict, source_id: str = ""):
+        self.deltas = deltas
+        self.source_id = source_id
+
+    def shapes(self) -> dict:
+        return {name: arr.shape for name, arr in self.deltas.items()}
+
+    def delta(self, name: str, base_arr: np.ndarray) -> np.ndarray:
+        return self.deltas[name]
+
+
 def random_ties_instance(rng, n_models=None, integer_mode=None):
     """Small random TIES merge setup plus the ground truth needed by the
     scalar reference: per-tensor group assignment, densities, weights."""
-    from umm.merge_core import GroupCoeffs, MergeRecipe, ModelCoeffs, TaskVector
+    from umm.merge_core import GroupCoeffs, MergeRecipe, ModelCoeffs
 
     num_layers = int(rng.integers(1, 5))
     group_size = int(rng.integers(1, 4))
@@ -168,7 +184,7 @@ def random_ties_instance(rng, n_models=None, integer_mode=None):
             )
         per_model.append(ModelCoeffs(source_id=f"m{m}", groups=groups))
         vectors.append(
-            TaskVector(deltas={n: draw(shapes[n]) for n in names}, source_id=f"m{m}")
+            DrawnTaskVector(deltas={n: draw(shapes[n]) for n in names}, source_id=f"m{m}")
         )
         densities.append({n: groups[g].density for n, g in names.items()})
         for n, g in names.items():

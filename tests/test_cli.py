@@ -241,6 +241,25 @@ def test_merge_unknown_model_flag_exits_1(tmp_path, capsys):
     assert code == 1 and "zz" in err
 
 
+def test_merge_repeated_model_flag_exits_1(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    for name in ("base", "a", "b"):
+        save_checkpoint(layered_ckpt(rng, num_layers=2), tmp_path / f"{name}.st")
+    recipe = recipe_obj("ties", 1, 3, [("a", str(tmp_path / "a.st"), (0.5, 1.0))])
+    write_json(tmp_path / "recipe.json", recipe)
+
+    code, _, err = run_cli(
+        ["merge", "--base", str(tmp_path / "base.st"),
+         "--recipe", str(tmp_path / "recipe.json"),
+         "--out", str(tmp_path / "merged.st"),
+         "--model", f"a={tmp_path / 'a.st'}", "--model", f"a={tmp_path / 'b.st'}"],
+        capsys,
+    )
+    assert code == 1
+    assert "--model repeats source id 'a'" in err
+    assert not (tmp_path / "merged.st").exists()
+
+
 def set_field(obj, path, value):
     for key in path[:-1]:
         obj = obj[key]
@@ -567,6 +586,25 @@ def test_search_outputs_deterministic_across_runs_and_threads(tmp_path, expert_d
     history = (tmp_path / "run_a" / "history.csv").read_text().splitlines()
     assert history[0] == "generation,best,best_so_far"
     assert len(history) == 1 + len(first["history"])
+
+
+def test_merge_of_the_best_recipe_writes_the_bytes_of_a_search_candidate(tmp_path, expert_dir,
+                                                                        capsys):
+    write_json(tmp_path / "config.json", search_config_obj(expert_dir))
+    code, _, _ = run_cli(["--log-level", "warning", "search",
+                          "--config", str(tmp_path / "config.json"),
+                          "--out", str(tmp_path / "run")], capsys)
+    assert code == 0
+    code, _, _ = run_cli(["--log-level", "warning", "merge",
+                          "--base", str(expert_dir / "base.st"),
+                          "--recipe", str(tmp_path / "run" / "best_recipe.json"),
+                          "--out", str(tmp_path / "merged.st")], capsys)
+    assert code == 0
+    candidates = {path.name: path.read_bytes() for path in (tmp_path / "run").glob("*.st")}
+    # the initial recipe and two generations of the default population
+    assert "initial.st" in candidates and len(candidates) > 2
+    merged = (tmp_path / "merged.st").read_bytes()
+    assert [name for name, data in candidates.items() if data == merged]
 
 
 def test_search_seed_flag_overrides_config(tmp_path, expert_dir, capsys):

@@ -394,8 +394,8 @@ def test_load_sources_holds_one_finetuned_checkpoint_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     model_bytes = sum(a.nbytes for a in arrays.values())
-    # the base and three vectors stay; besides them, one fine-tuned
-    # checkpoint and its digest's working set (all three at once is 3x)
+    # the base and the three fine-tuned checkpoints the vectors hold stay;
+    # besides them, one checkpoint's digest working set (all three at once is 3x)
     assert held >= 4 * model_bytes
     assert peak < held + 2 * model_bytes, (peak - held) / model_bytes
 
@@ -406,7 +406,8 @@ def test_load_sources_holds_one_finetuned_checkpoint_at_a_time(tmp_path):
         tuned = load_checkpoint(tmp_path / f"{vec.source_id}.st")
         digests.append(f"{vec.source_id}:{checkpoint_digest(tuned)}")
         want = compute_task_vector(base, tuned, vec.source_id)
-        assert all(vec.deltas[n].tobytes() == want.deltas[n].tobytes() for n in arrays)
+        assert all(vec.delta(n, base.array(n)).tobytes() == want.delta(n, base.array(n)).tobytes()
+                   for n in arrays)
     assert sources.digest == hashlib.sha256("|".join(digests).encode()).hexdigest()
 
 

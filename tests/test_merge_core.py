@@ -22,7 +22,6 @@ from umm.merge_core import (
     GroupCoeffs,
     MergeRecipe,
     ModelCoeffs,
-    TaskVector,
     compute_task_vector,
     expand_schedule,
     group_count,
@@ -42,7 +41,7 @@ from umm.tensor_store import (
     save_checkpoint,
 )
 
-from conftest import random_ties_instance
+from conftest import DrawnTaskVector, random_ties_instance
 from reference_impls import (
     ref_disjoint_merge,
     ref_elect,
@@ -89,7 +88,7 @@ def simple_recipe(method, group_size, n_groups, n_models=1, weight=1.0, density=
 
 
 def tv(source_id, **arrays):
-    return TaskVector(
+    return DrawnTaskVector(
         deltas={k: np.asarray(v, np.float32) for k, v in arrays.items()}, source_id=source_id
     )
 
@@ -99,26 +98,55 @@ def tv(source_id, **arrays):
 def test_task_vector_zero_when_equal():
     a = ckpt(x=[1.0, 2.0])
     vec = compute_task_vector(a, a, "m")
-    assert np.array_equal(vec.deltas["x"], [0.0, 0.0])
+    assert np.array_equal(vec.delta("x", a.array("x")), [0.0, 0.0])
 
 
 def test_task_vector_from_zero_base():
     base = ckpt(x=[0.0, 0.0, 0.0])
     ft = ckpt(x=[1.5, -2.0, 3.0])
     vec = compute_task_vector(base, ft)
-    assert np.array_equal(vec.deltas["x"], [1.5, -2.0, 3.0])
+    assert np.array_equal(vec.delta("x", base.array("x")), [1.5, -2.0, 3.0])
 
 
 def test_task_vector_elementwise():
     base = ckpt(x=[1.0, 2.0, 3.0, 4.0])
     ft = ckpt(x=[2.0, 2.0, 2.0, 6.0])
     vec = compute_task_vector(base, ft)
-    assert np.array_equal(vec.deltas["x"], [1.0, 0.0, -1.0, 2.0])
+    assert np.array_equal(vec.delta("x", base.array("x")), [1.0, 0.0, -1.0, 2.0])
 
 
 def test_task_vector_incompatible():
     with pytest.raises(IncompatibleCheckpoints):
         compute_task_vector(ckpt(x=[1.0]), ckpt(y=[1.0]))
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f16", "bf16"])
+def test_task_vector_of_loaded_and_open_checkpoints_gives_the_same_delta_bits(dtype, tmp_path):
+    rng = np.random.default_rng(36)
+    shapes = {"a.w": (3, 5), "b.w": (), "c.w": (257,)}
+    base = {n: rng.standard_normal(shape).astype(np.float32) for n, shape in shapes.items()}
+    tuned = {n: a + rng.laplace(0.0, 0.01, a.shape).astype(np.float32) for n, a in base.items()}
+    base["a.w"][0] = -0.0
+    base["c.w"][::4] = -0.0
+    # equal entries, -0.0 ones among them, give zero deltas
+    tuned["a.w"][0, ::2] = -0.0
+    tuned["c.w"][::3] = base["c.w"][::3]
+    for name, arrays in (("base", base), ("tuned", tuned)):
+        save_checkpoint(Checkpoint({n: Tensor(a, dtype) for n, a in arrays.items()}),
+                        tmp_path / f"{name}.st")
+    loaded = [load_checkpoint(tmp_path / f"{name}.st") for name in ("base", "tuned")]
+    with contextlib.ExitStack() as stack:
+        opened = [stack.enter_context(CheckpointReader(tmp_path / f"{name}.st"))
+                  for name in ("base", "tuned")]
+        for name in shapes:
+            want = (loaded[1].array(name) - loaded[0].array(name)).view(np.uint32)
+            for base_src in (loaded[0], opened[0]):
+                for tuned_src in (loaded[1], opened[1]):
+                    vec = compute_task_vector(base_src, tuned_src, "m")
+                    got = vec.delta(name, base_src.array(name))
+                    assert got.dtype == np.float32 and got.shape == shapes[name]
+                    assert np.array_equal(got.view(np.uint32), want), name
+    assert np.signbit(loaded[0].array("c.w")[::4]).all()
 
 
 # --- schedule expansion ------------------------------------------------------
@@ -286,8 +314,7 @@ def test_ta_vector_list_order_irrelevant(rng):
 def test_merge_names_the_task_vector_that_misses_a_tensor():
     base = layered_ckpt(2)
     fine = compute_task_vector(base, base, "m0")
-    short = compute_task_vector(base, base, "m1")
-    del short.deltas["embed.w"]
+    short = tv("m1", **{n: base.array(n) for n in base.names() if n != "embed.w"})
     with pytest.raises(IncompatibleCheckpoints,
                        match="task vector 'm1': missing in second: embed.w"):
         merge(base, [fine, short], simple_recipe("task_arithmetic", 2, 2, n_models=2))
@@ -295,8 +322,9 @@ def test_merge_names_the_task_vector_that_misses_a_tensor():
 
 def test_merge_names_the_task_vector_whose_tensor_has_another_shape():
     base = layered_ckpt(2)
-    vec = compute_task_vector(base, base, "m0")
-    vec.deltas["layers.1.w"] = vec.deltas["layers.1.w"].reshape(2, 2)
+    arrays = {n: base.array(n) for n in base.names()}
+    arrays["layers.1.w"] = arrays["layers.1.w"].reshape(2, 2)
+    vec = tv("m0", **arrays)
     mismatch = "task vector 'm0': shape mismatch layers.1.w: [4] vs [2, 2]"
     with pytest.raises(IncompatibleCheckpoints, match=re.escape(mismatch)):
         merge(base, [vec], simple_recipe("ties", 2, 2))
@@ -577,8 +605,8 @@ def test_ties_single_model_identity(rng):
 def test_ties_identical_vectors_full_density(rng):
     base = layered_ckpt(2, rng=rng)
     delta = {n: rng.standard_normal(base.array(n).shape).astype(np.float32) for n in base.names()}
-    v1 = TaskVector(deltas={n: d.copy() for n, d in delta.items()}, source_id="m0")
-    v2 = TaskVector(deltas={n: d.copy() for n, d in delta.items()}, source_id="m1")
+    v1 = DrawnTaskVector(deltas={n: d.copy() for n, d in delta.items()}, source_id="m0")
+    v2 = DrawnTaskVector(deltas={n: d.copy() for n, d in delta.items()}, source_id="m1")
     lam = 0.5
     recipe = simple_recipe("ties", 2, 2, n_models=2, weight=0.5, density=1.0, lam=lam)
     out = merge(base, [v1, v2], recipe)
@@ -640,7 +668,7 @@ def _blocked_instance(rng, shapes):
 
 def _merge_arrays(method, base, vectors, lam=1.0):
     out = merge(Checkpoint({n: Tensor(a) for n, a in base.items()}, metadata=_ONE_LAYER),
-                [TaskVector(deltas=v, source_id=f"m{m}") for m, v in enumerate(vectors)],
+                [DrawnTaskVector(deltas=v, source_id=f"m{m}") for m, v in enumerate(vectors)],
                 _global_recipe(method, lam))
     return {name: out.array(name) for name in base}
 
@@ -753,9 +781,9 @@ def test_ties_trims_each_lazy_delta_as_it_is_read(tmp_path):
     block_scratch = 16 * _BLOCK * 4
     over_output = peak - before - tensor_bytes
     assert over_output < (len(_WEIGHTS) + 1) * tensor_bytes + block_scratch
-    eager = [TaskVector(deltas={"w": load_checkpoint(tmp_path / f"m{m}.st").array("w") - base_arr},
-                        source_id=f"m{m}") for m in range(len(_WEIGHTS))]
-    assert out.array("w").tobytes() == merge(base, eager, recipe).array("w").tobytes()
+    loaded = [compute_task_vector(base, load_checkpoint(tmp_path / f"m{m}.st"), f"m{m}")
+              for m in range(len(_WEIGHTS))]
+    assert out.array("w").tobytes() == merge(base, loaded, recipe).array("w").tobytes()
 
 
 # --- packed spans of small tensors ---------------------------------------------------------
@@ -813,7 +841,7 @@ def test_merge_packed_spans_bitwise(method, monkeypatch):
     monkeypatch.setattr(merge_core, "ties_elect", counting_elect)
     lam = 0.75
     out = merge(Checkpoint({n: Tensor(a) for n, a in base.items()}, metadata=_SPAN_META),
-                [TaskVector(deltas=v, source_id=f"m{m}") for m, v in enumerate(vectors)],
+                [DrawnTaskVector(deltas=v, source_id=f"m{m}") for m, v in enumerate(vectors)],
                 _span_recipe(method, lam))
     weights = {name: list(_SPAN_WEIGHTS[_span_group(name)]) for name in base}
     if method == "ties":
@@ -861,7 +889,7 @@ def test_ties_steps_run_once_per_packed_span(rng, monkeypatch):
     shapes = {"a.w": (2, 3), "layers.0.w": (4,), "layers.1.w": (), "layers.2.w": (3, 3)}
     base, vectors = _blocked_instance(rng, shapes)
     merge(Checkpoint({n: Tensor(a) for n, a in base.items()}, metadata=_SPAN_META),
-          [TaskVector(deltas=v, source_id=f"m{m}") for m, v in enumerate(vectors)],
+          [DrawnTaskVector(deltas=v, source_id=f"m{m}") for m, v in enumerate(vectors)],
           _span_recipe("ties", 1.0))
     # each delta is still trimmed whole, then the four tensors finish as one
     assert calls["trim"] == [shape for shape in shapes.values() for _ in range(3)]

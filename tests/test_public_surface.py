@@ -2,9 +2,10 @@
 be reached by something that runs, only ``tensor_store.publish`` writes a
 file, each kind of input file is opened by one call, only the config
 reader builds a search config, only the token reader builds a token
-sequence in the library, no number a JSON number reader returned is
-checked for finiteness again, no evaluator reads a checkpoint, no class
-defines a ``validate`` method, no context manager is entered by hand,
+sequence and only ``compute_task_vector`` a task vector in the library,
+no number a JSON number reader returned is checked for finiteness
+again, no evaluator reads a checkpoint, no class defines a ``validate``
+method, no context manager is entered by hand,
 every JSON decode catches too deep a nesting, and importing the command
 line leaves scipy unloaded.
 
@@ -185,6 +186,17 @@ def test_only_the_token_reader_builds_a_token_seq():
         if _callee(call) == "TokenSeq"
     )
     assert builders == {"token_align.token_seq_from_json_obj": 1}, builders
+
+
+def test_only_compute_task_vector_builds_a_task_vector():
+    """``merge_core.compute_task_vector`` checks a fine-tuned source
+    against its base, so every task vector the library makes is checked
+    only while nothing else in it calls ``TaskVector(...)``."""
+    builders = collections.Counter(
+        scope for path in LIBRARY for scope, call in _scoped_calls(_parse(path), path.stem)
+        if _callee(call) == "TaskVector"
+    )
+    assert builders == {"merge_core.compute_task_vector": 1}, builders
 
 
 def test_no_evaluator_reads_a_checkpoint():
