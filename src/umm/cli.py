@@ -212,6 +212,8 @@ def cmd_fuse_targets(args) -> dict:
 
 
 def cmd_toy_train(args) -> dict:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     corpus = load_fusion_corpus(args.corpus)
     vocab = corpus[0].pivot_dist.vocab_size
     model = init_toy_model(vocab, seed=args.seed)

@@ -7,7 +7,9 @@ oracle is an explicit float32 operation, and the projection oracle works
 one pivot position at a time, so the main implementation can be held to
 bitwise equality.  The statistics-file oracle reads one line at a time
 through the package's JSON-lines reader and field readers, so its errors
-are the package's own.
+are the package's own.  The toy MLP trainer at the end is no oracle: it
+builds the experts that the ``toy-regression`` evaluator's tests merge,
+since no command trains an MLP.
 """
 
 import math
@@ -16,6 +18,8 @@ import numpy as np
 
 from umm.errors import MalformedInput, OutOfVocab
 from umm.jsonl import iter_jsonl, want_int
+from umm.tensor_store import Checkpoint, Tensor
+from umm.toy_mlp import mlp_forward
 
 F = np.float32
 
@@ -461,3 +465,84 @@ def ref_sft_train(logits0, contexts_list, gold_list, lr, steps):
         loss, grad = loss_and_grad(logits)
         history.append(loss)
     return logits, history
+
+
+# --- toy MLP experts -----------------------------------------------------------
+
+DEFAULT_WIDTHS = (1, 16, 16, 16, 16, 16, 1)
+
+
+def init_mlp(seed: int, widths=DEFAULT_WIDTHS) -> Checkpoint:
+    """Random toy MLP checkpoint with scaled-normal weights and zero
+    biases, carrying the layer metadata merge schedules read."""
+    rng = np.random.default_rng(seed)
+    tensors = {}
+    n_layers = len(widths) - 1
+    for i in range(n_layers):
+        fan_in, fan_out = widths[i], widths[i + 1]
+        w = rng.standard_normal((fan_out, fan_in)) * np.sqrt(1.0 / fan_in)
+        tensors[f"layers.{i}.weight"] = Tensor(w.astype(np.float32))
+        tensors[f"layers.{i}.bias"] = Tensor(np.zeros(fan_out, np.float32))
+    return Checkpoint(
+        tensors=tensors,
+        metadata={"layer_pattern": "layers.{i}.", "num_layers": str(n_layers)},
+    )
+
+
+def train_mlp(ckpt: Checkpoint, xs: np.ndarray, ys: np.ndarray,
+              lr: float = 0.01, steps: int = 2000) -> Checkpoint:
+    """Full-batch Adam on MSE, deterministic; returns a new checkpoint,
+    input untouched."""
+    n_layers = int(ckpt.metadata["num_layers"])
+    weights = [ckpt.array(f"layers.{i}.weight").astype(np.float64) for i in range(n_layers)]
+    biases = [ckpt.array(f"layers.{i}.bias").astype(np.float64) for i in range(n_layers)]
+    xs = np.asarray(xs, dtype=np.float64).reshape(-1, 1)
+    ys = np.asarray(ys, dtype=np.float64).reshape(-1)
+    n = xs.shape[0]
+    last = len(weights) - 1
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+
+    for step in range(1, steps + 1):
+        # forward, keeping activations
+        acts = [xs]
+        h = xs
+        for i in range(len(weights)):
+            z = h @ weights[i].T + biases[i]
+            h = z if i == last else np.tanh(z)
+            acts.append(h)
+        pred = acts[-1][:, 0]
+        # backward: d(MSE)/dpred
+        grad = (2.0 / n) * (pred - ys)
+        delta = grad.reshape(-1, 1)
+        for i in range(last, -1, -1):
+            gw = delta.T @ acts[i]
+            gb = delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ weights[i]) * (1.0 - acts[i] ** 2)
+            t = step
+            for grad_p, m, v, param in ((gw, m_w[i], v_w[i], weights[i]),
+                                        (gb, m_b[i], v_b[i], biases[i])):
+                m *= beta1
+                m += (1 - beta1) * grad_p
+                v *= beta2
+                v += (1 - beta2) * grad_p**2
+                m_hat = m / (1 - beta1**t)
+                v_hat = v / (1 - beta2**t)
+                param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+    tensors = {}
+    for i in range(len(weights)):
+        tensors[f"layers.{i}.weight"] = Tensor(weights[i].astype(np.float32))
+        tensors[f"layers.{i}.bias"] = Tensor(biases[i].astype(np.float32))
+    return Checkpoint(tensors=tensors, metadata=dict(ckpt.metadata))
+
+
+def mse(ckpt: Checkpoint, xs: np.ndarray, ys: np.ndarray) -> float:
+    """Mean squared error of the evaluator's forward pass on ``xs``."""
+    pred = mlp_forward(ckpt, xs)
+    return float(np.mean((pred - np.asarray(ys, dtype=np.float64)) ** 2))

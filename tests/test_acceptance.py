@@ -51,14 +51,16 @@ from umm.token_align import (
     project_distribution,
     update_stats,
 )
-from umm.toy_mlp import init_mlp, mse, train_mlp
 
 from conftest import checkpoints_bitwise_equal, random_checkpoint, random_ties_instance
 from reference_impls import (
+    init_mlp,
+    mse,
     ref_min_alignment_cost,
     ref_sequence_ce,
     ref_sft_train,
     ref_ties_merge,
+    train_mlp,
 )
 
 TOTAL = 11

@@ -38,10 +38,9 @@ from umm.tensor_store import (
     load_checkpoint,
     save_checkpoint,
 )
-from umm.toy_mlp import init_mlp, train_mlp
 
 from conftest import write_fusion_corpus
-from reference_impls import ref_sft_train
+from reference_impls import init_mlp, ref_sft_train, train_mlp
 
 
 def run_cli(argv, capsys):
@@ -1202,6 +1201,34 @@ def test_align_stats_negative_id_without_a_vocab_flag_says_it_must_be_non_negati
     assert str(sys.maxsize) not in err
 
 
+def test_align_stats_vocab_flags_above_every_id_change_no_output(tmp_path, capsys):
+    # one pair of each kind; the vocab sizes fill AlignStats fields that
+    # the statistics file does not hold
+    write_jsonl(tmp_path / "pivot.jsonl", [
+        {"ids": [0, 1, 2], "surfaces": ["▁the", "▁cat", "▁sat"]},
+        {"ids": [3, 4, 5], "surfaces": ["▁wal", "k", "ing"]},
+        {"ids": [6], "surfaces": ["▁hello"]},
+        {"ids": [7, 8, 9], "surfaces": ["▁A", "BC", "D"]},
+    ])
+    write_jsonl(tmp_path / "source.jsonl", [
+        {"ids": [5, 3, 1], "surfaces": ["▁the", "▁cat", "▁sat"]},
+        {"ids": [0], "surfaces": ["▁walking"]},
+        {"ids": [2, 4], "surfaces": ["▁hel", "lo"]},
+        {"ids": [6, 7], "surfaces": ["▁AB", "CD"]},
+    ])
+    argv = ["--log-level", "warning", "align-stats",
+            "--pivot", str(tmp_path / "pivot.jsonl"),
+            "--source", str(tmp_path / "source.jsonl"),
+            "--out", str(tmp_path / "stats.jsonl")]
+    results = []
+    for flags in ([], ["--pivot-vocab", "12", "--source-vocab", "10"]):
+        assert main(argv + flags) == 0
+        results.append((capsys.readouterr().out, (tmp_path / "stats.jsonl").read_bytes()))
+    assert results[0] == results[1]
+    assert json.loads(results[0][0])["kinds"] == {"one_one": 3, "one_many": 1,
+                                                   "many_one": 1, "many_many": 1}
+
+
 # --- fuse-targets ----------------------------------------------------------------
 
 
@@ -1288,6 +1315,25 @@ def test_fuse_targets_bad_shape_names_offending_example(tmp_path, capsys):
     code, _, err = run_cli(fuse_args(tmp_path), capsys)
     assert code == 1
     assert "example 1" in err and "ShapeMismatch" in err
+
+
+def test_fuse_targets_rows_wider_than_the_stats_ids_need_both_vocab_flags(tmp_path, capsys):
+    # without the flags each vocab size is the statistics' largest id + 1
+    write_jsonl(tmp_path / "stats.jsonl", [{"p": 0, "s": 0, "c": 1}, {"p": 1, "s": 1, "c": 1}])
+    line = {"ids": [0, 1], "surfaces": ["▁a", "▁b"]}
+    write_jsonl(tmp_path / "ex.jsonl", [{
+        "pivot": line, "source": line, "instruction": [0],
+        "pivot_rows": [[0.25] * 4] * 2, "source_rows": [[0.25] * 4] * 2,
+    }])
+    argv = ["--log-level", "warning", "fuse-targets",
+            "--examples", str(tmp_path / "ex.jsonl"), "--stats", str(tmp_path / "stats.jsonl"),
+            "--out-dir", str(tmp_path / "fused")]
+    code, _, err = run_cli(argv, capsys)
+    assert_one_located_error(
+        code, err, f"ShapeMismatch: {tmp_path / 'ex.jsonl'}:1: example 0: "
+                   "source rows over 4 tokens, stats expect 2")
+    code, out, _ = run_cli(argv + ["--pivot-vocab", "4", "--source-vocab", "4"], capsys)
+    assert code == 0 and out["examples"] == 1
 
 
 def test_fuse_targets_scalar_ids_name_the_example(tmp_path, capsys):
@@ -1518,6 +1564,19 @@ def test_toy_train_seeds_its_initial_logits_from_the_global_seed(tmp_path, capsy
     assert code == 0
     save_toy_model(init_toy_model(4, seed=3), tmp_path / "seeded.st")
     assert sha256_file(tmp_path / "run" / "model.st") == sha256_file(tmp_path / "seeded.st")
+
+
+def test_toy_train_negative_seed_exits_1_naming_the_flag(tmp_path, capsys):
+    write_fusion_corpus(small_corpus(), tmp_path / "corpus.jsonl")
+    code, _, err = run_cli(
+        ["--seed", "-1", "toy-train", "--corpus", str(tmp_path / "corpus.jsonl"),
+         "--lambda", "0.5", "--out", str(tmp_path / "run")],
+        capsys,
+    )
+    assert code == 1
+    lines = [line for line in err.splitlines() if line.startswith("ERROR umm: ")]
+    assert lines == ["ERROR umm: ValueError: --seed must be >= 0, got -1"], err
+    assert not (tmp_path / "run").exists()
 
 
 def test_toy_train_invalid_lambda_exits_1(tmp_path, capsys):

@@ -40,7 +40,9 @@ from umm.tensor_store import (
     load_checkpoint,
     save_checkpoint,
 )
-from umm.toy_mlp import init_mlp, mlp_forward, mse, train_mlp
+from umm.toy_mlp import mlp_forward
+
+from reference_impls import init_mlp, mse, train_mlp
 
 
 def start_recipe(method, group_size, num_groups, source_ids):

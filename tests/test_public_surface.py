@@ -11,9 +11,11 @@ line leaves scipy unloaded.
 
 A module-level function or class, public or private, or a public method,
 counts as reached when its name appears as a Name, an Attribute or an
-import alias in the library itself, the benchmark, the acceptance tests,
-their fixtures or the reference implementations.  Unit tests do not
-count: a name only they use is code kept alive for its own tests.
+import alias in the library itself or the benchmark, or as the function
+or method a ``Target(...)`` of the benchmark's tracer wraps.  Tests do
+not count, the acceptance tests, their fixtures and the reference
+implementations included: a name only they use is code kept alive for
+its tests, and belongs beside them or nowhere.
 """
 
 import ast
@@ -25,11 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "umm").glob("*.py"))
-USERS = LIBRARY + sorted((ROOT / "bench").glob("*.py")) + [
-    ROOT / "tests" / "test_acceptance.py",
-    ROOT / "tests" / "conftest.py",
-    ROOT / "tests" / "reference_impls.py",
-]
+USERS = LIBRARY + sorted((ROOT / "bench").glob("*.py"))
 
 
 def _parse(path):
@@ -46,6 +44,9 @@ def _used_names() -> set:
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Call) and _callee(node) == "Target":
+                # Target(module, "function" or "Class.method", layer, ...)
+                used.update(node.args[1].value.split("."))
     return used
 
 
@@ -76,8 +77,8 @@ def test_every_public_name_is_reached():
 
 
 def test_every_private_module_level_name_is_reached():
-    """A private helper that only unit tests call is dead code: move it
-    beside the oracles in the reference implementations, or delete it."""
+    """A private helper that only tests call is dead code: move it into
+    the tests that call it, or delete it."""
     used = _used_names()
     definitions = _definitions(private=True)
     assert definitions, "no private definitions found under src/umm"
